@@ -31,7 +31,6 @@ from .engine import (
     ValidationError,
     apply_error,
     canonical_logicals,
-    forward_oracle,
     measure,
     simulate_measurements,
     validate_code,

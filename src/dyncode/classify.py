@@ -8,15 +8,27 @@ combination it is "associated" with, plus the known outcome of (element *
 associated stabilizer), which is always a product of measurement
 outcomes.  ``V`` collects an independent set of operators generated by
 the measurements themselves, each with a known outcome.  Together they
-generate the current ISG.  After the window, the intersection of the two
-spans yields every syndrome that the schedule reveals; removals from C
-are staged and replayed backwards to recover permanently masked
+generate the current ISG.
+
+Every measurement m applies one pivot rule (:func:`pivot`, the
+Aaronson-Gottesman stabilizer update): the first element anticommuting
+with m is the pivot, searching V before C, and every other anticommuting
+element of V and C is multiplied by it.  With no pivot, m joins V if it
+is independent of V (case 1).  Otherwise the pivot is removed and
+recorded, and m joins V: a C pivot means m hit only C (case 2), and a V
+pivot covers m hitting only V (case 3) or both sets (case 4).
+
+After the window, the intersection of the two spans yields every
+syndrome that the schedule reveals.  The removals are replayed backwards
+through the same pivot rule to recover the permanently masked
 stabilizers together with their destabilizers.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 
 from .engine import (
@@ -27,6 +39,7 @@ from .engine import (
     InternalInvariantError,
     OutcomeExpr,
     ValidationError,
+    canonical_logicals,
     symbol_expr,
     validate_code,
 )
@@ -46,9 +59,11 @@ from .pauli import (
     PauliOperator,
     decode,
     encode,
+    paulis_up_to_weight,
     product,
     symplectic_partner,
     symplectic_product,
+    weight,
 )
 
 
@@ -65,6 +80,40 @@ class TrackedPauli:
     op: PauliOperator
     assoc: Combination | None
     carry: OutcomeExpr
+
+    def __mul__(self, other: "TrackedPauli") -> "TrackedPauli":
+        """Product of the operators, the associated combinations (a None
+        ``assoc`` counts as empty) and the carried outcomes."""
+        assoc = self.assoc if other.assoc is None else other.assoc
+        if self.assoc is not None and other.assoc is not None:
+            assoc = Combination(self.assoc.mask ^ other.assoc.mask, self.assoc.size)
+        return TrackedPauli(product(self.op, other.op), assoc, self.carry * other.carry)
+
+
+def pivot(
+    m: PauliOperator, *groups: list[TrackedPauli]
+) -> tuple[list[TrackedPauli], int] | None:
+    """The stabilizer update step shared by every tracked evolution.
+
+    Searches ``groups`` in order for elements anticommuting with ``m``.
+    The first one found is the pivot; every later anticommuting element,
+    in its own group or a later one, is multiplied by it in place, so that
+    it commutes with ``m``.  The pivot itself is left where it is for the
+    caller to remove or replace.
+
+    Returns:
+        ``(group, index)`` of the pivot, or None when ``m`` commutes with
+        every element.
+    """
+    found = None
+    for group in groups:
+        for i, tracked in enumerate(group):
+            if symplectic_product(tracked.op, m):
+                if found is None:
+                    found, first = (group, i), tracked
+                else:
+                    group[i] = tracked * first
+    return found
 
 
 @dataclass(frozen=True)
@@ -131,10 +180,6 @@ class ClassificationReport:
         return "unmasked"
 
 
-def _anti_indices(tracked: list[TrackedPauli], m: PauliOperator) -> list[int]:
-    return [i for i, t in enumerate(tracked) if symplectic_product(t.op, m)]
-
-
 def run_classification(code: DynamicalCode, window: int | None = None) -> ClassificationReport:
     """Classify the initial generators over a measurement window.
 
@@ -154,6 +199,10 @@ def run_classification(code: DynamicalCode, window: int | None = None) -> Classi
         raise ValidationError(diagnostics)
     if window is None:
         window = len(code.rounds)
+    if window < 0:
+        raise ValidationError(
+            [{"kind": "window-out-of-range", "window": window, "rounds": len(code.rounds)}]
+        )
     if window > len(code.rounds):
         raise ValidationError(
             [{"kind": "window-too-large", "window": window, "rounds": len(code.rounds)}]
@@ -169,55 +218,21 @@ def run_classification(code: DynamicalCode, window: int | None = None) -> Classi
         for m in rnd:
             outcome = symbol_expr(RANDOM_BIT, t)
             t += 1
-            anti_c = _anti_indices(C, m)
-            anti_v = _anti_indices(V, m)
-            if not anti_c and not anti_v:
+            hit = pivot(m, V, C)
+            if hit is None:
                 # Case 1: add to V only if independent of it.
                 if in_span(encode(m), BitMatrix([encode(v.op) for v in V], 2 * code.n)) is None:
                     V.append(TrackedPauli(m, None, outcome))
-            elif anti_c and not anti_v:
-                # Case 2: a tracked initial generator is destroyed.
-                V.append(TrackedPauli(m, None, outcome))
-                j = anti_c[0]
-                cj = C[j]
-                for i in anti_c[1:]:
-                    C[i] = TrackedPauli(
-                        product(C[i].op, cj.op),
-                        Combination(C[i].assoc.mask ^ cj.assoc.mask, k),
-                        C[i].carry * cj.carry,
-                    )
-                removals.append(
-                    RemovalEvent(round_index, "C", cj.op, cj.assoc, cj.carry)
-                )
-                del C[j]
-            elif anti_v and not anti_c:
-                # Case 3: stabilizer update within V.
-                V.append(TrackedPauli(m, None, outcome))
-                j = anti_v[0]
-                vj = V[j]
-                for i in anti_v[1:]:
-                    V[i] = TrackedPauli(
-                        product(V[i].op, vj.op), None, V[i].carry * vj.carry
-                    )
-                removals.append(RemovalEvent(round_index, "V", vj.op, None, vj.carry))
-                del V[j]
-            else:
-                # Case 4: both sets are hit; V loses a generator and the
-                # affected C elements absorb it, composing their carries
-                # with its outcome.
-                V.append(TrackedPauli(m, None, outcome))
-                j = anti_v[0]
-                vj = V[j]
-                for i in anti_v[1:]:
-                    V[i] = TrackedPauli(
-                        product(V[i].op, vj.op), None, V[i].carry * vj.carry
-                    )
-                for i in anti_c:
-                    C[i] = TrackedPauli(
-                        product(C[i].op, vj.op), C[i].assoc, C[i].carry * vj.carry
-                    )
-                removals.append(RemovalEvent(round_index, "V", vj.op, None, vj.carry))
-                del V[j]
+                continue
+            # Cases 2-4: the pivot (from V when m hits V, else from C)
+            # is removed and m joins V.
+            group, j = hit
+            removed = group.pop(j)
+            removals.append(RemovalEvent(
+                round_index, "V" if group is V else "C",
+                removed.op, removed.assoc, removed.carry,
+            ))
+            V.append(TrackedPauli(m, None, outcome))
 
     U = _extract_unmasked(code, C, V)
     P, K = _extract_permanently_masked(code, window, C, V, removals)
@@ -243,34 +258,24 @@ def _extract_unmasked(
     rows of the block matrix are dependencies among C and contribute
     their associated stabilizers with the carry alone.
     """
-    k = len(code.s0)
     width = 2 * code.n
+    s0_rows = [encode(op) for op in code.s0]
     c_rows = BitMatrix([encode(c.op) for c in C], width)
     v_rows = BitMatrix([encode(v.op) for v in V], width)
     elements, redundancies = span_intersection(c_rows, v_rows)
     ech = _Echelon(width)
     unmasked: list[UnmaskedStabilizer] = []
     for entry in itertools.chain(elements, redundancies):
-        assoc_mask = 0
-        carry = ONE
-        for i in entry.left_combo.indices():
-            assoc_mask ^= C[i].assoc.mask
-            carry = carry * C[i].carry
+        # Never empty: both kinds of entry carry a nonzero C combination.
+        c = functools.reduce(operator.mul, [C[i] for i in entry.left_combo.indices()])
         outcome_u = ONE
         for i in entry.right_combo.indices():
             outcome_u = outcome_u * V[i].carry
-        s_vec = 0
-        for i in range(k):
-            if (assoc_mask >> i) & 1:
-                s_vec ^= encode(code.s0[i])
-        if assoc_mask == 0 or not ech.add(s_vec, 0):
+        s_vec = c.assoc.evaluate(s0_rows)
+        if not c.assoc or not ech.add(s_vec, 0):
             continue
         unmasked.append(
-            UnmaskedStabilizer(
-                decode(s_vec, code.n),
-                Combination(assoc_mask, k),
-                outcome_u * carry,
-            )
+            UnmaskedStabilizer(decode(s_vec, code.n), c.assoc, outcome_u * c.carry)
         )
     return unmasked
 
@@ -292,62 +297,47 @@ def _extract_permanently_masked(
     """
     width = 2 * code.n
     # Generators of the final ISG.
-    R: list[PauliOperator] = []
+    R: list[TrackedPauli] = []
     ech = _Echelon(width)
     for tracked in itertools.chain(C, V):
         if ech.add(encode(tracked.op), 0):
-            R.append(tracked.op)
+            R.append(TrackedPauli(tracked.op, None, ONE))
     # Reversed schedule: removals of round r replay in round (window-r+1),
     # most recent removals first.
     reversed_rounds: list[list[RemovalEvent]] = [[] for _ in range(window)]
     for event in reversed(removals):
         reversed_rounds[window - event.round_index].append(event)
-    pairs: list[list[PauliOperator]] = []
+    # The (masked stabilizer, destabilizer) pairs, flattened.
+    flat: list[TrackedPauli] = []
     for rnd in reversed_rounds:
         for event in rnd:
             m = event.op
-            anti_r = [i for i, r in enumerate(R) if symplectic_product(r, m)]
+            measured = TrackedPauli(m, None, ONE)
+            hit = pivot(m, R, flat)
+            if hit is not None and hit[0] is R:
+                if event.kind == "C":
+                    flat += [measured, R.pop(hit[1])]
+                else:
+                    R[hit[1]] = measured
+                continue
             if event.kind == "C":
-                if not anti_r:
+                raise InternalInvariantError(
+                    "staged removal has no anticommuting partner in replay"
+                )
+            if in_span(encode(m), BitMatrix([encode(r.op) for r in R], width)) is None:
+                if hit is not None:
                     raise InternalInvariantError(
-                        "staged removal has no anticommuting partner in replay"
+                        "replay measurement acts as a gauge logical"
                     )
-                s = R[anti_r[0]]
-                for i in anti_r[1:]:
-                    R[i] = product(R[i], s)
-                del R[anti_r[0]]
-                for pair in pairs:
-                    for idx in (0, 1):
-                        if symplectic_product(pair[idx], m):
-                            pair[idx] = product(pair[idx], s)
-                pairs.append([m, s])
-            else:
-                if not anti_r:
-                    if in_span(encode(m), BitMatrix([encode(r) for r in R], width)) is None:
-                        if any(
-                            symplectic_product(pair[idx], m)
-                            for pair in pairs for idx in (0, 1)
-                        ):
-                            raise InternalInvariantError(
-                                "replay measurement acts as a gauge logical"
-                            )
-                        R.append(m)
-                    continue
-                s1 = R[anti_r[0]]
-                for i in anti_r[1:]:
-                    R[i] = product(R[i], s1)
-                R[anti_r[0]] = m
-                for pair in pairs:
-                    for idx in (0, 1):
-                        if symplectic_product(pair[idx], m):
-                            pair[idx] = product(pair[idx], s1)
+                R.append(measured)
     # The replayed pair elements are gauge logicals, defined only modulo
     # the replayed stabilizer group: strip the R component so each masked
     # stabilizer lands in the initial group.  R commutes with every pair
     # element, so the reduction cannot change any commutation pattern,
     # which is asserted below.
+    pairs = [(p.op, kappa.op) for p, kappa in zip(flat[::2], flat[1::2])]
     s0_rows = [encode(op) for op in code.s0]
-    r_rows = [encode(r) for r in R]
+    r_rows = [encode(r.op) for r in R]
     basis = BitMatrix(r_rows + s0_rows, width)
     P: list[PauliOperator] = []
     K: list[PauliOperator] = []
@@ -381,17 +371,13 @@ def _extract_temporarily_masked(
     P: list[PauliOperator],
 ) -> list[PauliOperator]:
     """Surviving associated stabilizers whose syndromes were not revealed."""
-    width = 2 * code.n
-    k = len(code.s0)
-    ech = _Echelon(width)
+    s0_rows = [encode(op) for op in code.s0]
+    ech = _Echelon(2 * code.n)
     for u in U:
         ech.add(encode(u.op), 0)
     T: list[PauliOperator] = []
     for tracked in C:
-        s_vec = 0
-        for i in range(k):
-            if (tracked.assoc.mask >> i) & 1:
-                s_vec ^= encode(code.s0[i])
+        s_vec = tracked.assoc.evaluate(s0_rows)
         if s_vec and ech.add(s_vec, 0):
             T.append(decode(s_vec, code.n))
     return T
@@ -486,7 +472,7 @@ def build_gauge_group(
     generators = stab_ops + list(report.K) + chosen
     gauge = GaugeGroup(n, generators, t_destab_policy, chosen)
     if t_destab_policy == "exhaustive" and report.T:
-        logicals = _logical_basis(n, generators)
+        logicals = [op for op, _ in canonical_logicals(n, generators)]
         per_t = 1 << len(logicals)
         if per_t ** len(report.T) > enumeration_cap:
             raise CapExceededError(
@@ -507,21 +493,6 @@ def _span_elements(rows: list[int]) -> list[int]:
     for row in rows:
         elements += [e ^ row for e in elements]
     return elements
-
-
-def _logical_basis(n: int, generators: list[PauliOperator]) -> list[PauliOperator]:
-    """Basis of the normalizer of a group modulo the group itself."""
-    rows = [encode(g) for g in generators]
-    normalizer = kernel_under_form(BitMatrix(rows, 2 * n))
-    ech = _Echelon(2 * n)
-    for row in rows:
-        ech.add(row, 0)
-    basis = []
-    for vec in normalizer.rows:
-        residue, _ = ech.reduce(vec, 0)
-        if residue and ech.add(residue, 0):
-            basis.append(decode(residue, n))
-    return basis
 
 
 @dataclass(frozen=True)
@@ -559,20 +530,12 @@ def _min_weight_outside(
     kernel = kernel_under_form(BitMatrix(commute_rows, 2 * n))
     if all(exclude.reduce(vec, 0)[0] == 0 for vec in kernel.rows):
         return DistanceResult(None, cap, no_logicals=True)
-    for w in range(1, cap + 1):
-        for support in itertools.combinations(range(n), w):
-            for types in itertools.product((1, 2, 3), repeat=w):
-                x_mask = z_mask = 0
-                for qubit, ty in zip(support, types):
-                    if ty & 1:
-                        x_mask |= 1 << qubit
-                    if ty & 2:
-                        z_mask |= 1 << qubit
-                vec = x_mask | (z_mask << n)
-                if any((vec & c).bit_count() & 1 for c in constraints):
-                    continue
-                if exclude.reduce(vec, 0)[0]:
-                    return DistanceResult(w, cap, witness=decode(vec, n))
+    for vec in paulis_up_to_weight(n, cap):
+        if any((vec & c).bit_count() & 1 for c in constraints):
+            continue
+        if exclude.reduce(vec, 0)[0]:
+            witness = decode(vec, n)
+            return DistanceResult(weight(witness), cap, witness=witness)
     return DistanceResult(None, cap, exceeded_cap=True)
 
 

@@ -28,10 +28,9 @@ from .engine import (
     CapExceededError,
     DynamicalCode,
     InternalInvariantError,
-    ISGState,
     LogicalMeasurementError,
     ValidationError,
-    measure,
+    simulate_measurements,
     validate_code,
 )
 from .errors import SpacetimeError, syndrome_of_spacetime_error, verify_round0_decoding
@@ -116,10 +115,7 @@ def _shift_code(code: DynamicalCode, isg_round: int) -> DynamicalCode:
     """Replace s0 by the ISG reached after ``isg_round`` rounds."""
     if isg_round <= 0:
         return code
-    state = ISGState.initial(code)
-    for rnd in code.rounds[:isg_round]:
-        for m in rnd:
-            state, _ = measure(state, m)
+    state, _ = simulate_measurements(code, window=isg_round)
     return DynamicalCode.make(
         code.n, state.generators, code.rounds[isg_round:], labels=code.labels
     )
@@ -272,12 +268,11 @@ def parse_error_spec(spec: str, n: int) -> dict:
             )
         round_text, pauli_text = part.split(":", 1)
         try:
-            round_index = int(round_text)
+            errors[int(round_text)] = parse_pauli(pauli_text.strip(), n)
         except ValueError:
             raise ValidationError(
                 [{"kind": "bad-error-spec", "part": part}]
             ) from None
-        errors[round_index] = parse_pauli(pauli_text.strip(), n)
     return errors
 
 
@@ -345,7 +340,7 @@ def _logical_outcomes(code: DynamicalCode, error, rng) -> list[dict]:
     simulated value from evaluating the symbolic forward simulation under
     the same (seeded) assignment of all unknown bits.  They must agree.
     """
-    from .engine import canonical_logicals, simulate_measurements
+    from .engine import canonical_logicals
     from .engine import OutcomeSymbol, RANDOM_BIT
     from .errors import build_logical_trace, logical_outcome
 

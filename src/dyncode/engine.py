@@ -4,10 +4,9 @@ measurements, with fully symbolic outcome tracking.
 
 Every measurement outcome and every stabilizer value is an
 :class:`OutcomeExpr`: a +/- sign together with a set of symbols.  Symbols
-come in three kinds: the unknown initial values of the starting
-generators, fresh random bits minted whenever a measurement outcome is
-nondeterministic, and error-syndrome bits attached by the error
-simulation layer.  Because the bookkeeping is symbolic, the same
+come in two kinds: the unknown initial values of the starting
+generators, and fresh random bits minted whenever a measurement outcome
+is nondeterministic.  Because the bookkeeping is symbolic, the same
 simulation validates both syndrome reconstruction (which combinations of
 measurement outcomes are deterministic) and sign-exact outcome formulas.
 """
@@ -17,14 +16,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .gf2 import BitMatrix, Combination, _Echelon, in_span, rank
-from .pauli import PauliOperator, encode, product, symplectic_product
+from .gf2 import BitMatrix, _Echelon, in_span, kernel_under_form, rank
+from .pauli import PauliOperator, decode, encode, product, symplectic_product
 
 INITIAL_STABILIZER = "initial-stabilizer"
 RANDOM_BIT = "random-bit"
-ERROR_SYNDROME = "error-syndrome"
 
-_VALID_KINDS = (INITIAL_STABILIZER, RANDOM_BIT, ERROR_SYNDROME)
+_VALID_KINDS = (INITIAL_STABILIZER, RANDOM_BIT)
 
 
 class ValidationError(ValueError):
@@ -219,8 +217,6 @@ def canonical_logicals(
     the trivial outcome expression (+1): tracked logicals start in a known
     eigenstate by convention, and callers reassign values as needed.
     """
-    from .gf2 import kernel_under_form
-
     rows = [encode(g) for g in generators]
     normalizer = kernel_under_form(BitMatrix(rows, 2 * n))
     ech = _Echelon(2 * n)
@@ -230,46 +226,12 @@ def canonical_logicals(
     for vec in normalizer.rows:
         residue, _ = ech.reduce(vec, 0)
         if residue and ech.add(residue, 0):
-            from .pauli import decode
-
             logicals.append((decode(residue, n), ONE))
     return logicals
 
 
 def _fresh_random(state: ISGState) -> tuple[OutcomeExpr, int]:
     return symbol_expr(RANDOM_BIT, state.rand_counter), state.rand_counter + 1
-
-
-def update_logical(
-    state: ISGState, m: PauliOperator, outcome: OutcomeExpr
-) -> list[tuple[PauliOperator, OutcomeExpr]]:
-    """Apply the logical update rules for measuring ``m`` on ``state``.
-
-    Must be called with the pre-measurement state: in the rule where the
-    logical is multiplied by a replaced generator, the generator chosen
-    here is the same lowest-index anticommuting one that the stabilizer
-    update removes.  ``outcome`` is the expression recorded for ``m``.
-    """
-    if state.logicals is None:
-        return []
-    anti_gens = [
-        i for i, g in enumerate(state.generators) if symplectic_product(g, m)
-    ]
-    s1 = state.generators[anti_gens[0]] if anti_gens else None
-    s1_outcome = state.outcomes[anti_gens[0]] if anti_gens else None
-    updated = []
-    for op, expr in state.logicals:
-        if not symplectic_product(op, m):
-            # Covers both the plain commuting rule and measuring the
-            # logical itself; in either case the representative is kept.
-            updated.append((op, expr))
-        elif s1 is None:
-            # m commutes with the whole group but anticommutes with the
-            # logical: the representative is replaced by the measurement.
-            updated.append((m, outcome))
-        else:
-            updated.append((product(op, s1), expr * s1_outcome))
-    return updated
 
 
 def measure(
@@ -282,9 +244,10 @@ def measure(
     1. ``m`` in the group: state unchanged, outcome is the (signed)
        product of the combination's outcome expressions.
     2. ``m`` anticommutes with some generators: the lowest-index such
-       generator is replaced by ``m`` with a fresh random-bit outcome and
-       every other anticommuting generator is multiplied by the removed
-       one, outcomes composing accordingly.
+       generator is the pivot.  It is replaced by ``m`` with a fresh
+       random-bit outcome, and every other anticommuting generator and
+       tracked logical is multiplied by it, outcomes composing
+       accordingly.
     3. ``m`` independent and commuting: appended with a fresh random bit.
 
     In rule 3, if ``m`` anticommutes with a tracked logical it is acting
@@ -316,10 +279,9 @@ def measure(
             outcome = matching
         else:
             outcome, new.rand_counter = _fresh_random(new)
-        logical_hit = new.logicals is not None and any(
+        if new.logicals is not None and any(
             symplectic_product(op, m) for op, _ in new.logicals
-        )
-        if logical_hit:
+        ):
             if logical_policy == "error":
                 raise LogicalMeasurementError(
                     f"measurement {m} acts as a logical operator"
@@ -327,24 +289,28 @@ def measure(
             new.events = new.events + (
                 {"kind": "logical-measurement", "measurement": m},
             )
-        new.logicals = update_logical(state, m, outcome) or new.logicals
-        if new.logicals is not None and logical_hit:
-            # The anticommuting representatives were replaced by m itself,
-            # which is now a stabilizer: drop them (k-reduction).
+            # m is now a stabilizer: the anticommuting representatives and
+            # m itself leave the logical basis (k-reduction).
             new.logicals = [
-                (op, expr) for op, expr in new.logicals if op != m
+                (op, expr) for op, expr in new.logicals
+                if op != m and not symplectic_product(op, m)
             ]
         new.generators.append(m)
         new.outcomes.append(outcome)
         return new, outcome
-    # Rule 2: replace the lowest-index anticommuting generator.
+    # Rule 2: the lowest-index anticommuting generator is the pivot.
     outcome, new.rand_counter = _fresh_random(new)
-    new.logicals = update_logical(state, m, outcome) or new.logicals
     j = anti[0]
     s1, s1_outcome = new.generators[j], new.outcomes[j]
     for i in anti[1:]:
         new.generators[i] = product(new.generators[i], s1)
         new.outcomes[i] = new.outcomes[i] * s1_outcome
+    if new.logicals is not None:
+        new.logicals = [
+            (product(op, s1), expr * s1_outcome) if symplectic_product(op, m)
+            else (op, expr)
+            for op, expr in new.logicals
+        ]
     new.generators[j] = m
     new.outcomes[j] = outcome
     return new, outcome
@@ -366,16 +332,6 @@ def apply_error(state: ISGState, e: PauliOperator) -> ISGState:
             for op, expr in new.logicals
         ]
     return new
-
-
-@dataclass(frozen=True)
-class OracleEntry:
-    """Oracle verdict for one element of the initial stabilizer group."""
-
-    combination: Combination
-    op: PauliOperator
-    unmasked: bool
-    formula: tuple[int, ...] | None  # measurement occurrence indices
 
 
 def simulate_measurements(
@@ -405,60 +361,3 @@ def simulate_measurements(
         if errors and round_index in errors:
             state = apply_error(state, errors[round_index])
     return state, record
-
-
-def forward_oracle(
-    code: DynamicalCode, window: int | None = None, cap: int = 16
-) -> list[OracleEntry]:
-    """Independent unmasking oracle by exhaustive symbolic simulation.
-
-    Enumerates every element of the initial group and reports it unmasked
-    iff some GF(2) combination of measurement outcome expressions contains
-    no random-bit symbols and matches the element's initial symbols
-    exactly.  Quadratic-exponential in the generator count, so guarded by
-    ``cap``; intended as a ground-truth check, not a production path.
-    """
-    k = len(code.s0)
-    if k > cap:
-        raise CapExceededError(f"initial group too large to enumerate: {k} > {cap}")
-    _, record = simulate_measurements(code, window)
-    symbols = sorted(
-        {s for _, _, expr in record for s in expr.symbols},
-        key=lambda s: (s.kind, s.index),
-    )
-    col = {s: i for i, s in enumerate(symbols)}
-    width = len(symbols)
-    ech = _Echelon(width)
-    for t, _, expr in record:
-        vec = 0
-        for s in expr.symbols:
-            vec |= 1 << col[s]
-        ech.add(vec, 1 << t)
-    entries = []
-    from .pauli import identity
-
-    for mask in range(1 << k):
-        op = identity(code.n)
-        target = 0
-        for i in range(k):
-            if (mask >> i) & 1:
-                op = product(op, code.s0[i])
-                sym = OutcomeSymbol(INITIAL_STABILIZER, i)
-                if sym in col:
-                    target ^= 1 << col[sym]
-                else:
-                    target = -1
-                    break
-        combo = Combination(mask, k)
-        if target < 0:
-            entries.append(OracleEntry(combo, op, False, None))
-            continue
-        residue, meas_combo = ech.reduce(target, 0)
-        if residue == 0:
-            formula = tuple(
-                t for t in range(len(record)) if (meas_combo >> t) & 1
-            )
-            entries.append(OracleEntry(combo, op, True, formula))
-        else:
-            entries.append(OracleEntry(combo, op, False, None))
-    return entries

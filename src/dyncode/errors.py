@@ -10,14 +10,29 @@ symbolic forward simulation in the measurement engine.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
-from .classify import ClassificationReport, GaugeGroup
-from .engine import CapExceededError, DynamicalCode, ValidationError
-from .gf2 import Combination, _Echelon
-from .pauli import PauliOperator, encode, identity, product, symplectic_product
+from .classify import ClassificationReport, GaugeGroup, TrackedPauli, pivot
+from .engine import (
+    ONE,
+    RANDOM_BIT,
+    CapExceededError,
+    DynamicalCode,
+    ValidationError,
+    symbol_expr,
+)
+from .gf2 import BitMatrix, Combination, _Echelon, in_span
+from .pauli import (
+    PauliOperator,
+    decode,
+    encode,
+    identity,
+    paulis_up_to_weight,
+    product,
+    symplectic_partner,
+    symplectic_product,
+)
 
 
 @dataclass(frozen=True)
@@ -114,91 +129,62 @@ def build_logical_trace(
 ) -> LogicalTrace:
     """Track a logical representative through the schedule, with provenance.
 
-    Every ISG generator is carried as (operator, initial-combination,
-    occurrence set); when the logical update multiplies the logical by a
-    generator, the generator's provenance folds into the trace.  The
-    occurrence sets record whose measured outcomes reproduce the
-    logical's value in the error-free case.
+    Every ISG generator is carried as a :class:`TrackedPauli` whose
+    ``assoc`` is its combination over the initial generators and whose
+    ``carry`` holds one random-bit symbol per measurement occurrence it
+    was built from.  The logical is carried the same way, and the shared
+    :func:`pivot` step multiplies it by the pivot generator whenever the
+    measurement anticommutes with it, folding in that generator's
+    provenance.  The occurrence set records whose measured outcomes
+    reproduce the logical's value in the error-free case.
 
     Raises:
         ValidationError: if l0 is not a logical of s0 (it must commute
-            with every initial generator and lie outside their span).
+            with every initial generator and lie outside their span), or
+            if a measurement reads the logical out.
     """
     if window is None:
         window = len(code.rounds)
-    n = code.n
-    ech = _Echelon(2 * n)
-    for op in code.s0:
-        ech.add(encode(op), 0)
-    if any(symplectic_product(l0, s) for s in code.s0) or not ech.reduce(
-        encode(l0), 0
-    )[0]:
+    n, k = code.n, len(code.s0)
+    width = 2 * n
+    if any(symplectic_product(l0, s) for s in code.s0) or in_span(
+        encode(l0), BitMatrix([encode(op) for op in code.s0], width)
+    ) is not None:
         raise ValidationError([{"kind": "not-a-logical", "operator": str(l0)}])
 
-    # Parallel provenance: generator i is gens[i] with initial-combination
-    # s0_masks[i] and outcome-occurrence set occ_masks[i].
-    gens = list(code.s0)
-    s0_masks = [1 << i for i in range(len(code.s0))]
-    occ_masks = [0 for _ in code.s0]
-    occ_round: dict[int, int] = {}
-    log_op = l0
-    log_s0 = 0
-    log_occ = 0
-    t = 0
+    gens = [TrackedPauli(op, Combination(1 << i, k), ONE) for i, op in enumerate(code.s0)]
+    logical = [TrackedPauli(l0, Combination(0, k), ONE)]
+    measured: list[tuple[int, PauliOperator]] = []  # (round, operator) per occurrence
+    # Echelon of the generators' span, rebuilt only after a pivot changes
+    # the span: remeasured checks then cost one reduction each.
+    span = None
     for round_index, rnd in enumerate(code.rounds[:window], start=1):
         for m in rnd:
-            occ_round[t] = round_index
-            anti = [i for i, g in enumerate(gens) if symplectic_product(g, m)]
-            if anti:
-                j = anti[0]
-                s1_op, s1_s0, s1_occ = gens[j], s0_masks[j], occ_masks[j]
-                for i in anti[1:]:
-                    gens[i] = product(gens[i], s1_op)
-                    s0_masks[i] ^= s1_s0
-                    occ_masks[i] ^= s1_occ
-                gens[j] = m
-                s0_masks[j] = 0
-                occ_masks[j] = 1 << t
-                if symplectic_product(log_op, m):
-                    log_op = product(log_op, s1_op)
-                    log_s0 ^= s1_s0
-                    log_occ ^= s1_occ
+            hit = pivot(m, gens, logical)
+            if hit is None:
+                if span is None:
+                    span = _Echelon(width)
+                    for g in gens:
+                        span.add(encode(g.op), 0)
+                if span.add(encode(m), 0):
+                    gens.append(TrackedPauli(m, None, symbol_expr(RANDOM_BIT, len(measured))))
+            elif hit[0] is gens:
+                gens[hit[1]] = TrackedPauli(m, None, symbol_expr(RANDOM_BIT, len(measured)))
+                span = None
             else:
-                in_group = _Echelon_reduce(gens, m, n)
-                if not in_group:
-                    if symplectic_product(log_op, m):
-                        raise ValidationError(
-                            [{"kind": "logical-measurement", "round": round_index}]
-                        )
-                    gens.append(m)
-                    s0_masks.append(0)
-                    occ_masks.append(1 << t)
-            t += 1
+                raise ValidationError(
+                    [{"kind": "logical-measurement", "round": round_index}]
+                )
+            measured.append((round_index, m))
 
     factors: dict[int, tuple[PauliOperator, tuple[int, ...]]] = {}
-    for occ in range(t):
-        if (log_occ >> occ) & 1:
-            r = occ_round[occ]
-            op, occs = factors.get(r, (identity(n), ()))
-            factors[r] = (product(op, _measurement_at(code, occ)), occs + (occ,))
+    for occ in sorted(symbol.index for symbol in logical[0].carry.symbols):
+        r, m = measured[occ]
+        op, occs = factors.get(r, (identity(n), ()))
+        factors[r] = (product(op, m), occs + (occ,))
     return LogicalTrace(
-        code, l0, log_op, Combination(log_s0, len(code.s0)), factors, window
+        code, l0, logical[0].op, logical[0].assoc, factors, window
     )
-
-
-def _measurement_at(code: DynamicalCode, occurrence: int) -> PauliOperator:
-    for t, (_, m) in enumerate(code.measurements()):
-        if t == occurrence:
-            return m
-    raise IndexError(occurrence)
-
-
-def _Echelon_reduce(gens: list[PauliOperator], m: PauliOperator, n: int) -> bool:
-    """True iff m lies in the span of the generators."""
-    ech = _Echelon(2 * n)
-    for g in gens:
-        ech.add(encode(g), 0)
-    return ech.reduce(encode(m), 0)[0] == 0
 
 
 def logical_outcome(
@@ -277,44 +263,28 @@ def verify_round0_decoding(
     """
     n = code.n
     count = sum(
-        _comb(n, w) * 3 ** w for w in range(max_weight + 1)
+        math.comb(n, w) * 3 ** w for w in range(max_weight + 1)
     )
     if count > enumeration_cap:
         raise CapExceededError(f"{count} errors exceed cap {enumeration_cap}")
     gauge_ech = _Echelon(2 * n)
     for g in gauge.generators:
         gauge_ech.add(encode(g), 0)
-    buckets: dict[tuple[int, ...], tuple[int, PauliOperator]] = {}
+    partners = [symplectic_partner(encode(u.op), n) for u in report.U]
+    buckets: dict[tuple[int, ...], tuple[int, int]] = {}
     checked = 0
     applicable = unmasked_d is not None and 2 * max_weight + 1 <= unmasked_d
-    for e in _enumerate_errors(n, max_weight):
+    for vec in paulis_up_to_weight(n, max_weight):
         checked += 1
-        syndrome = tuple(symplectic_product(e, u.op) for u in report.U)
-        residue = gauge_ech.reduce(encode(e), 0)[0]
+        syndrome = tuple((vec & p).bit_count() & 1 for p in partners)
+        residue = gauge_ech.reduce(vec, 0)[0]
         if syndrome in buckets:
-            prev_residue, prev_e = buckets[syndrome]
+            prev_residue, prev_vec = buckets[syndrome]
             if residue != prev_residue:
                 return DecodingVerdict(
-                    False, applicable, max_weight, checked, (prev_e, e)
+                    False, applicable, max_weight, checked,
+                    (decode(prev_vec, n), decode(vec, n)),
                 )
         else:
-            buckets[syndrome] = (residue, e)
+            buckets[syndrome] = (residue, vec)
     return DecodingVerdict(True, applicable, max_weight, checked)
-
-
-def _comb(n: int, k: int) -> int:
-    return math.comb(n, k)
-
-
-def _enumerate_errors(n: int, max_weight: int):
-    yield identity(n)
-    for w in range(1, max_weight + 1):
-        for support in itertools.combinations(range(n), w):
-            for types in itertools.product((1, 2, 3), repeat=w):
-                xm = zm = 0
-                for q, ty in zip(support, types):
-                    if ty & 1:
-                        xm |= 1 << q
-                    if ty & 2:
-                        zm |= 1 << q
-                yield PauliOperator(n, xm, zm)

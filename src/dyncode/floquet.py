@@ -19,7 +19,9 @@ from .engine import (
     DynamicalCode,
     InternalInvariantError,
     ISGState,
+    ValidationError,
     measure,
+    simulate_measurements,
 )
 from .gf2 import BitMatrix, in_span, minimize_over_span, rank, solve_linear
 from .pauli import PauliOperator, decode, encode, product
@@ -330,13 +332,13 @@ def unmask_cycle_count(
     stabilizer is left temporarily masked.
 
     Raises:
+        ValidationError: if the schedule has no rounds.
         CapExceededError: if the cap is hit before T empties.
     """
-    state = ISGState.initial(code)
     period = len(code.rounds)
-    for rnd in code.rounds[:isg_round]:
-        for m in rnd:
-            state, _ = measure(state, m)
+    if not period:
+        raise ValidationError([{"kind": "empty-schedule"}])
+    state, _ = simulate_measurements(code, window=isg_round)
     isg = list(state.generators)
     shift = isg_round % period
     cycle = list(code.rounds[shift:]) + list(code.rounds[:shift])

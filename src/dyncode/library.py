@@ -231,21 +231,29 @@ def load_code(path) -> DynamicalCode:
     diagnostics = []
     if not isinstance(document, dict):
         raise ValidationError([{"kind": "not-an-object"}])
-    if document.get("version") != FILE_FORMAT_VERSION:
-        diagnostics.append(
-            {"kind": "unsupported-version", "got": document.get("version")}
-        )
+    version = document.get("version")
+    if isinstance(version, bool) or version != FILE_FORMAT_VERSION:
+        diagnostics.append({"kind": "unsupported-version", "got": version})
     n = document.get("n")
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         diagnostics.append({"kind": "bad-field", "field": "n"})
         raise ValidationError(diagnostics)
 
     def parse_all(strings, where):
+        if not isinstance(strings, list):
+            diagnostics.append({"kind": "bad-field", "field": where})
+            return []
         ops = []
         for idx, s in enumerate(strings):
+            if not isinstance(s, str):
+                diagnostics.append(
+                    {"kind": "bad-pauli", "where": where, "index": idx,
+                     "message": f"expected a Pauli string, got {type(s).__name__}"}
+                )
+                continue
             try:
                 ops.append(parse_pauli(s, n))
-            except (ValueError, TypeError) as exc:
+            except ValueError as exc:
                 diagnostics.append(
                     {"kind": "bad-pauli", "where": where, "index": idx,
                      "message": str(exc)}
@@ -253,9 +261,12 @@ def load_code(path) -> DynamicalCode:
         return ops
 
     s0 = parse_all(document.get("s0", []), "s0")
+    rounds = document.get("rounds", [])
+    if not isinstance(rounds, list):
+        diagnostics.append({"kind": "bad-field", "field": "rounds"})
+        rounds = []
     rounds = [
-        parse_all(rnd, f"round {i}")
-        for i, rnd in enumerate(document.get("rounds", []), start=1)
+        parse_all(rnd, f"round {i}") for i, rnd in enumerate(rounds, start=1)
     ]
     if diagnostics:
         raise ValidationError(diagnostics)

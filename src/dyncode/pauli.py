@@ -10,6 +10,7 @@ module and lives in outcome expressions instead.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 
@@ -143,6 +144,19 @@ def decode(vec: int, n: int) -> PauliOperator:
     """Inverse of :func:`encode`."""
     mask = (1 << n) - 1
     return PauliOperator(n, vec & mask, (vec >> n) & mask)
+
+
+def paulis_up_to_weight(n: int, max_weight: int):
+    """Yield the encoded vector of every operator of weight <= max_weight.
+
+    The order is fixed: by weight (identity first), then by support in
+    lexicographic order, then by the per-qubit letters with X < Z < Y,
+    the last qubit of the support varying fastest.
+    """
+    letters = [(1 << q, 1 << (q + n), (1 << q) | (1 << (q + n))) for q in range(n)]
+    for w in range(max_weight + 1):
+        for support in itertools.combinations(letters, w):
+            yield from map(sum, itertools.product(*support))
 
 
 def symplectic_partner(vec: int, n: int) -> int:

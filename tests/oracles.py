@@ -2,17 +2,28 @@
 Brute-force reference implementations and random instance generators.
 
 Everything here recomputes results by direct enumeration over small
-groups, deliberately sharing no code path with the package internals, so
-the main suite can compare the two independently.
+groups, so the main suite can compare them with the package internals.
+The references share no code path with the classification or the
+distance search.  The one exception is :func:`forward_oracle`: it reads
+its outcome expressions from the package's symbolic forward simulation
+(``simulate_measurements``), an independent route from the tracked C/V
+sets of the classification.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
+from dataclasses import dataclass
 
 from dyncode import DynamicalCode, OutcomeExpr, PauliOperator
-from dyncode.engine import INITIAL_STABILIZER, ONE, RANDOM_BIT, OutcomeSymbol
+from dyncode.engine import (
+    INITIAL_STABILIZER,
+    ONE,
+    CapExceededError,
+    OutcomeSymbol,
+    simulate_measurements,
+)
+from dyncode.gf2 import Combination, _Echelon
 from dyncode.pauli import identity, product, symplectic_product, weight
 
 
@@ -157,3 +168,67 @@ def random_instance(
     if not rounds:
         rounds = [[random_pauli(rng, n)]]
     return DynamicalCode.make(n, s0, rounds)
+
+
+@dataclass(frozen=True)
+class OracleEntry:
+    """Oracle verdict for one element of the initial stabilizer group."""
+
+    combination: Combination
+    op: PauliOperator
+    unmasked: bool
+    formula: tuple[int, ...] | None  # measurement occurrence indices
+
+
+def forward_oracle(
+    code: DynamicalCode, window: int | None = None, cap: int = 16
+) -> list[OracleEntry]:
+    """Independent unmasking oracle by exhaustive symbolic simulation.
+
+    Enumerates every element of the initial group and reports it unmasked
+    iff some GF(2) combination of measurement outcome expressions contains
+    no random-bit symbols and matches the element's initial symbols
+    exactly.  Quadratic-exponential in the generator count, so guarded by
+    ``cap``.
+    """
+    k = len(code.s0)
+    if k > cap:
+        raise CapExceededError(f"initial group too large to enumerate: {k} > {cap}")
+    _, record = simulate_measurements(code, window)
+    symbols = sorted(
+        {s for _, _, expr in record for s in expr.symbols},
+        key=lambda s: (s.kind, s.index),
+    )
+    col = {s: i for i, s in enumerate(symbols)}
+    ech = _Echelon(len(symbols))
+    for t, _, expr in record:
+        vec = 0
+        for s in expr.symbols:
+            vec |= 1 << col[s]
+        ech.add(vec, 1 << t)
+    entries = []
+    for mask in range(1 << k):
+        op = identity(code.n)
+        target = 0
+        for i in range(k):
+            if (mask >> i) & 1:
+                op = product(op, code.s0[i])
+                sym = OutcomeSymbol(INITIAL_STABILIZER, i)
+                if sym in col:
+                    target ^= 1 << col[sym]
+                else:
+                    target = -1
+                    break
+        combo = Combination(mask, k)
+        if target < 0:
+            entries.append(OracleEntry(combo, op, False, None))
+            continue
+        residue, meas_combo = ech.reduce(target, 0)
+        if residue == 0:
+            formula = tuple(
+                t for t in range(len(record)) if (meas_combo >> t) & 1
+            )
+            entries.append(OracleEntry(combo, op, True, formula))
+        else:
+            entries.append(OracleEntry(combo, op, False, None))
+    return entries

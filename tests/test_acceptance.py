@@ -19,7 +19,6 @@ from dyncode import (
     build_worst_case_sequence,
     canonical_logicals,
     check_subset_monotonicity,
-    forward_oracle,
     growth_accounting,
     honeycomb,
     initialization_depth,
@@ -47,6 +46,7 @@ from dyncode.pauli import (
 
 from oracles import (
     formula_reproduces_stabilizer,
+    forward_oracle,
     group_elements,
     random_instance,
     random_pauli,

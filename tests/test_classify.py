@@ -5,7 +5,6 @@ import pytest
 from dyncode import (
     DynamicalCode,
     build_gauge_group,
-    forward_oracle,
     isg_distance,
     run_classification,
     simulate_measurements,
@@ -21,6 +20,7 @@ from dyncode.pauli import encode, parse_pauli, product, symplectic_product
 from oracles import (
     brute_force_min_weight,
     formula_reproduces_stabilizer,
+    forward_oracle,
     group_elements,
     random_instance,
     random_round,

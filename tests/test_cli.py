@@ -163,3 +163,46 @@ class TestSimulate:
         assert parse_error_spec("", 3) == {}
         with pytest.raises(ValidationError):
             parse_error_spec("one:X1", 3)
+
+
+def _write(tmp_path, document):
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(document))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "command, document, options, kind",
+    [
+        ("classify", {"version": 1, "n": 2, "s0": [5], "rounds": []}, [], "bad-pauli"),
+        ("classify", {"version": 1, "n": 2, "s0": [], "rounds": [[None]]}, [],
+         "bad-pauli"),
+        ("classify", {"version": 1, "n": True, "s0": [], "rounds": []}, [], "bad-field"),
+        ("classify", {"version": 1, "n": 2, "s0": [], "rounds": "XX"}, [], "bad-field"),
+        ("classify", {"version": 1, "n": 2, "s0": [], "rounds": ["XX"]}, [], "bad-field"),
+        ("classify", {"version": 1, "n": 2, "s0": None, "rounds": []}, [], "bad-field"),
+        ("classify", {"version": True, "n": 2, "s0": [], "rounds": []}, [],
+         "unsupported-version"),
+        ("classify", {"version": 1, "n": 2, "s0": ["ZZ"], "rounds": [["XX"]]},
+         ["--window", "-1"], "window-out-of-range"),
+        ("floquet", {"version": 1, "n": 2, "s0": ["ZZ"], "rounds": []}, [],
+         "empty-schedule"),
+        ("simulate", {"version": 1, "n": 2, "s0": ["ZZ"], "rounds": [["XX"]]},
+         ["--errors", "0:Q1"], "bad-error-spec"),
+    ],
+    ids=[
+        "non-string-pauli", "non-string-measurement", "boolean-n",
+        "string-rounds", "string-round", "null-s0", "boolean-version",
+        "negative-window", "floquet-empty-schedule", "unparsable-error-pauli",
+    ],
+)
+def test_bad_input_is_a_diagnostic(runner, tmp_path, command, document, options, kind):
+    result = runner.invoke(
+        main, [command, _write(tmp_path, document), *options],
+        catch_exceptions=False,
+    )
+    assert result.exit_code == 1
+    assert "Traceback" not in result.output
+    error = json.loads(result.stderr)
+    assert error["error"] == "validation"
+    assert kind in [d["kind"] for d in error["diagnostics"]]

@@ -8,7 +8,6 @@ from dyncode import (
     LogicalMeasurementError,
     apply_error,
     canonical_logicals,
-    forward_oracle,
     measure,
     simulate_measurements,
     validate_code,
@@ -24,7 +23,12 @@ from dyncode.gf2 import rank
 from dyncode.library import shor_code
 from dyncode.pauli import encode, parse_pauli, symplectic_product
 
-from oracles import formula_reproduces_stabilizer, random_instance, random_pauli
+from oracles import (
+    formula_reproduces_stabilizer,
+    forward_oracle,
+    random_instance,
+    random_pauli,
+)
 
 
 def code_of(n, s0, rounds):

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,11 +11,14 @@ from dyncode.pauli import (
     format_pauli,
     identity,
     parse_pauli,
+    paulis_up_to_weight,
     product,
     symplectic_partner,
     symplectic_product,
     weight,
 )
+
+from oracles import all_paulis
 
 
 def paulis(max_n=8):
@@ -121,3 +126,23 @@ class TestEncoding:
         )
         parity = (encode(a) & symplectic_partner(encode(b), a.n)).bit_count() & 1
         assert parity == symplectic_product(a, b)
+
+
+class TestEnumeration:
+    @pytest.mark.parametrize("n, max_weight", [(1, 1), (3, 2), (4, 4), (5, 3), (3, 5)])
+    def test_each_pauli_up_to_the_weight_once(self, n, max_weight):
+        vecs = list(paulis_up_to_weight(n, max_weight))
+        assert len(vecs) == sum(
+            math.comb(n, i) * 3 ** i for i in range(min(n, max_weight) + 1)
+        )
+        expected = {encode(op) for op in all_paulis(n) if weight(op) <= max_weight}
+        assert len(set(vecs)) == len(vecs) and set(vecs) == expected
+        weights = [weight(decode(vec, n)) for vec in vecs]
+        assert vecs[0] == 0 and weights == sorted(weights)
+
+    def test_order_within_a_weight(self):
+        ops = [format_pauli(decode(v, 2)) for v in paulis_up_to_weight(2, 2)]
+        assert ops == [
+            "II", "XI", "ZI", "YI", "IX", "IZ", "IY",
+            "XX", "XZ", "XY", "ZX", "ZZ", "ZY", "YX", "YZ", "YY",
+        ]
