@@ -40,18 +40,18 @@ from .engine import (
     OutcomeExpr,
     ValidationError,
     canonical_logicals,
+    resolve_window,
     symbol_expr,
     validate_code,
 )
 from .gf2 import (
     BitMatrix,
     Combination,
-    _Echelon,
+    Echelon,
     in_span,
     kernel_under_form,
     minimize_over_span,
     nullspace,
-    rank,
     solve_linear,
     span_intersection,
 )
@@ -155,6 +155,12 @@ class ClassificationReport:
     V_final: list[TrackedPauli] = field(default_factory=list)
     removals: list[RemovalEvent] = field(default_factory=list)
 
+    @functools.cached_property
+    def _span(self) -> Echelon:
+        """Span of U, T and P, in that order."""
+        ops = [u.op for u in self.U] + list(self.T) + list(self.P)
+        return Echelon(2 * self.n, [encode(op) for op in ops])
+
     def element_class(self, op: PauliOperator) -> str:
         """Classify an arbitrary element of the initial group.
 
@@ -163,19 +169,12 @@ class ClassificationReport:
         permanently masked, else any temporarily masked factor makes it
         temporarily masked.
         """
-        basis_rows = (
-            [encode(u.op) for u in self.U]
-            + [encode(t) for t in self.T]
-            + [encode(p) for p in self.P]
-        )
-        combo = in_span(encode(op), BitMatrix(basis_rows, 2 * self.n))
+        combo = in_span(encode(op), self._span)
         if combo is None:
             raise ValueError("operator is not in the initial stabilizer group")
-        nu, nt = len(self.U), len(self.T)
-        idx = combo.indices()
-        if any(i >= nu + nt for i in idx):
+        if combo.mask >> (len(self.U) + len(self.T)):
             return "permanently-masked"
-        if any(nu <= i < nu + nt for i in idx):
+        if combo.mask >> len(self.U):
             return "temporarily-masked"
         return "unmasked"
 
@@ -197,21 +196,15 @@ def run_classification(code: DynamicalCode, window: int | None = None) -> Classi
     diagnostics = validate_code(code)
     if diagnostics:
         raise ValidationError(diagnostics)
-    if window is None:
-        window = len(code.rounds)
-    if window < 0:
-        raise ValidationError(
-            [{"kind": "window-out-of-range", "window": window, "rounds": len(code.rounds)}]
-        )
-    if window > len(code.rounds):
-        raise ValidationError(
-            [{"kind": "window-too-large", "window": window, "rounds": len(code.rounds)}]
-        )
+    window = resolve_window(code, window)
+    width = 2 * code.n
     k = len(code.s0)
     C: list[TrackedPauli] = [
         TrackedPauli(op, Combination(1 << i, k), ONE) for i, op in enumerate(code.s0)
     ]
     V: list[TrackedPauli] = []
+    # Span of V, rebuilt only after a V pivot changes it.
+    v_span: Echelon | None = Echelon(width)
     removals: list[RemovalEvent] = []
     t = 0
     for round_index, rnd in enumerate(code.rounds[:window], start=1):
@@ -221,11 +214,13 @@ def run_classification(code: DynamicalCode, window: int | None = None) -> Classi
             hit = pivot(m, V, C)
             if hit is None:
                 # Case 1: add to V only if independent of it.
-                if in_span(encode(m), BitMatrix([encode(v.op) for v in V], 2 * code.n)) is None:
+                if v_span is None:
+                    v_span = Echelon(width, [encode(v.op) for v in V])
+                if v_span.add(encode(m)):
                     V.append(TrackedPauli(m, None, outcome))
                 continue
             # Cases 2-4: the pivot (from V when m hits V, else from C)
-            # is removed and m joins V.
+            # is removed and m joins V; a C pivot leaves V in place.
             group, j = hit
             removed = group.pop(j)
             removals.append(RemovalEvent(
@@ -233,6 +228,10 @@ def run_classification(code: DynamicalCode, window: int | None = None) -> Classi
                 removed.op, removed.assoc, removed.carry,
             ))
             V.append(TrackedPauli(m, None, outcome))
+            if group is V:
+                v_span = None
+            elif v_span is not None:
+                v_span.add(encode(m))
 
     U = _extract_unmasked(code, C, V)
     P, K = _extract_permanently_masked(code, window, C, V, removals)
@@ -263,7 +262,7 @@ def _extract_unmasked(
     c_rows = BitMatrix([encode(c.op) for c in C], width)
     v_rows = BitMatrix([encode(v.op) for v in V], width)
     elements, redundancies = span_intersection(c_rows, v_rows)
-    ech = _Echelon(width)
+    ech = Echelon(width)
     unmasked: list[UnmaskedStabilizer] = []
     for entry in itertools.chain(elements, redundancies):
         # Never empty: both kinds of entry carry a nonzero C combination.
@@ -272,7 +271,7 @@ def _extract_unmasked(
         for i in entry.right_combo.indices():
             outcome_u = outcome_u * V[i].carry
         s_vec = c.assoc.evaluate(s0_rows)
-        if not c.assoc or not ech.add(s_vec, 0):
+        if not c.assoc or not ech.add(s_vec):
             continue
         unmasked.append(
             UnmaskedStabilizer(decode(s_vec, code.n), c.assoc, outcome_u * c.carry)
@@ -298,9 +297,9 @@ def _extract_permanently_masked(
     width = 2 * code.n
     # Generators of the final ISG.
     R: list[TrackedPauli] = []
-    ech = _Echelon(width)
+    ech = Echelon(width)
     for tracked in itertools.chain(C, V):
-        if ech.add(encode(tracked.op), 0):
+        if ech.add(encode(tracked.op)):
             R.append(TrackedPauli(tracked.op, None, ONE))
     # Reversed schedule: removals of round r replay in round (window-r+1),
     # most recent removals first.
@@ -324,7 +323,7 @@ def _extract_permanently_masked(
                 raise InternalInvariantError(
                     "staged removal has no anticommuting partner in replay"
                 )
-            if in_span(encode(m), BitMatrix([encode(r.op) for r in R], width)) is None:
+            if in_span(encode(m), Echelon(width, [encode(r.op) for r in R])) is None:
                 if hit is not None:
                     raise InternalInvariantError(
                         "replay measurement acts as a gauge logical"
@@ -337,8 +336,7 @@ def _extract_permanently_masked(
     # which is asserted below.
     pairs = [(p.op, kappa.op) for p, kappa in zip(flat[::2], flat[1::2])]
     s0_rows = [encode(op) for op in code.s0]
-    r_rows = [encode(r.op) for r in R]
-    basis = BitMatrix(r_rows + s0_rows, width)
+    basis = Echelon(width, [encode(r.op) for r in R] + s0_rows)
     P: list[PauliOperator] = []
     K: list[PauliOperator] = []
     for p_op, kappa in pairs:
@@ -347,10 +345,7 @@ def _extract_permanently_masked(
             raise InternalInvariantError(
                 "replayed masked stabilizer is not in the initial group"
             )
-        reduced = 0
-        for i in combo.indices():
-            if i >= len(r_rows):
-                reduced ^= s0_rows[i - len(r_rows)]
+        reduced = Combination(combo.mask >> len(R), len(s0_rows)).evaluate(s0_rows)
         stripped = decode(encode(p_op) ^ reduced, code.n)
         for other_p, other_k in pairs:
             if symplectic_product(stripped, other_p) or symplectic_product(
@@ -372,25 +367,22 @@ def _extract_temporarily_masked(
 ) -> list[PauliOperator]:
     """Surviving associated stabilizers whose syndromes were not revealed."""
     s0_rows = [encode(op) for op in code.s0]
-    ech = _Echelon(2 * code.n)
-    for u in U:
-        ech.add(encode(u.op), 0)
+    ech = Echelon(2 * code.n, [encode(u.op) for u in U])
     T: list[PauliOperator] = []
     for tracked in C:
         s_vec = tracked.assoc.evaluate(s0_rows)
-        if s_vec and ech.add(s_vec, 0):
+        if s_vec and ech.add(s_vec):
             T.append(decode(s_vec, code.n))
     return T
 
 
 def _check_partition(code, U, T, P, K) -> None:
-    width = 2 * code.n
     rows = [encode(u.op) for u in U] + [encode(t) for t in T] + [encode(p) for p in P]
-    if rank(rows, width) != len(rows) or len(rows) != len(code.s0):
+    span = Echelon(2 * code.n, rows)
+    if len(span) != len(rows) or len(rows) != len(code.s0):
         raise InternalInvariantError("U, T, P is not an independent basis of S0")
-    basis = BitMatrix(rows, width)
     for op in code.s0:
-        if in_span(encode(op), basis) is None:
+        if in_span(encode(op), span) is None:
             raise InternalInvariantError("U, T, P does not span the initial group")
     if len(P) != len(K):
         raise InternalInvariantError("P and K length mismatch")
@@ -523,17 +515,17 @@ def _min_weight_outside(
 ) -> DistanceResult:
     """Minimum weight over operators commuting with all constraint rows
     but outside the excluded span; iterative deepening up to ``cap``."""
+    if cap < 0:
+        raise ValidationError([{"kind": "cap-out-of-range", "cap": cap}])
     constraints = [symplectic_partner(row, n) for row in commute_rows]
-    exclude = _Echelon(2 * n)
-    for row in exclude_rows:
-        exclude.add(row, 0)
+    exclude = Echelon(2 * n, exclude_rows)
     kernel = kernel_under_form(BitMatrix(commute_rows, 2 * n))
-    if all(exclude.reduce(vec, 0)[0] == 0 for vec in kernel.rows):
+    if all(exclude.reduce(vec)[0] == 0 for vec in kernel.rows):
         return DistanceResult(None, cap, no_logicals=True)
     for vec in paulis_up_to_weight(n, cap):
         if any((vec & c).bit_count() & 1 for c in constraints):
             continue
-        if exclude.reduce(vec, 0)[0]:
+        if exclude.reduce(vec)[0]:
             witness = decode(vec, n)
             return DistanceResult(weight(witness), cap, witness=witness)
     return DistanceResult(None, cap, exceeded_cap=True)
@@ -556,8 +548,8 @@ def subsystem_distance(gauge: GaugeGroup, cap: int = 6) -> DistanceResult:
 
 def _group_center(n: int, rows: list[int]) -> list[int]:
     """Basis of the elements of the row span commuting with every row."""
-    ech = _Echelon(2 * n)
-    basis = [row for row in rows if ech.add(row, 0)]
+    ech = Echelon(2 * n)
+    basis = [row for row in rows if ech.add(row)]
     # Row j of the pairing matrix records which basis elements anticommute
     # with generator j; combinations in its nullspace form the center.
     pairing = []
@@ -568,14 +560,10 @@ def _group_center(n: int, rows: list[int]) -> list[int]:
             if (vec & partner).bit_count() & 1:
                 bits |= 1 << i
         pairing.append(bits)
-    center = []
-    for combo in nullspace(BitMatrix(pairing, len(basis))):
-        vec = 0
-        for i in range(len(basis)):
-            if (combo >> i) & 1:
-                vec ^= basis[i]
-        center.append(vec)
-    return center
+    return [
+        Combination(combo, len(basis)).evaluate(basis)
+        for combo in nullspace(BitMatrix(pairing, len(basis)))
+    ]
 
 
 def unmasked_distance(

@@ -113,7 +113,7 @@ def _run(command):
 
 def _shift_code(code: DynamicalCode, isg_round: int) -> DynamicalCode:
     """Replace s0 by the ISG reached after ``isg_round`` rounds."""
-    if isg_round <= 0:
+    if isg_round == 0:
         return code
     state, _ = simulate_measurements(code, window=isg_round)
     return DynamicalCode.make(
@@ -268,7 +268,10 @@ def parse_error_spec(spec: str, n: int) -> dict:
             )
         round_text, pauli_text = part.split(":", 1)
         try:
-            errors[int(round_text)] = parse_pauli(pauli_text.strip(), n)
+            round_index = int(round_text)
+            if round_index in errors:
+                raise ValueError("round placed twice")
+            errors[round_index] = parse_pauli(pauli_text.strip(), n)
         except ValueError:
             raise ValidationError(
                 [{"kind": "bad-error-spec", "part": part}]

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .gf2 import BitMatrix, _Echelon, in_span, kernel_under_form, rank
+from .gf2 import BitMatrix, Echelon, in_span, kernel_under_form, rank
 from .pauli import PauliOperator, decode, encode, product, symplectic_product
 
 INITIAL_STABILIZER = "initial-stabilizer"
@@ -219,13 +219,11 @@ def canonical_logicals(
     """
     rows = [encode(g) for g in generators]
     normalizer = kernel_under_form(BitMatrix(rows, 2 * n))
-    ech = _Echelon(2 * n)
-    for row in rows:
-        ech.add(row, 0)
+    ech = Echelon(2 * n, rows)
     logicals = []
     for vec in normalizer.rows:
-        residue, _ = ech.reduce(vec, 0)
-        if residue and ech.add(residue, 0):
+        residue, _ = ech.reduce(vec)
+        if residue and ech.add(residue):
             logicals.append((decode(residue, n), ONE))
     return logicals
 
@@ -259,7 +257,7 @@ def measure(
     anti = [i for i, g in enumerate(new.generators) if symplectic_product(g, m)]
     if not anti:
         combo = in_span(
-            encode(m), BitMatrix([encode(g) for g in new.generators], 2 * m.n)
+            encode(m), Echelon(2 * m.n, [encode(g) for g in new.generators])
         )
         if combo is not None:
             outcome = ONE
@@ -334,6 +332,19 @@ def apply_error(state: ISGState, e: PauliOperator) -> ISGState:
     return new
 
 
+def resolve_window(code: DynamicalCode, window: int | None) -> int:
+    """The number of rounds to run: ``window``, or the whole schedule
+    when it is None.  A window outside the schedule raises
+    :class:`ValidationError`."""
+    rounds = len(code.rounds)
+    if window is None:
+        return rounds
+    if not 0 <= window <= rounds:
+        kind = "window-out-of-range" if window < 0 else "window-too-large"
+        raise ValidationError([{"kind": kind, "window": window, "rounds": rounds}])
+    return window
+
+
 def simulate_measurements(
     code: DynamicalCode, window: int | None = None,
     errors: dict[int, PauliOperator] | None = None,
@@ -346,14 +357,15 @@ def simulate_measurements(
 
     Returns the final state and the per-occurrence record
     (occurrence index, operator measured, outcome expression).
+    A window outside the schedule raises :class:`ValidationError`.
     """
+    window = resolve_window(code, window)
     state = ISGState.initial(code, track_logicals=track_logicals)
     if errors and 0 in errors:
         state = apply_error(state, errors[0])
     record = []
     t = 0
-    upto = len(code.rounds) if window is None else window
-    for round_index, rnd in enumerate(code.rounds[:upto], start=1):
+    for round_index, rnd in enumerate(code.rounds[:window], start=1):
         for m in rnd:
             state, outcome = measure(state, m, logical_policy="track")
             record.append((t, m, outcome))

@@ -22,7 +22,7 @@ from .engine import (
     ValidationError,
     symbol_expr,
 )
-from .gf2 import BitMatrix, Combination, _Echelon, in_span
+from .gf2 import Combination, Echelon, in_span
 from .pauli import (
     PauliOperator,
     decode,
@@ -147,26 +147,22 @@ def build_logical_trace(
         window = len(code.rounds)
     n, k = code.n, len(code.s0)
     width = 2 * n
-    if any(symplectic_product(l0, s) for s in code.s0) or in_span(
-        encode(l0), BitMatrix([encode(op) for op in code.s0], width)
-    ) is not None:
+    # Echelon of the generators' span, rebuilt only after a pivot changes
+    # the span: remeasured checks then cost one reduction each.
+    span = Echelon(width, [encode(op) for op in code.s0])
+    if any(symplectic_product(l0, s) for s in code.s0) or in_span(encode(l0), span) is not None:
         raise ValidationError([{"kind": "not-a-logical", "operator": str(l0)}])
 
     gens = [TrackedPauli(op, Combination(1 << i, k), ONE) for i, op in enumerate(code.s0)]
     logical = [TrackedPauli(l0, Combination(0, k), ONE)]
     measured: list[tuple[int, PauliOperator]] = []  # (round, operator) per occurrence
-    # Echelon of the generators' span, rebuilt only after a pivot changes
-    # the span: remeasured checks then cost one reduction each.
-    span = None
     for round_index, rnd in enumerate(code.rounds[:window], start=1):
         for m in rnd:
             hit = pivot(m, gens, logical)
             if hit is None:
                 if span is None:
-                    span = _Echelon(width)
-                    for g in gens:
-                        span.add(encode(g.op), 0)
-                if span.add(encode(m), 0):
+                    span = Echelon(width, [encode(g.op) for g in gens])
+                if span.add(encode(m)):
                     gens.append(TrackedPauli(m, None, symbol_expr(RANDOM_BIT, len(measured))))
             elif hit[0] is gens:
                 gens[hit[1]] = TrackedPauli(m, None, symbol_expr(RANDOM_BIT, len(measured)))
@@ -261,15 +257,15 @@ def verify_round0_decoding(
     Raises:
         CapExceededError: if the error enumeration exceeds the cap.
     """
+    if max_weight < 0:
+        raise ValidationError([{"kind": "max-weight-out-of-range", "max_weight": max_weight}])
     n = code.n
     count = sum(
         math.comb(n, w) * 3 ** w for w in range(max_weight + 1)
     )
     if count > enumeration_cap:
         raise CapExceededError(f"{count} errors exceed cap {enumeration_cap}")
-    gauge_ech = _Echelon(2 * n)
-    for g in gauge.generators:
-        gauge_ech.add(encode(g), 0)
+    gauge_ech = Echelon(2 * n, [encode(g) for g in gauge.generators])
     partners = [symplectic_partner(encode(u.op), n) for u in report.U]
     buckets: dict[tuple[int, ...], tuple[int, int]] = {}
     checked = 0
@@ -277,7 +273,7 @@ def verify_round0_decoding(
     for vec in paulis_up_to_weight(n, max_weight):
         checked += 1
         syndrome = tuple((vec & p).bit_count() & 1 for p in partners)
-        residue = gauge_ech.reduce(vec, 0)[0]
+        residue = gauge_ech.reduce(vec)[0]
         if syndrome in buckets:
             prev_residue, prev_vec = buckets[syndrome]
             if residue != prev_residue:

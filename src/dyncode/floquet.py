@@ -23,7 +23,7 @@ from .engine import (
     measure,
     simulate_measurements,
 )
-from .gf2 import BitMatrix, in_span, minimize_over_span, rank, solve_linear
+from .gf2 import Echelon, in_span, minimize_over_span, rank, solve_linear
 from .pauli import PauliOperator, decode, encode, product
 
 
@@ -45,10 +45,9 @@ class CycleTrace:
 
 
 def _spans_equal(a: list[PauliOperator], b: list[PauliOperator], n: int) -> bool:
-    ra = [encode(op) for op in a]
     rb = [encode(op) for op in b]
-    width = 2 * n
-    return rank(ra, width) == rank(rb, width) == rank(ra + rb, width)
+    span = Echelon(2 * n, [encode(op) for op in a])
+    return len(span) == rank(rb, 2 * n) and all(span.reduce(row)[0] == 0 for row in rb)
 
 
 def iterate_cycles(
@@ -90,12 +89,9 @@ def check_subset_monotonicity(trace: CycleTrace) -> list[dict]:
     group one cycle later.
     """
     violations = []
-    width = 2 * trace.n
     for j in range(len(trace.snapshots) - 1):
         for i in range(len(trace.sequence)):
-            later = BitMatrix(
-                [encode(op) for op in trace.snapshots[j + 1][i]], width
-            )
+            later = Echelon(2 * trace.n, [encode(op) for op in trace.snapshots[j + 1][i]])
             for op in trace.snapshots[j][i]:
                 if in_span(encode(op), later) is None:
                     violations.append({"cycle": j, "index": i, "operator": str(op)})

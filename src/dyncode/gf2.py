@@ -6,6 +6,11 @@ stored in bit ``c`` (LSB first).  All routines track the row operations
 they perform, so every derived vector can be expressed as an explicit
 combination of the original rows; the set-tracking machinery in the
 classification algorithm depends on that.
+
+Two primitives: :func:`rref` for canonical forms with their row
+transforms (span intersections, nullspaces, linear solves), and
+:class:`Echelon` for incremental spans, built once per row set and asked
+every membership, rank and equality question about it.
 """
 
 from __future__ import annotations
@@ -44,9 +49,6 @@ class BitMatrix:
 
     rows: list[int]
     cols: int
-
-    def copy(self) -> "BitMatrix":
-        return BitMatrix(list(self.rows), self.cols)
 
 
 def _lowest_bit(value: int) -> int:
@@ -94,60 +96,62 @@ def rref(matrix: BitMatrix) -> tuple[BitMatrix, BitMatrix, int]:
     return BitMatrix(rows, matrix.cols), BitMatrix(trans, matrix.cols), pivot_row
 
 
-def rank(rows: list[int], cols: int) -> int:
-    """GF(2) rank of a list of bit-packed rows."""
-    _, _, r = rref(BitMatrix(list(rows), cols))
-    return r
+class Echelon:
+    """Incremental row span; ``len`` is its rank.
 
+    Row i added (dependent rows counted too) is tagged with bit i, so a
+    reduction also reports the combination of added rows it used.
+    """
 
-class _Echelon:
-    """Incremental echelon basis with per-row combination tracking."""
-
-    def __init__(self, cols: int) -> None:
+    def __init__(self, cols: int, rows=()) -> None:
         self.cols = cols
         self.pivots: dict[int, tuple[int, int]] = {}  # pivot bit -> (row, combo)
-        self.count = 0
+        self.size = 0  # rows added so far
+        for row in rows:
+            self.add(row)
 
-    def reduce(self, vec: int, combo: int = 0) -> tuple[int, int]:
+    def __len__(self) -> int:
+        return len(self.pivots)
+
+    def reduce(self, vec: int) -> tuple[int, int]:
+        """Reduce ``vec`` by the span: (residue, combination of the rows
+        used), with a zero residue exactly when ``vec`` is in the span."""
+        combo = 0
         for pivot, (row, row_combo) in self.pivots.items():
             if vec & (1 << pivot):
                 vec ^= row
                 combo ^= row_combo
         return vec, combo
 
-    def add(self, vec: int, tag: int) -> bool:
-        """Insert a vector tagged with an original-row mask.
-
-        Returns True if the vector was independent of the current basis.
-        """
-        vec, combo = self.reduce(vec, tag)
+    def add(self, vec: int) -> bool:
+        """Add the next row; True if it was independent of the span."""
+        vec, combo = self.reduce(vec)
+        combo ^= 1 << self.size
+        self.size += 1
         if vec == 0:
             return False
         self.pivots[_lowest_bit(vec)] = (vec, combo)
-        self.count += 1
         return True
 
 
-def in_span(vector: int, basis: BitMatrix) -> Combination | None:
-    """Express a vector over the rows of ``basis`` if possible.
+def rank(rows: list[int], cols: int) -> int:
+    """GF(2) rank of a list of bit-packed rows."""
+    return len(Echelon(cols, rows))
 
-    Args:
-        vector: Bit-packed target of width ``basis.cols``.
-        basis: Candidate generating rows (need not be independent).
+
+def in_span(vector: int, span: Echelon) -> Combination | None:
+    """Express a vector over the rows added to ``span`` if possible.
 
     Returns:
-        A :class:`Combination` ``c`` with ``c.evaluate(basis.rows) ==
-        vector``, or None when the vector lies outside the row span.
+        A :class:`Combination` ``c`` over the rows added so far, in order,
+        with ``c.evaluate(rows) == vector``, or None outside the span.
     """
-    if vector >> basis.cols:
-        raise ValueError("vector is wider than the basis")
-    ech = _Echelon(basis.cols)
-    for i, row in enumerate(basis.rows):
-        ech.add(row, 1 << i)
-    residue, combo = ech.reduce(vector, 0)
+    if vector >> span.cols:
+        raise ValueError("vector is wider than the span")
+    residue, combo = span.reduce(vector)
     if residue != 0:
         return None
-    return Combination(combo, len(basis.rows))
+    return Combination(combo, span.size)
 
 
 @dataclass(frozen=True)

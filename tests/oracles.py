@@ -23,7 +23,7 @@ from dyncode.engine import (
     OutcomeSymbol,
     simulate_measurements,
 )
-from dyncode.gf2 import Combination, _Echelon
+from dyncode.gf2 import Combination, Echelon
 from dyncode.pauli import identity, product, symplectic_product, weight
 
 
@@ -200,12 +200,12 @@ def forward_oracle(
         key=lambda s: (s.kind, s.index),
     )
     col = {s: i for i, s in enumerate(symbols)}
-    ech = _Echelon(len(symbols))
-    for t, _, expr in record:
+    ech = Echelon(len(symbols))
+    for _, _, expr in record:
         vec = 0
         for s in expr.symbols:
             vec |= 1 << col[s]
-        ech.add(vec, 1 << t)
+        ech.add(vec)
     entries = []
     for mask in range(1 << k):
         op = identity(code.n)
@@ -223,7 +223,7 @@ def forward_oracle(
         if target < 0:
             entries.append(OracleEntry(combo, op, False, None))
             continue
-        residue, meas_combo = ech.reduce(target, 0)
+        residue, meas_combo = ech.reduce(target)
         if residue == 0:
             formula = tuple(
                 t for t in range(len(record)) if (meas_combo >> t) & 1

@@ -35,7 +35,7 @@ from dyncode import (
 )
 from dyncode.cli import _syndrome_decomposition
 from dyncode.engine import ONE, ISGState, measure
-from dyncode.gf2 import BitMatrix, in_span, rank
+from dyncode.gf2 import Echelon, in_span, rank
 from dyncode.pauli import (
     encode,
     parse_pauli,
@@ -188,7 +188,7 @@ def test_criterion_4_oracle_equivalence():
         # Formulas agree under every symbol assignment: the expression
         # reconstructed from the classifier's basis formulas equals the
         # oracle's, occurrence product against occurrence product.
-        u_basis = BitMatrix([encode(u.op) for u in report.U], 2 * code.n)
+        u_basis = Echelon(2 * code.n, [encode(u.op) for u in report.U])
         exprs = []
         for u in report.U:
             expr = None

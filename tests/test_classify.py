@@ -13,7 +13,7 @@ from dyncode import (
 )
 from dyncode.classify import DistanceResult
 from dyncode.engine import ValidationError
-from dyncode.gf2 import BitMatrix, in_span, rank
+from dyncode.gf2 import Echelon, in_span, rank
 from dyncode.library import shor_code
 from dyncode.pauli import encode, parse_pauli, product, symplectic_product
 
@@ -133,7 +133,7 @@ class TestAgainstOracle:
             assert len(ops) == len(code.s0)
             rows = [encode(op) for op in ops]
             assert rank(rows, 2 * code.n) == len(code.s0)
-            basis = BitMatrix([encode(g) for g in code.s0], 2 * code.n)
+            basis = Echelon(2 * code.n, [encode(g) for g in code.s0])
             for op in ops:
                 assert in_span(encode(op), basis) is not None
 

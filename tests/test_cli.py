@@ -189,11 +189,23 @@ def _write(tmp_path, document):
          "empty-schedule"),
         ("simulate", {"version": 1, "n": 2, "s0": ["ZZ"], "rounds": [["XX"]]},
          ["--errors", "0:Q1"], "bad-error-spec"),
+        ("classify", {"version": 1, "n": 2, "s0": ["ZZ"], "rounds": [["XX"]]},
+         ["--isg-round", "999"], "window-too-large"),
+        ("classify", {"version": 1, "n": 2, "s0": ["ZZ"], "rounds": [["XX"]]},
+         ["--isg-round", "-3"], "window-out-of-range"),
+        ("simulate", {"version": 1, "n": 2, "s0": ["ZZ"], "rounds": [["XX"]]},
+         ["--errors", "0:X1,0:Z1"], "bad-error-spec"),
+        ("distance", {"version": 1, "n": 2, "s0": ["ZZ"], "rounds": [["XX"]]},
+         ["--cap", "-1"], "cap-out-of-range"),
+        ("simulate", {"version": 1, "n": 2, "s0": ["ZZ"], "rounds": [["XX"]]},
+         ["--max-weight", "-1"], "max-weight-out-of-range"),
     ],
     ids=[
         "non-string-pauli", "non-string-measurement", "boolean-n",
         "string-rounds", "string-round", "null-s0", "boolean-version",
         "negative-window", "floquet-empty-schedule", "unparsable-error-pauli",
+        "isg-round-too-large", "negative-isg-round", "repeated-error-round",
+        "negative-cap", "negative-max-weight",
     ],
 )
 def test_bad_input_is_a_diagnostic(runner, tmp_path, command, document, options, kind):

@@ -13,7 +13,7 @@ from dyncode import (
     round_isg_history,
     unmask_cycle_count,
 )
-from dyncode.engine import CapExceededError
+from dyncode.engine import CapExceededError, ValidationError
 from dyncode.gf2 import rank
 from dyncode.library import honeycomb_cycle
 from dyncode.pauli import encode, parse_pauli
@@ -122,3 +122,14 @@ class TestUnmaskCycles:
         )
         with pytest.raises(CapExceededError):
             unmask_cycle_count(code, max_cycles=3)
+
+    @pytest.mark.parametrize(
+        "isg_round, kind", [(-1, "window-out-of-range"), (2, "window-too-large")]
+    )
+    def test_isg_round_outside_the_schedule(self, isg_round, kind):
+        code = DynamicalCode.make(
+            1, [parse_pauli("Z1", 1)], [[parse_pauli("Z1", 1)]]
+        )
+        with pytest.raises(ValidationError) as caught:
+            unmask_cycle_count(code, isg_round=isg_round)
+        assert caught.value.diagnostics[0]["kind"] == kind

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from dyncode.gf2 import (
     BitMatrix,
     Combination,
+    Echelon,
     in_span,
     kernel_under_form,
     minimize_over_span,
@@ -67,7 +68,7 @@ class TestInSpan:
     @given(matrices(), st.data())
     def test_membership_matches_brute_force(self, m, data):
         vec = data.draw(st.integers(0, (1 << m.cols) - 1))
-        combo = in_span(vec, m)
+        combo = in_span(vec, Echelon(m.cols, m.rows))
         if vec in brute_span(m.rows):
             assert combo is not None and combo.evaluate(m.rows) == vec
         else:
@@ -75,7 +76,31 @@ class TestInSpan:
 
     def test_rejects_wide_vector(self):
         with pytest.raises(ValueError):
-            in_span(0b1000, BitMatrix([0b11], 3))
+            in_span(0b1000, Echelon(3, [0b11]))
+
+
+class TestEchelon:
+    @given(matrices(max_rows=8))
+    def test_add_reports_span_growth(self, m):
+        span = Echelon(m.cols)
+        for i, row in enumerate(m.rows):
+            grows = row not in brute_span(m.rows[:i])
+            assert span.add(row) == grows
+        assert len(span) == rref(m)[2]
+        assert len(Echelon(m.cols, m.rows)) == len(span)
+
+    @given(matrices(max_rows=8), st.data())
+    def test_in_span_combination_covers_every_row_added(self, m, data):
+        # Rows added one by one, dependent ones included: each membership
+        # combination is over all of them, in insertion order.
+        span = Echelon(m.cols)
+        for i, row in enumerate(m.rows):
+            span.add(row)
+            vec = data.draw(st.sampled_from(sorted(brute_span(m.rows[: i + 1]))))
+            combo = in_span(vec, span)
+            assert combo is not None
+            assert combo.size == i + 1
+            assert combo.evaluate(m.rows) == vec
 
 
 class TestIntersection:
