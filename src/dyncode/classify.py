@@ -57,9 +57,9 @@ from .gf2 import (
 )
 from .pauli import (
     PauliOperator,
+    commuting_paulis_up_to_weight,
     decode,
     encode,
-    paulis_up_to_weight,
     product,
     symplectic_partner,
     symplectic_product,
@@ -514,17 +514,19 @@ def _min_weight_outside(
     n: int, commute_rows: list[int], exclude_rows: list[int], cap: int
 ) -> DistanceResult:
     """Minimum weight over operators commuting with all constraint rows
-    but outside the excluded span; iterative deepening up to ``cap``."""
+    but outside the excluded span, up to ``cap``.
+
+    The commuting operators come lightest first from a syndrome table
+    (:func:`commuting_paulis_up_to_weight`), so only they are tested
+    against the excluded span; the first one outside it is the witness.
+    """
     if cap < 0:
         raise ValidationError([{"kind": "cap-out-of-range", "cap": cap}])
-    constraints = [symplectic_partner(row, n) for row in commute_rows]
     exclude = Echelon(2 * n, exclude_rows)
     kernel = kernel_under_form(BitMatrix(commute_rows, 2 * n))
     if all(exclude.reduce(vec)[0] == 0 for vec in kernel.rows):
         return DistanceResult(None, cap, no_logicals=True)
-    for vec in paulis_up_to_weight(n, cap):
-        if any((vec & c).bit_count() & 1 for c in constraints):
-            continue
+    for vec in commuting_paulis_up_to_weight(n, cap, commute_rows):
         if exclude.reduce(vec)[0]:
             witness = decode(vec, n)
             return DistanceResult(weight(witness), cap, witness=witness)

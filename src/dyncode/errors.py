@@ -261,7 +261,7 @@ def verify_round0_decoding(
         raise ValidationError([{"kind": "max-weight-out-of-range", "max_weight": max_weight}])
     n = code.n
     count = sum(
-        math.comb(n, w) * 3 ** w for w in range(max_weight + 1)
+        math.comb(n, w) * 3 ** w for w in range(min(max_weight, n) + 1)
     )
     if count > enumeration_cap:
         raise CapExceededError(f"{count} errors exceed cap {enumeration_cap}")

@@ -154,9 +154,56 @@ def paulis_up_to_weight(n: int, max_weight: int):
     the last qubit of the support varying fastest.
     """
     letters = [(1 << q, 1 << (q + n), (1 << q) | (1 << (q + n))) for q in range(n)]
-    for w in range(max_weight + 1):
+    for w in range(min(max_weight, n) + 1):
         for support in itertools.combinations(letters, w):
             yield from map(sum, itertools.product(*support))
+
+
+def commuting_paulis_up_to_weight(n: int, max_weight: int, rows: list[int]):
+    """Yield the encoded operators of weight <= max_weight that commute
+    with every encoded row, in :func:`paulis_up_to_weight` order.
+
+    The result is exactly the commuting subsequence of that order, found
+    with a syndrome table instead of a parity test per candidate.  A
+    letter's syndrome has bit j set iff it anticommutes with ``rows[j]``;
+    an operator's syndrome is the XOR over its letters and is zero iff it
+    commutes with every row.  For each support of w - 1 qubits (in
+    lexicographic order) the letter assignments are indexed by syndrome;
+    a last qubit q beyond that support then completes a commuting
+    operator exactly where an assignment's syndrome equals one of q's
+    letter syndromes.  Per weight this costs C(n, w-1) * 3^(w-1) XORs and
+    3 * C(n, w) lookups, not C(n, w) * 3^w * len(rows) parity tests.
+    """
+    letters = []
+    for q in range(n):
+        # X on q anticommutes with a row that has z on q, and Z with x.
+        sx = sz = 0
+        for j, row in enumerate(rows):
+            sx |= ((row >> (q + n)) & 1) << j
+            sz |= ((row >> q) & 1) << j
+        x, z = 1 << q, 1 << (q + n)
+        letters.append(((x, sx), (z, sz), (x | z, sx ^ sz)))
+    if max_weight >= 0:
+        yield 0
+    for w in range(1, min(max_weight, n) + 1):
+        for prefix in itertools.combinations(range(n), w - 1):
+            start = prefix[-1] + 1 if prefix else 0
+            if start == n:
+                continue
+            vecs, syns = [0], [0]
+            for q in prefix:
+                vecs = [v | lv for v in vecs for lv, _ in letters[q]]
+                syns = [s ^ ls for s in syns for _, ls in letters[q]]
+            table: dict[int, list[int]] = {}
+            for i, s in enumerate(syns):
+                table.setdefault(s, []).append(i)
+            for q in range(start, n):
+                # The letter vectors rise X < Z < Y, so sorting by
+                # (assignment, letter vector) is paulis_up_to_weight's order.
+                hits = [(i, lv) for lv, ls in letters[q] if ls in table for i in table[ls]]
+                hits.sort()
+                for i, lv in hits:
+                    yield vecs[i] | lv
 
 
 def symplectic_partner(vec: int, n: int) -> int:

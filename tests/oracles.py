@@ -4,10 +4,12 @@ Brute-force reference implementations and random instance generators.
 Everything here recomputes results by direct enumeration over small
 groups, so the main suite can compare them with the package internals.
 The references share no code path with the classification or the
-distance search.  The one exception is :func:`forward_oracle`: it reads
-its outcome expressions from the package's symbolic forward simulation
+distance search, with two exceptions.  :func:`forward_oracle` reads its
+outcome expressions from the package's symbolic forward simulation
 (``simulate_measurements``), an independent route from the tracked C/V
-sets of the classification.
+sets of the classification.  :func:`reference_min_weight_outside` is the
+distance search as it was before the syndrome table: the same result
+type, but a parity test of every candidate against every row.
 """
 
 from __future__ import annotations
@@ -21,10 +23,20 @@ from dyncode.engine import (
     ONE,
     CapExceededError,
     OutcomeSymbol,
+    ValidationError,
     simulate_measurements,
 )
-from dyncode.gf2 import Combination, Echelon
-from dyncode.pauli import identity, product, symplectic_product, weight
+from dyncode.classify import DistanceResult
+from dyncode.gf2 import BitMatrix, Combination, Echelon, kernel_under_form
+from dyncode.pauli import (
+    decode,
+    identity,
+    paulis_up_to_weight,
+    product,
+    symplectic_partner,
+    symplectic_product,
+    weight,
+)
 
 
 def all_paulis(n: int):
@@ -72,6 +84,29 @@ def brute_force_min_weight(
         if best is None or w < best:
             best = w
     return best
+
+
+def reference_min_weight_outside(
+    n: int, commute_rows: list[int], exclude_rows: list[int], cap: int
+) -> DistanceResult:
+    """``classify._min_weight_outside`` by a parity test per candidate:
+    every operator up to ``cap``, lightest first, is tested against every
+    constraint row, and the first commuting one outside the excluded span
+    is the witness."""
+    if cap < 0:
+        raise ValidationError([{"kind": "cap-out-of-range", "cap": cap}])
+    constraints = [symplectic_partner(row, n) for row in commute_rows]
+    exclude = Echelon(2 * n, exclude_rows)
+    kernel = kernel_under_form(BitMatrix(commute_rows, 2 * n))
+    if all(exclude.reduce(vec)[0] == 0 for vec in kernel.rows):
+        return DistanceResult(None, cap, no_logicals=True)
+    for vec in paulis_up_to_weight(n, cap):
+        if any((vec & c).bit_count() & 1 for c in constraints):
+            continue
+        if exclude.reduce(vec)[0]:
+            witness = decode(vec, n)
+            return DistanceResult(weight(witness), cap, witness=witness)
+    return DistanceResult(None, cap, exceeded_cap=True)
 
 
 def formula_reproduces_stabilizer(

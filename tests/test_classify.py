@@ -11,6 +11,7 @@ from dyncode import (
     subsystem_distance,
     unmasked_distance,
 )
+from dyncode import classify
 from dyncode.classify import DistanceResult
 from dyncode.engine import ValidationError
 from dyncode.gf2 import Echelon, in_span, rank
@@ -24,6 +25,7 @@ from oracles import (
     group_elements,
     random_instance,
     random_round,
+    reference_min_weight_outside,
     spans_equal,
 )
 
@@ -290,6 +292,40 @@ class TestDistances:
                 assert d_u.no_logicals
             else:
                 assert d_u.value == expected_u
+
+    def test_results_match_the_reference_search(self, monkeypatch):
+        """The whole DistanceResult (value, witness, exceeded_cap and
+        no_logicals) equals the per-candidate parity search's, with the
+        cap above n and just below each distance found."""
+
+        def searches(code, report, gauge, cap):
+            return [
+                isg_distance(list(code.s0), code.n, cap=cap),
+                subsystem_distance(gauge, cap=cap),
+                unmasked_distance(report, gauge, cap=cap),
+            ]
+
+        rng = random.Random(520)
+        outcomes = set()
+        for _ in range(30):
+            code = random_instance(rng, max_n=6, max_s0=4)
+            report = run_classification(code)
+            gauge = build_gauge_group(report, t_destab_policy="exhaustive")
+            above = searches(code, report, gauge, code.n + 1)
+            caps = [code.n + 1] + sorted({r.value - 1 for r in above if r.value})
+            for cap in caps:
+                results = searches(code, report, gauge, cap)
+                with monkeypatch.context() as patch:
+                    patch.setattr(
+                        classify, "_min_weight_outside", reference_min_weight_outside
+                    )
+                    assert results == searches(code, report, gauge, cap)
+                outcomes |= {
+                    "exceeded" if r.exceeded_cap
+                    else "undefined" if r.no_logicals else "value"
+                    for r in results
+                }
+        assert outcomes == {"exceeded", "undefined", "value"}
 
     def test_window_larger_than_schedule_rejected(self):
         code = shor_code()

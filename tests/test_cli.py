@@ -154,6 +154,15 @@ class TestSimulate:
         result = runner.invoke(main, ["simulate", shor_file, "--errors", "X1"])
         assert result.exit_code == 1
 
+    def test_huge_max_weight_exceeds_the_cap(self, runner, shor_file):
+        result = runner.invoke(
+            main, ["simulate", shor_file, "--max-weight", "1000000"],
+            catch_exceptions=False,
+        )
+        assert result.exit_code == 2
+        assert "Traceback" not in result.output
+        assert json.loads(result.stderr)["error"] == "cap-exceeded"
+
     def test_parse_error_spec(self):
         errors = parse_error_spec("0:X1,2:Z1 Z2", 3)
         assert errors == {

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from dyncode.pauli import (
     PauliOperator,
+    commuting_paulis_up_to_weight,
     decode,
     encode,
     format_pauli,
@@ -146,3 +147,52 @@ class TestEnumeration:
             "II", "XI", "ZI", "YI", "IX", "IZ", "IY",
             "XX", "XZ", "XY", "ZX", "ZZ", "ZY", "YX", "YZ", "YY",
         ]
+
+    @staticmethod
+    def commuting_subsequence(n, max_weight, rows):
+        ops = [decode(row, n) for row in rows]
+        return [
+            vec for vec in paulis_up_to_weight(n, max_weight)
+            if not any(symplectic_product(decode(vec, n), op) for op in ops)
+        ]
+
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.integers(0, n + 1),
+                st.lists(st.integers(0, (1 << (2 * n)) - 1), max_size=5),
+            )
+        )
+    )
+    def test_commuting_enumeration_is_the_commuting_subsequence(self, case):
+        n, max_weight, rows = case
+        assert list(commuting_paulis_up_to_weight(n, max_weight, rows)) == (
+            self.commuting_subsequence(n, max_weight, rows)
+        )
+
+    @pytest.mark.parametrize(
+        "n, max_weight, rows",
+        [
+            (4, 3, []),
+            (3, 3, [0b000111, 0b101000, 0b101111, 0b000111, 0]),
+            (1, 1, [0b10]),
+            (1, 1, [0b11]),
+            (1, 3, []),
+            (3, 6, [0b011011]),
+            (2, 0, [0b0011]),
+        ],
+        ids=["no-rows", "dependent-rows", "n1-z", "n1-y", "n1-beyond-n",
+             "weight-beyond-n", "weight-zero"],
+    )
+    def test_commuting_enumeration_cases(self, n, max_weight, rows):
+        vecs = list(commuting_paulis_up_to_weight(n, max_weight, rows))
+        assert vecs == self.commuting_subsequence(n, max_weight, rows)
+        if not any(rows):
+            assert vecs == list(paulis_up_to_weight(n, max_weight))
+
+    def test_weight_is_clamped_at_n(self):
+        assert list(paulis_up_to_weight(2, 10**9)) == list(paulis_up_to_weight(2, 2))
+        assert list(commuting_paulis_up_to_weight(2, 10**9, [0b0101])) == list(
+            commuting_paulis_up_to_weight(2, 2, [0b0101])
+        )
