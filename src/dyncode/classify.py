@@ -10,18 +10,22 @@ outcomes.  ``V`` collects an independent set of operators generated by
 the measurements themselves, each with a known outcome.  Together they
 generate the current ISG.
 
-Every measurement m applies one pivot rule (:func:`pivot`, the
-Aaronson-Gottesman stabilizer update): the first element anticommuting
-with m is the pivot, searching V before C, and every other anticommuting
-element of V and C is multiplied by it.  With no pivot, m joins V if it
-is independent of V (case 1).  Otherwise the pivot is removed and
-recorded, and m joins V: a C pivot means m hit only C (case 2), and a V
-pivot covers m hitting only V (case 3) or both sets (case 4).
+Both sets live in one :class:`~dyncode.tableau.Tableau`: V is its
+stabilizer set and C its tracked rows, each with its provenance.  Every
+measurement m applies one pivot rule (the Aaronson-Gottesman stabilizer
+update): the first element anticommuting with m is the pivot, searching
+V before C in list order (the lowest set bit of the tableau's
+anticommutation masks), and every other anticommuting element of V and
+C is multiplied by it.  With no pivot, m joins V if it is independent of
+V (case 1), which the tableau's logical rows answer in O(wt(m)).
+Otherwise the pivot is removed and recorded, and m joins V: a C pivot
+means m hit only C (case 2), and a V pivot covers m hitting only V
+(case 3) or both sets (case 4).
 
 After the window, the intersection of the two spans yields every
 syndrome that the schedule reveals.  The removals are replayed backwards
-through the same pivot rule to recover the permanently masked
-stabilizers together with their destabilizers.
+through the same pivot rule, on a tableau of the final ISG, to recover
+the permanently masked stabilizers together with their destabilizers.
 """
 
 from __future__ import annotations
@@ -65,6 +69,7 @@ from .pauli import (
     symplectic_product,
     weight,
 )
+from .tableau import Tableau, bits, lowest
 
 
 @dataclass
@@ -88,32 +93,6 @@ class TrackedPauli:
         if self.assoc is not None and other.assoc is not None:
             assoc = Combination(self.assoc.mask ^ other.assoc.mask, self.assoc.size)
         return TrackedPauli(product(self.op, other.op), assoc, self.carry * other.carry)
-
-
-def pivot(
-    m: PauliOperator, *groups: list[TrackedPauli]
-) -> tuple[list[TrackedPauli], int] | None:
-    """The stabilizer update step shared by every tracked evolution.
-
-    Searches ``groups`` in order for elements anticommuting with ``m``.
-    The first one found is the pivot; every later anticommuting element,
-    in its own group or a later one, is multiplied by it in place, so that
-    it commutes with ``m``.  The pivot itself is left where it is for the
-    caller to remove or replace.
-
-    Returns:
-        ``(group, index)`` of the pivot, or None when ``m`` commutes with
-        every element.
-    """
-    found = None
-    for group in groups:
-        for i, tracked in enumerate(group):
-            if symplectic_product(tracked.op, m):
-                if found is None:
-                    found, first = (group, i), tracked
-                else:
-                    group[i] = tracked * first
-    return found
 
 
 @dataclass(frozen=True)
@@ -182,11 +161,13 @@ class ClassificationReport:
 def run_classification(code: DynamicalCode, window: int | None = None) -> ClassificationReport:
     """Classify the initial generators over a measurement window.
 
-    Processes each measurement through the four commutation cases,
-    intersects the spans of C and V at the end of the window, and derives
-    the unmasked set with syndrome formulas, the permanently masked set
-    with destabilizers (via the reversed-schedule replay), and the
-    temporarily masked remainder.
+    Processes each measurement through the four commutation cases on a
+    tableau whose stabilizers are V and whose tracked rows are C, so a
+    measurement costs O(wt) plane XORs plus the rows it multiplies, not a
+    commutation test per element.  Then intersects the spans of C and V
+    at the end of the window, and derives the unmasked set with syndrome
+    formulas, the permanently masked set with destabilizers (via the
+    reversed-schedule replay), and the temporarily masked remainder.
 
     Raises:
         ValidationError: if the code fails structural validation.
@@ -197,41 +178,48 @@ def run_classification(code: DynamicalCode, window: int | None = None) -> Classi
     if diagnostics:
         raise ValidationError(diagnostics)
     window = resolve_window(code, window)
-    width = 2 * code.n
-    k = len(code.s0)
-    C: list[TrackedPauli] = [
-        TrackedPauli(op, Combination(1 << i, k), ONE) for i, op in enumerate(code.s0)
-    ]
-    V: list[TrackedPauli] = []
-    # Span of V, rebuilt only after a V pivot changes it.
-    v_span: Echelon | None = Echelon(width)
+    n, k = code.n, len(code.s0)
+    # V is the stabilizer set of the tableau, C its tracked rows.
+    tab = Tableau(n)
+    for i, op in enumerate(code.s0):
+        tab.tracked.append(encode(op), 1 << i, ONE)
     removals: list[RemovalEvent] = []
     t = 0
     for round_index, rnd in enumerate(code.rounds[:window], start=1):
         for m in rnd:
             outcome = symbol_expr(RANDOM_BIT, t)
             t += 1
-            hit = pivot(m, V, C)
-            if hit is None:
-                # Case 1: add to V only if independent of it.
-                if v_span is None:
-                    v_span = Echelon(width, [encode(v.op) for v in V])
-                if v_span.add(encode(m)):
-                    V.append(TrackedPauli(m, None, outcome))
+            vec = encode(m)
+            vec_bits = bits(vec)
+            anti = tab.stab.anti(vec_bits)
+            if anti:
+                # Cases 3-4: the V pivot is removed and m joins V.
+                row, _, carry = tab.replace(anti, vec, vec_bits, expr=outcome, fresh=True)
+                removals.append(RemovalEvent(round_index, "V", decode(row, n), None, carry))
                 continue
-            # Cases 2-4: the pivot (from V when m hits V, else from C)
-            # is removed and m joins V; a C pivot leaves V in place.
-            group, j = hit
-            removed = group.pop(j)
-            removals.append(RemovalEvent(
-                round_index, "V" if group is V else "C",
-                removed.op, removed.assoc, removed.carry,
-            ))
-            V.append(TrackedPauli(m, None, outcome))
-            if group is V:
-                v_span = None
-            elif v_span is not None:
-                v_span.add(encode(m))
+            q = tab.tracked_pivot(vec_bits)
+            if q is not None:
+                # Case 2: the C pivot is removed; m commutes with V and is
+                # independent of it, as it anticommutes with the pivot.
+                c = tab.tracked
+                removals.append(RemovalEvent(
+                    round_index, "C", decode(c.rows[q], n),
+                    Combination(c.assoc[q], k), c.exprs[q],
+                ))
+                c.free(q)
+                tab.append(vec, vec_bits, expr=outcome)
+            elif not tab.contains(vec_bits):
+                # Case 1: add to V only if independent of it.
+                tab.append(vec, vec_bits, expr=outcome)
+    V = [
+        TrackedPauli(decode(tab.stab.rows[s], n), None, tab.stab.exprs[s])
+        for s in tab.stab.slots()
+    ]
+    c = tab.tracked
+    C = [
+        TrackedPauli(decode(c.rows[s], n), Combination(c.assoc[s], k), c.exprs[s])
+        for s in c.slots()
+    ]
 
     U = _extract_unmasked(code, C, V)
     P, K = _extract_permanently_masked(code, window, C, V, removals)
@@ -288,55 +276,61 @@ def _extract_permanently_masked(
 ) -> tuple[list[PauliOperator], list[PauliOperator]]:
     """Recover permanently masked stabilizers and destabilizers by replay.
 
-    The final ISG is evolved backwards by "measuring" the removed
-    elements in reverse order.  Each element that was removed from C
-    pairs with the group element that anticommutes with it at that point;
-    the pair behaves as the two logical operators of a gauge qubit and is
-    propagated back to round 0 by the ordinary update rules.
+    The final ISG (R, the stabilizers of a tableau) is evolved backwards
+    by "measuring" the removed elements in reverse order.  Each element
+    that was removed from C pairs with the group element that
+    anticommutes with it at that point; the pair behaves as the two
+    logical operators of a gauge qubit and is propagated back to round 0
+    by the ordinary update rules.
     """
-    width = 2 * code.n
-    # Generators of the final ISG.
-    R: list[TrackedPauli] = []
-    ech = Echelon(width)
+    n = code.n
+    # Generators of the final ISG (R) are the tableau's stabilizers; the
+    # (masked stabilizer, destabilizer) pairs, flattened, its tracked rows.
+    tab = Tableau(n)
     for tracked in itertools.chain(C, V):
-        if ech.add(encode(tracked.op)):
-            R.append(TrackedPauli(tracked.op, None, ONE))
+        vec = encode(tracked.op)
+        vec_bits = bits(vec)
+        if not tab.contains(vec_bits):
+            tab.append(vec, vec_bits)
     # Reversed schedule: removals of round r replay in round (window-r+1),
     # most recent removals first.
     reversed_rounds: list[list[RemovalEvent]] = [[] for _ in range(window)]
     for event in reversed(removals):
         reversed_rounds[window - event.round_index].append(event)
-    # The (masked stabilizer, destabilizer) pairs, flattened.
-    flat: list[TrackedPauli] = []
     for rnd in reversed_rounds:
         for event in rnd:
-            m = event.op
-            measured = TrackedPauli(m, None, ONE)
-            hit = pivot(m, R, flat)
-            if hit is not None and hit[0] is R:
+            vec = encode(event.op)
+            vec_bits = bits(vec)
+            anti = tab.stab.anti(vec_bits)
+            if anti:
+                p = lowest(anti)
+                row, _, _ = tab.replace(anti, vec, vec_bits)
                 if event.kind == "C":
-                    flat += [measured, R.pop(hit[1])]
-                else:
-                    R[hit[1]] = measured
+                    tab.remove(p, row)
+                    tab.tracked.append(vec)
+                    tab.tracked.append(row)
                 continue
+            hit = tab.tracked_pivot(vec_bits)
             if event.kind == "C":
                 raise InternalInvariantError(
                     "staged removal has no anticommuting partner in replay"
                 )
-            if in_span(encode(m), Echelon(width, [encode(r.op) for r in R])) is None:
+            if not tab.contains(vec_bits):
                 if hit is not None:
                     raise InternalInvariantError(
                         "replay measurement acts as a gauge logical"
                     )
-                R.append(measured)
+                tab.append(vec, vec_bits)
+    R = [decode(row, n) for row in tab.generators()]
+    flat = [decode(row, n) for row in tab.tracked.rows]
     # The replayed pair elements are gauge logicals, defined only modulo
     # the replayed stabilizer group: strip the R component so each masked
     # stabilizer lands in the initial group.  R commutes with every pair
     # element, so the reduction cannot change any commutation pattern,
     # which is asserted below.
-    pairs = [(p.op, kappa.op) for p, kappa in zip(flat[::2], flat[1::2])]
+    pairs = list(zip(flat[::2], flat[1::2]))
     s0_rows = [encode(op) for op in code.s0]
-    basis = Echelon(width, [encode(r.op) for r in R] + s0_rows)
+    basis = Echelon(2 * n, [encode(r) for r in R] + s0_rows)
     P: list[PauliOperator] = []
     K: list[PauliOperator] = []
     for p_op, kappa in pairs:
@@ -346,7 +340,7 @@ def _extract_permanently_masked(
                 "replayed masked stabilizer is not in the initial group"
             )
         reduced = Combination(combo.mask >> len(R), len(s0_rows)).evaluate(s0_rows)
-        stripped = decode(encode(p_op) ^ reduced, code.n)
+        stripped = decode(encode(p_op) ^ reduced, n)
         for other_p, other_k in pairs:
             if symplectic_product(stripped, other_p) or symplectic_product(
                 stripped, other_k
@@ -354,7 +348,7 @@ def _extract_permanently_masked(
                 raise InternalInvariantError(
                     "replayed stabilizer group does not centralize the pairs"
                 )
-        P.append(decode(reduced, code.n))
+        P.append(decode(reduced, n))
         K.append(kappa)
     return P, K
 

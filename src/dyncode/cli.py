@@ -368,11 +368,10 @@ def _logical_outcomes(code: DynamicalCode, error, rng) -> list[dict]:
     }
     results = []
     logical_ops = [op for op, _ in canonical_logicals(code.n, list(code.s0))]
-    for i, op in enumerate(logical_ops):
+    traces = build_logical_trace(code, logical_ops)
+    for i, (op, trace) in enumerate(zip(logical_ops, traces)):
         entry = {"logical": format_pauli(op)}
-        try:
-            trace = build_logical_trace(code, op)
-        except ValidationError:
+        if trace is None:
             entry["status"] = "measured-out"
             results.append(entry)
             continue

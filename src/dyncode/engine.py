@@ -13,11 +13,15 @@ measurement outcomes are deterministic) and sign-exact outcome formulas.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 
-from .gf2 import BitMatrix, Echelon, in_span, kernel_under_form, rank
-from .pauli import PauliOperator, decode, encode, product, symplectic_product
+# in_span stays importable from this module, as from gf2 and floquet.
+from .gf2 import BitMatrix, Echelon, in_span as in_span, kernel_under_form, rank
+from .pauli import PauliOperator, decode, encode
+from .tableau import Tableau, anticommutation_masks, bits
 
 INITIAL_STABILIZER = "initial-stabilizer"
 RANDOM_BIT = "random-bit"
@@ -141,13 +145,17 @@ def validate_code(code: DynamicalCode) -> list[dict]:
         [("s0", code.s0)],
         ((f"round {i}", rnd) for i, rnd in enumerate(code.rounds, start=1)),
     ):
-        for a in range(len(ops)):
-            for b in range(a + 1, len(ops)):
-                if symplectic_product(ops[a], ops[b]):
-                    diagnostics.append(
-                        {"kind": "commutation-violation", "where": where,
-                         "pair": (a, b)}
-                    )
+        supports = [op.x_mask | op.z_mask for op in ops]
+        union = functools.reduce(operator.or_, supports, 0)
+        if sum(map(int.bit_count, supports)) == union.bit_count():
+            continue  # pairwise disjoint supports: every pair commutes
+        masks = anticommutation_masks(code.n, [encode(op) for op in ops])
+        for a, mask in enumerate(masks):
+            for b in bits(mask >> (a + 1)):
+                diagnostics.append(
+                    {"kind": "commutation-violation", "where": where,
+                     "pair": (a, a + 1 + b)}
+                )
     if code.s0 and rank([encode(op) for op in code.s0], 2 * code.n) < len(code.s0):
         diagnostics.append({"kind": "dependent-generators", "where": "s0"})
     return diagnostics
@@ -160,7 +168,8 @@ class ISGState:
     ``generators[i]`` currently has value ``outcomes[i]``; ``logicals`` is
     an optional list of (operator, outcome) pairs tracked through the
     evolution.  States are treated as values: ``measure`` returns a new
-    state and never mutates its argument.
+    state and never mutates its argument.  The generators are
+    independent and commute, so their count is the rank of the group.
     """
 
     n: int
@@ -181,31 +190,10 @@ class ISGState:
         outcomes = [symbol_expr(INITIAL_STABILIZER, i) for i in range(len(code.s0))]
         state = ISGState(code.n, list(code.s0), outcomes)
         if track_logicals:
-            pairs = []
-            for op, _ in canonical_logicals(code.n, list(code.s0)):
-                expr, state.rand_counter = _fresh_random(state)
-                pairs.append((op, expr))
-            state.logicals = pairs
+            ops = [op for op, _ in canonical_logicals(code.n, list(code.s0))]
+            state.logicals = [(op, symbol_expr(RANDOM_BIT, i)) for i, op in enumerate(ops)]
+            state.rand_counter = len(ops)
         return state
-
-    def copy(self) -> "ISGState":
-        return ISGState(
-            self.n,
-            list(self.generators),
-            list(self.outcomes),
-            None if self.logicals is None else list(self.logicals),
-            self.rand_counter,
-            self.events,
-        )
-
-    def check_abelian(self) -> None:
-        gens = self.generators
-        for a in range(len(gens)):
-            for b in range(a + 1, len(gens)):
-                if symplectic_product(gens[a], gens[b]):
-                    raise InternalInvariantError(
-                        f"ISG generators {a} and {b} anticommute"
-                    )
 
 
 def canonical_logicals(
@@ -228,8 +216,82 @@ def canonical_logicals(
     return logicals
 
 
-def _fresh_random(state: ISGState) -> tuple[OutcomeExpr, int]:
-    return symbol_expr(RANDOM_BIT, state.rand_counter), state.rand_counter + 1
+class Evolution:
+    """An :class:`ISGState` held in a :class:`Tableau` and measured in place.
+
+    The generators are the tableau's stabilizer rows, in slot order, with
+    their outcomes as provenance; tracked logicals are its tracked rows.
+    """
+
+    def __init__(self, state: ISGState) -> None:
+        self.n = state.n
+        self.tableau = Tableau(state.n, destabilizers=True)
+        for g, expr in zip(state.generators, state.outcomes):
+            vec = encode(g)
+            self.tableau.append(vec, bits(vec), expr=expr)
+        self.track_logicals = state.logicals is not None
+        for op, expr in state.logicals or ():
+            self.tableau.tracked.append(encode(op), expr=expr)
+        self.rand_counter = state.rand_counter
+        self.events = state.events
+
+    def _fresh(self) -> OutcomeExpr:
+        self.rand_counter += 1
+        return symbol_expr(RANDOM_BIT, self.rand_counter - 1)
+
+    def measure(self, m: PauliOperator, logical_policy: str = "error") -> OutcomeExpr:
+        """Apply :func:`measure`'s rules in place and return the outcome."""
+        tab = self.tableau
+        vec = encode(m)
+        vec_bits = bits(vec)
+        anti = tab.stab.anti(vec_bits)
+        if anti:
+            outcome = self._fresh()
+            tab.replace(anti, vec, vec_bits, expr=outcome)
+            return outcome
+        if tab.contains(vec_bits):
+            outcome = ONE
+            exprs = tab.stab.exprs
+            for slot in tab.combination(vec_bits):
+                outcome = outcome * exprs[slot]
+            return outcome
+        tracked = tab.tracked
+        hit = tracked.anti(vec_bits)
+        if hit and logical_policy == "error":
+            raise LogicalMeasurementError(f"measurement {m} acts as a logical operator")
+        matching = [s for s in tracked.slots() if tracked.rows[s] == vec]
+        # Reading out a tracked logical representative directly: the
+        # outcome is its tracked value, not fresh randomness.
+        outcome = tracked.exprs[matching[0]] if matching else self._fresh()
+        if hit:
+            self.events = self.events + ({"kind": "logical-measurement", "measurement": m},)
+            # m is now a stabilizer: the anticommuting representatives and
+            # m itself leave the logical basis (k-reduction).
+            for slot in set(bits(hit)) | set(matching):
+                tracked.free(slot)
+        tab.append(vec, vec_bits, expr=outcome)
+        return outcome
+
+    def apply_error(self, e: PauliOperator) -> None:
+        """Flip the outcome of every generator and tracked logical that
+        anticommutes with the error."""
+        e_bits = bits(encode(e))
+        for group in (self.tableau.stab, self.tableau.tracked):
+            for slot in bits(group.anti(e_bits)):
+                group.exprs[slot] = group.exprs[slot].negate()
+
+    def state(self) -> ISGState:
+        n, stab, tracked = self.n, self.tableau.stab, self.tableau.tracked
+        logicals = None
+        if self.track_logicals:
+            logicals = [
+                (decode(tracked.rows[s], n), tracked.exprs[s]) for s in tracked.slots()
+            ]
+        live = stab.slots()
+        return ISGState(
+            n, [decode(stab.rows[s], n) for s in live], [stab.exprs[s] for s in live],
+            logicals, self.rand_counter, self.events,
+        )
 
 
 def measure(
@@ -252,66 +314,16 @@ def measure(
     as a logical measurement.  ``logical_policy`` selects the behavior:
     ``"error"`` raises :class:`LogicalMeasurementError`; ``"track"``
     proceeds, reduces the tracked logical count, and records an event.
+
+    The rules run on a :class:`Tableau` built from ``state``: membership
+    and the rule-1 combination are read from its destabilizer rows in
+    O(wt(m)).  A run of measurements should keep one :class:`Evolution`
+    (as :func:`simulate_measurements` does) rather than rebuild it per
+    call.
     """
-    new = state.copy()
-    anti = [i for i, g in enumerate(new.generators) if symplectic_product(g, m)]
-    if not anti:
-        combo = in_span(
-            encode(m), Echelon(2 * m.n, [encode(g) for g in new.generators])
-        )
-        if combo is not None:
-            outcome = ONE
-            for i in combo.indices():
-                outcome = outcome * new.outcomes[i]
-            return new, outcome
-        # Rule 3: independent commuting measurement.
-        matching = None
-        if new.logicals is not None:
-            for op, expr in new.logicals:
-                if op == m:
-                    matching = expr
-                    break
-        if matching is not None:
-            # Reading out a tracked logical representative directly: the
-            # outcome is its tracked value, not fresh randomness.
-            outcome = matching
-        else:
-            outcome, new.rand_counter = _fresh_random(new)
-        if new.logicals is not None and any(
-            symplectic_product(op, m) for op, _ in new.logicals
-        ):
-            if logical_policy == "error":
-                raise LogicalMeasurementError(
-                    f"measurement {m} acts as a logical operator"
-                )
-            new.events = new.events + (
-                {"kind": "logical-measurement", "measurement": m},
-            )
-            # m is now a stabilizer: the anticommuting representatives and
-            # m itself leave the logical basis (k-reduction).
-            new.logicals = [
-                (op, expr) for op, expr in new.logicals
-                if op != m and not symplectic_product(op, m)
-            ]
-        new.generators.append(m)
-        new.outcomes.append(outcome)
-        return new, outcome
-    # Rule 2: the lowest-index anticommuting generator is the pivot.
-    outcome, new.rand_counter = _fresh_random(new)
-    j = anti[0]
-    s1, s1_outcome = new.generators[j], new.outcomes[j]
-    for i in anti[1:]:
-        new.generators[i] = product(new.generators[i], s1)
-        new.outcomes[i] = new.outcomes[i] * s1_outcome
-    if new.logicals is not None:
-        new.logicals = [
-            (product(op, s1), expr * s1_outcome) if symplectic_product(op, m)
-            else (op, expr)
-            for op, expr in new.logicals
-        ]
-    new.generators[j] = m
-    new.outcomes[j] = outcome
-    return new, outcome
+    evolution = Evolution(state)
+    outcome = evolution.measure(m, logical_policy)
+    return evolution.state(), outcome
 
 
 def apply_error(state: ISGState, e: PauliOperator) -> ISGState:
@@ -320,16 +332,9 @@ def apply_error(state: ISGState, e: PauliOperator) -> ISGState:
     Generator and logical outcome expressions flip sign exactly when the
     operator anticommutes with the error.
     """
-    new = state.copy()
-    for i, g in enumerate(new.generators):
-        if symplectic_product(g, e):
-            new.outcomes[i] = new.outcomes[i].negate()
-    if new.logicals is not None:
-        new.logicals = [
-            (op, expr.negate() if symplectic_product(op, e) else expr)
-            for op, expr in new.logicals
-        ]
-    return new
+    evolution = Evolution(state)
+    evolution.apply_error(e)
+    return evolution.state()
 
 
 def resolve_window(code: DynamicalCode, window: int | None) -> int:
@@ -360,16 +365,14 @@ def simulate_measurements(
     A window outside the schedule raises :class:`ValidationError`.
     """
     window = resolve_window(code, window)
-    state = ISGState.initial(code, track_logicals=track_logicals)
-    if errors and 0 in errors:
-        state = apply_error(state, errors[0])
+    evolution = Evolution(ISGState.initial(code, track_logicals=track_logicals))
+    errors = errors or {}
+    if 0 in errors:
+        evolution.apply_error(errors[0])
     record = []
-    t = 0
     for round_index, rnd in enumerate(code.rounds[:window], start=1):
         for m in rnd:
-            state, outcome = measure(state, m, logical_policy="track")
-            record.append((t, m, outcome))
-            t += 1
-        if errors and round_index in errors:
-            state = apply_error(state, errors[round_index])
-    return state, record
+            record.append((len(record), m, evolution.measure(m, logical_policy="track")))
+        if round_index in errors:
+            evolution.apply_error(errors[round_index])
+    return evolution.state(), record

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .classify import ClassificationReport, GaugeGroup, TrackedPauli, pivot
+from .classify import ClassificationReport, GaugeGroup
 from .engine import (
     ONE,
     RANDOM_BIT,
@@ -22,7 +22,7 @@ from .engine import (
     ValidationError,
     symbol_expr,
 )
-from .gf2 import Combination, Echelon, in_span
+from .gf2 import Combination, Echelon
 from .pauli import (
     PauliOperator,
     decode,
@@ -33,6 +33,7 @@ from .pauli import (
     symplectic_partner,
     symplectic_product,
 )
+from .tableau import Tableau, bits
 
 
 @dataclass(frozen=True)
@@ -125,62 +126,86 @@ class LogicalTrace:
 
 
 def build_logical_trace(
-    code: DynamicalCode, l0: PauliOperator, window: int | None = None
-) -> LogicalTrace:
-    """Track a logical representative through the schedule, with provenance.
+    code: DynamicalCode, l0, window: int | None = None
+):
+    """Track logical representatives through the schedule, with provenance.
 
-    Every ISG generator is carried as a :class:`TrackedPauli` whose
-    ``assoc`` is its combination over the initial generators and whose
-    ``carry`` holds one random-bit symbol per measurement occurrence it
-    was built from.  The logical is carried the same way, and the shared
-    :func:`pivot` step multiplies it by the pivot generator whenever the
-    measurement anticommutes with it, folding in that generator's
-    provenance.  The occurrence set records whose measured outcomes
+    The ISG generators are the stabilizer rows of a :class:`Tableau`,
+    whose provenance is their combination over the initial generators
+    (``assoc``) and one random-bit symbol per measurement occurrence they
+    were built from; each logical is a tracked row of the same tableau.
+    Whenever a measurement anticommutes with a generator, the pivot
+    generator is multiplied into every anticommuting logical, folding in
+    its provenance.  The occurrence set records whose measured outcomes
     reproduce the logical's value in the error-free case.
 
+    ``l0`` is one logical, or a list of logicals traced together in one
+    pass.  The generators evolve the same way whichever logicals ride
+    along, so each trace equals the one traced alone.
+
+    Returns:
+        The :class:`LogicalTrace` of ``l0``; for a list, a list with None
+        for each logical that a measurement reads out.
+
     Raises:
-        ValidationError: if l0 is not a logical of s0 (it must commute
-            with every initial generator and lie outside their span), or
-            if a measurement reads the logical out.
+        ValidationError: if a logical is not a logical of s0 (it must
+            commute with every initial generator and lie outside their
+            span), or if a measurement reads out the one logical ``l0``.
     """
+    single = isinstance(l0, PauliOperator)
+    logicals = [l0] if single else list(l0)
     if window is None:
         window = len(code.rounds)
     n, k = code.n, len(code.s0)
-    width = 2 * n
-    # Echelon of the generators' span, rebuilt only after a pivot changes
-    # the span: remeasured checks then cost one reduction each.
-    span = Echelon(width, [encode(op) for op in code.s0])
-    if any(symplectic_product(l0, s) for s in code.s0) or in_span(encode(l0), span) is not None:
-        raise ValidationError([{"kind": "not-a-logical", "operator": str(l0)}])
+    tab = Tableau(n)
+    for i, op in enumerate(code.s0):
+        vec = encode(op)
+        tab.append(vec, bits(vec), 1 << i, ONE)
+    for op in logicals:
+        vec = encode(op)
+        vec_bits = bits(vec)
+        if tab.stab.anti(vec_bits) or tab.contains(vec_bits):
+            raise ValidationError([{"kind": "not-a-logical", "operator": str(op)}])
+        tab.tracked.append(vec, 0, ONE)
 
-    gens = [TrackedPauli(op, Combination(1 << i, k), ONE) for i, op in enumerate(code.s0)]
-    logical = [TrackedPauli(l0, Combination(0, k), ONE)]
+    read_out: dict[int, int] = {}  # tracked slot -> round reading it out
     measured: list[tuple[int, PauliOperator]] = []  # (round, operator) per occurrence
     for round_index, rnd in enumerate(code.rounds[:window], start=1):
         for m in rnd:
-            hit = pivot(m, gens, logical)
-            if hit is None:
-                if span is None:
-                    span = Echelon(width, [encode(g.op) for g in gens])
-                if span.add(encode(m)):
-                    gens.append(TrackedPauli(m, None, symbol_expr(RANDOM_BIT, len(measured))))
-            elif hit[0] is gens:
-                gens[hit[1]] = TrackedPauli(m, None, symbol_expr(RANDOM_BIT, len(measured)))
-                span = None
-            else:
-                raise ValidationError(
-                    [{"kind": "logical-measurement", "round": round_index}]
-                )
+            expr = symbol_expr(RANDOM_BIT, len(measured))
             measured.append((round_index, m))
+            vec = encode(m)
+            vec_bits = bits(vec)
+            anti = tab.stab.anti(vec_bits)
+            if anti:
+                tab.replace(anti, vec, vec_bits, expr=expr)
+                continue
+            for slot in bits(tab.tracked.anti(vec_bits)):
+                tab.tracked.free(slot)
+                read_out[slot] = round_index
+            if not tab.contains(vec_bits):
+                tab.append(vec, vec_bits, expr=expr)
 
-    factors: dict[int, tuple[PauliOperator, tuple[int, ...]]] = {}
-    for occ in sorted(symbol.index for symbol in logical[0].carry.symbols):
-        r, m = measured[occ]
-        op, occs = factors.get(r, (identity(n), ()))
-        factors[r] = (product(op, m), occs + (occ,))
-    return LogicalTrace(
-        code, l0, logical[0].op, logical[0].assoc, factors, window
-    )
+    if single and read_out:
+        raise ValidationError(
+            [{"kind": "logical-measurement", "round": read_out[0]}]
+        )
+    traces = []
+    tracked = tab.tracked
+    for slot, op in enumerate(logicals):
+        if slot in read_out:
+            traces.append(None)
+            continue
+        factors: dict[int, tuple[PauliOperator, tuple[int, ...]]] = {}
+        for occ in sorted(symbol.index for symbol in tracked.exprs[slot].symbols):
+            r, m = measured[occ]
+            f_op, occs = factors.get(r, (identity(n), ()))
+            factors[r] = (product(f_op, m), occs + (occ,))
+        traces.append(LogicalTrace(
+            code, op, decode(tracked.rows[slot], n),
+            Combination(tracked.assoc[slot], k), factors, window,
+        ))
+    return traces[0] if single else traces
 
 
 def logical_outcome(

@@ -14,17 +14,16 @@ from dataclasses import dataclass, field
 
 from .classify import run_classification
 from .engine import (
-    ONE,
     CapExceededError,
     DynamicalCode,
     InternalInvariantError,
-    ISGState,
     ValidationError,
-    measure,
     simulate_measurements,
 )
-from .gf2 import Echelon, in_span, minimize_over_span, rank, solve_linear
+# in_span stays importable from this module, as from gf2 and engine.
+from .gf2 import in_span as in_span, minimize_over_span, solve_linear
 from .pauli import PauliOperator, decode, encode, product
+from .tableau import Tableau, bits
 
 
 @dataclass
@@ -34,7 +33,9 @@ class CycleTrace:
     ``snapshots[j][i]`` is the generator list right after measuring
     element i of the sequence in cycle j (both zero-based).  ``fixpoint``
     is the first cycle index j (zero-based) with every in-cycle group
-    equal to that of cycle j+1, or None if never reached.
+    equal to that of cycle j+1, or None if never reached.  ``escapes``
+    lists, per (j, i) in order, the first generator of snapshot (j, i)
+    outside the group of snapshot (j+1, i), where there is one.
     """
 
     n: int
@@ -42,12 +43,7 @@ class CycleTrace:
     snapshots: list[list[list[PauliOperator]]] = field(default_factory=list)
     new_counts: list[int] = field(default_factory=list)
     fixpoint: int | None = None
-
-
-def _spans_equal(a: list[PauliOperator], b: list[PauliOperator], n: int) -> bool:
-    rb = [encode(op) for op in b]
-    span = Echelon(2 * n, [encode(op) for op in a])
-    return len(span) == rank(rb, 2 * n) and all(span.reduce(row)[0] == 0 for row in rb)
+    escapes: list[tuple[int, int, PauliOperator]] = field(default_factory=list)
 
 
 def iterate_cycles(
@@ -58,45 +54,58 @@ def iterate_cycles(
     Runs until the in-cycle groups repeat exactly (fixpoint) or
     ``max_cycles`` is hit; a zero cap defaults to n+2 cycles, enough for
     any schedule since the generator count grows by at least one per
-    non-stationary cycle.
+    non-stationary cycle.  After each measurement the tableau tests every
+    generator of the previous cycle's snapshot at the same index for
+    membership, in O(weight) each: the first one outside is recorded in
+    ``escapes``, and two snapshots hold the same group when none escapes
+    and they have as many generators.
     """
     if max_cycles <= 0:
         max_cycles = n + 2
     trace = CycleTrace(n, tuple(sequence))
-    state = ISGState(n)
+    tab = Tableau(n)
+    vecs = [encode(m) for m in sequence]
+    ops: dict[int, PauliOperator] = {}
+    row_bits: dict[int, list[int]] = {}
+    prev_rows: list[list[int]] = []
     for cycle in range(max_cycles):
-        start_rank = len(state.generators)
+        start_rank = len(tab)
         cycle_snaps: list[list[PauliOperator]] = []
-        for m in sequence:
-            state, _ = measure(state, m)
-            cycle_snaps.append(list(state.generators))
+        cycle_rows: list[list[int]] = []
+        settled = cycle > 0
+        for i, vec in enumerate(vecs):
+            tab.measure(vec)
+            rows = tab.generators()
+            if cycle > 0:
+                for row in prev_rows[i]:
+                    vec_bits = row_bits.get(row) or row_bits.setdefault(row, bits(row))
+                    if tab.stab.anti(vec_bits) or not tab.contains(vec_bits):
+                        trace.escapes.append((cycle - 1, i, ops[row]))
+                        settled = False
+                        break
+                settled = settled and len(rows) == len(prev_rows[i])
+            cycle_rows.append(rows)
+            cycle_snaps.append([ops.get(r) or ops.setdefault(r, decode(r, n)) for r in rows])
         trace.snapshots.append(cycle_snaps)
-        trace.new_counts.append(len(state.generators) - start_rank)
-        if cycle > 0 and all(
-            _spans_equal(trace.snapshots[cycle - 1][i], cycle_snaps[i], n)
-            for i in range(len(sequence))
-        ):
+        trace.new_counts.append(len(tab) - start_rank)
+        if settled:
             trace.fixpoint = cycle - 1
             break
+        prev_rows = cycle_rows
     return trace
 
 
 def check_subset_monotonicity(trace: CycleTrace) -> list[dict]:
     """Verify cycle-over-cycle group inclusion of all in-cycle ISGs.
 
-    Returns a violation record per failing (cycle, index) pair; an empty
-    list means every snapshot group is contained in the corresponding
-    group one cycle later.
+    Returns a violation record per failing (cycle, index) pair, naming
+    the first generator outside the later group (the trace's
+    ``escapes``); an empty list means every snapshot group is contained
+    in the corresponding group one cycle later.
     """
-    violations = []
-    for j in range(len(trace.snapshots) - 1):
-        for i in range(len(trace.sequence)):
-            later = Echelon(2 * trace.n, [encode(op) for op in trace.snapshots[j + 1][i]])
-            for op in trace.snapshots[j][i]:
-                if in_span(encode(op), later) is None:
-                    violations.append({"cycle": j, "index": i, "operator": str(op)})
-                    break
-    return violations
+    return [
+        {"cycle": j, "index": i, "operator": str(op)} for j, i, op in trace.escapes
+    ]
 
 
 def growth_accounting(trace: CycleTrace) -> dict:
@@ -107,15 +116,14 @@ def growth_accounting(trace: CycleTrace) -> dict:
     cycle over cycle, and an index can only grow the group in a cycle if
     it also did in the previous cycle.
     """
-    width = 2 * trace.n
     growth_flags: list[list[bool]] = []
     prev_rank = 0
     for cycle_snaps in trace.snapshots:
         flags = []
         for snap in cycle_snaps:
-            r = rank([encode(op) for op in snap], width)
-            flags.append(r > prev_rank)
-            prev_rank = r
+            # Snapshot generators are independent: the rank is the count.
+            flags.append(len(snap) > prev_rank)
+            prev_rank = len(snap)
         growth_flags.append(flags)
     deltas = trace.new_counts
     violations = []
@@ -188,7 +196,7 @@ def build_worst_case_sequence(n: int) -> DynamicalCode:
         seq = _extend_worst_case(seq, k, n)
     trace = iterate_cycles(seq, n)
     depth = initialization_depth(trace)
-    final_rank = rank([encode(op) for op in trace.snapshots[-1][-1]], 2 * n)
+    final_rank = len(trace.snapshots[-1][-1])
     if depth != n - 1 or final_rank != n:
         raise InternalInvariantError(
             f"worst-case construction failed: depth {depth} (want {n - 1}), "
@@ -209,18 +217,15 @@ def _extend_worst_case(
     Z_1), Z_2 -> (slot of Z_{k-1}), Z_3 -> Z_k, and destabilizers solved
     against the group at the insertion point.
     """
-    width = 2 * n
-
     # Evolve position-tracked generators through the steady cycle, up to
     # just before the final measurement.
-    state = ISGState(
-        n,
-        [PauliOperator(n, 0, 1 << i) for i in range(k - 1)],
-        [ONE] * (k - 1),
-    )
+    tab = Tableau(n)
+    for i in range(k - 1):
+        vec = 1 << (n + i)  # Z_{i+1}
+        tab.append(vec, bits(vec))
     for m in seq[:-1]:
-        state, _ = measure(state, m)
-    slots = state.generators
+        tab.measure(encode(m))
+    slots = [decode(row, n) for row in tab.generators()]
     if len(slots) != k - 1:
         raise InternalInvariantError("steady-cycle tracking changed the rank")
 
@@ -308,12 +313,15 @@ def build_1d_chain(n: int) -> DynamicalCode:
 
 def round_isg_history(code: DynamicalCode) -> list[list[PauliOperator]]:
     """Generator lists after each round, starting from the code's s0."""
-    state = ISGState.initial(code)
+    tab = Tableau(code.n)
+    for op in code.s0:
+        vec = encode(op)
+        tab.append(vec, bits(vec))
     history = []
     for rnd in code.rounds:
         for m in rnd:
-            state, _ = measure(state, m)
-        history.append(list(state.generators))
+            tab.measure(encode(m))
+        history.append([decode(row, code.n) for row in tab.generators()])
     return history
 
 

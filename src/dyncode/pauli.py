@@ -43,6 +43,11 @@ def identity(n: int) -> PauliOperator:
 
 _CHAR_TO_BITS = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
 _BITS_TO_CHAR = {v: k for k, v in _CHAR_TO_BITS.items()}
+# str.translate tables for dense strings: delete the four letters (what
+# remains is invalid), and map each letter to its x or z bit.
+_DENSE_LETTERS = str.maketrans("", "", "IXYZ")
+_X_DIGITS = str.maketrans("IXYZ", "0110")
+_Z_DIGITS = str.maketrans("IXYZ", "0011")
 
 
 def parse_pauli(text: str, n: int) -> PauliOperator:
@@ -74,20 +79,21 @@ def parse_pauli(text: str, n: int) -> PauliOperator:
     tokens = stripped.split()
     if not tokens or (len(tokens) == 1 and tokens[0] == "I" and n != 1):
         return identity(n)
-    if len(tokens) == 1 and not any(ch.isdigit() for ch in tokens[0]):
+    # Characters other than the four letters, in order; a digit among
+    # them makes the token sparse.
+    invalid = tokens[0].translate(_DENSE_LETTERS) if len(tokens) == 1 else ""
+    if len(tokens) == 1 and not any(ch.isdigit() for ch in invalid):
         dense = tokens[0]
         if len(dense) != n:
             raise ValueError(
                 f"dense Pauli string has length {len(dense)}, expected {n}: {text!r}"
             )
-        x_mask = z_mask = 0
-        for i, ch in enumerate(dense):
-            if ch not in _CHAR_TO_BITS:
-                raise ValueError(f"invalid Pauli character {ch!r} in {text!r}")
-            xb, zb = _CHAR_TO_BITS[ch]
-            x_mask |= xb << i
-            z_mask |= zb << i
-        return PauliOperator(n, x_mask, z_mask)
+        if invalid:
+            raise ValueError(f"invalid Pauli character {invalid[0]!r} in {text!r}")
+        rev = dense[::-1]  # qubit i is bit i
+        return PauliOperator(
+            n, int(rev.translate(_X_DIGITS), 2), int(rev.translate(_Z_DIGITS), 2)
+        )
 
     x_mask = z_mask = 0
     seen: set[int] = set()

@@ -3,13 +3,16 @@ Brute-force reference implementations and random instance generators.
 
 Everything here recomputes results by direct enumeration over small
 groups, so the main suite can compare them with the package internals.
-The references share no code path with the classification or the
-distance search, with two exceptions.  :func:`forward_oracle` reads its
-outcome expressions from the package's symbolic forward simulation
-(``simulate_measurements``), an independent route from the tracked C/V
-sets of the classification.  :func:`reference_min_weight_outside` is the
-distance search as it was before the syndrome table: the same result
-type, but a parity test of every candidate against every row.
+The references share no stabilizer update or search code with the
+package; they use only its data types and ``gf2`` spans.
+:func:`reference_measure` and :func:`reference_forward` are the
+stabilizer update and the classification's forward pass written as scans
+over generator lists with a fresh span per membership test, the way the
+package computed them before its stabilizer tableau; :func:`forward_oracle`
+reads its outcome expressions from :func:`reference_measure`.
+:func:`reference_min_weight_outside` is the distance search as it was
+before the syndrome table: the same result type, but a parity test of
+every candidate against every row.
 """
 
 from __future__ import annotations
@@ -21,15 +24,21 @@ from dyncode import DynamicalCode, OutcomeExpr, PauliOperator
 from dyncode.engine import (
     INITIAL_STABILIZER,
     ONE,
+    RANDOM_BIT,
     CapExceededError,
+    InternalInvariantError,
+    ISGState,
+    LogicalMeasurementError,
     OutcomeSymbol,
     ValidationError,
-    simulate_measurements,
+    resolve_window,
+    symbol_expr,
 )
-from dyncode.classify import DistanceResult
-from dyncode.gf2 import BitMatrix, Combination, Echelon, kernel_under_form
+from dyncode.classify import DistanceResult, RemovalEvent, TrackedPauli
+from dyncode.gf2 import BitMatrix, Combination, Echelon, in_span, kernel_under_form
 from dyncode.pauli import (
     decode,
+    encode,
     identity,
     paulis_up_to_weight,
     product,
@@ -107,6 +116,141 @@ def reference_min_weight_outside(
             witness = decode(vec, n)
             return DistanceResult(weight(witness), cap, witness=witness)
     return DistanceResult(None, cap, exceeded_cap=True)
+
+
+def check_abelian(generators: list[PauliOperator]) -> None:
+    """Raise unless the generators commute pairwise."""
+    for a in range(len(generators)):
+        for b in range(a + 1, len(generators)):
+            if symplectic_product(generators[a], generators[b]):
+                raise InternalInvariantError(
+                    f"ISG generators {a} and {b} anticommute"
+                )
+
+
+def reference_measure(
+    state: ISGState, m: PauliOperator, logical_policy: str = "error"
+) -> tuple[ISGState, OutcomeExpr]:
+    """``engine.measure`` as a scan: every generator and tracked logical is
+    tested with ``symplectic_product``, and rule 1 builds a span of the
+    generators."""
+    new = ISGState(
+        state.n, list(state.generators), list(state.outcomes),
+        None if state.logicals is None else list(state.logicals),
+        state.rand_counter, state.events,
+    )
+
+    def fresh():
+        new.rand_counter += 1
+        return symbol_expr(RANDOM_BIT, new.rand_counter - 1)
+
+    anti = [i for i, g in enumerate(new.generators) if symplectic_product(g, m)]
+    if not anti:
+        combo = in_span(
+            encode(m), Echelon(2 * m.n, [encode(g) for g in new.generators])
+        )
+        if combo is not None:
+            outcome = ONE
+            for i in combo.indices():
+                outcome = outcome * new.outcomes[i]
+            return new, outcome
+        matching = None
+        if new.logicals is not None:
+            for op, expr in new.logicals:
+                if op == m:
+                    matching = expr
+                    break
+        outcome = matching if matching is not None else fresh()
+        if new.logicals is not None and any(
+            symplectic_product(op, m) for op, _ in new.logicals
+        ):
+            if logical_policy == "error":
+                raise LogicalMeasurementError(
+                    f"measurement {m} acts as a logical operator"
+                )
+            new.events = new.events + (
+                {"kind": "logical-measurement", "measurement": m},
+            )
+            new.logicals = [
+                (op, expr) for op, expr in new.logicals
+                if op != m and not symplectic_product(op, m)
+            ]
+        new.generators.append(m)
+        new.outcomes.append(outcome)
+        return new, outcome
+    outcome = fresh()
+    j = anti[0]
+    s1, s1_outcome = new.generators[j], new.outcomes[j]
+    for i in anti[1:]:
+        new.generators[i] = product(new.generators[i], s1)
+        new.outcomes[i] = new.outcomes[i] * s1_outcome
+    if new.logicals is not None:
+        new.logicals = [
+            (product(op, s1), expr * s1_outcome) if symplectic_product(op, m)
+            else (op, expr)
+            for op, expr in new.logicals
+        ]
+    new.generators[j] = m
+    new.outcomes[j] = outcome
+    return new, outcome
+
+
+def _pivot(m: PauliOperator, *groups: list[TrackedPauli]):
+    """The first element anticommuting with ``m``, searching the groups in
+    order, as (group, index); every later anticommuting element is
+    multiplied by it in place."""
+    found = None
+    for group in groups:
+        for i, tracked in enumerate(group):
+            if symplectic_product(tracked.op, m):
+                if found is None:
+                    found, first = (group, i), tracked
+                else:
+                    group[i] = tracked * first
+    return found
+
+
+def reference_forward(
+    code: DynamicalCode, window: int | None = None
+) -> tuple[list[TrackedPauli], list[TrackedPauli], list[RemovalEvent]]:
+    """The classification's forward pass over lists: (C, V, removals) as
+    ``run_classification`` reports them in ``C_final``, ``V_final`` and
+    ``removals``."""
+    window = resolve_window(code, window)
+    k = len(code.s0)
+    C = [TrackedPauli(op, Combination(1 << i, k), ONE) for i, op in enumerate(code.s0)]
+    V: list[TrackedPauli] = []
+    removals: list[RemovalEvent] = []
+    t = 0
+    for round_index, rnd in enumerate(code.rounds[:window], start=1):
+        for m in rnd:
+            outcome = symbol_expr(RANDOM_BIT, t)
+            t += 1
+            hit = _pivot(m, V, C)
+            if hit is None:
+                if in_span(encode(m), Echelon(2 * code.n, [encode(v.op) for v in V])) is None:
+                    V.append(TrackedPauli(m, None, outcome))
+                continue
+            group, j = hit
+            removed = group.pop(j)
+            removals.append(RemovalEvent(
+                round_index, "V" if group is V else "C",
+                removed.op, removed.assoc, removed.carry,
+            ))
+            V.append(TrackedPauli(m, None, outcome))
+    return C, V, removals
+
+
+def reference_record(code: DynamicalCode, window: int | None = None):
+    """Per-measurement states and the outcome record of the schedule,
+    measured with :func:`reference_measure` from ``ISGState.initial``."""
+    state = ISGState.initial(code)
+    states, record = [], []
+    for t, (_, m) in enumerate(code.measurements(window)):
+        state, outcome = reference_measure(state, m, logical_policy="track")
+        states.append(state)
+        record.append((t, m, outcome))
+    return states, record
 
 
 def formula_reproduces_stabilizer(
@@ -229,7 +373,7 @@ def forward_oracle(
     k = len(code.s0)
     if k > cap:
         raise CapExceededError(f"initial group too large to enumerate: {k} > {cap}")
-    _, record = simulate_measurements(code, window)
+    _, record = reference_record(code, window)
     symbols = sorted(
         {s for _, _, expr in record for s in expr.symbols},
         key=lambda s: (s.kind, s.index),

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dyncode import (
     DynamicalCode,
@@ -24,6 +26,7 @@ from dyncode.library import shor_code
 from dyncode.pauli import encode, parse_pauli, symplectic_product
 
 from oracles import (
+    check_abelian,
     formula_reproduces_stabilizer,
     forward_oracle,
     random_instance,
@@ -55,6 +58,18 @@ class TestValidate:
     def test_anticommuting_initial_generators(self):
         diags = validate_code(code_of(2, ["X1", "Z1"], []))
         assert any(d["kind"] == "commutation-violation" for d in diags)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(1, 6), st.integers(0, 9))
+    def test_commutation_pairs_match_the_pairwise_check(self, seed, n, size):
+        rng = random.Random(seed)
+        rnd = [random_pauli(rng, n) for _ in range(size)]
+        expected = [
+            {"kind": "commutation-violation", "where": "round 1", "pair": (a, b)}
+            for a in range(size) for b in range(a + 1, size)
+            if symplectic_product(rnd[a], rnd[b])
+        ]
+        assert validate_code(DynamicalCode.make(n, [], [rnd])) == expected
 
     def test_dependent_initial_generators(self):
         diags = validate_code(code_of(2, ["Z1", "Z2", "Z1 Z2"], []))
@@ -109,7 +124,7 @@ class TestMeasureRules:
             state = ISGState.initial(code)
             for _, m in code.measurements():
                 state, _ = measure(state, m, logical_policy="track")
-                state.check_abelian()
+                check_abelian(state.generators)
                 assert rank(
                     [encode(g) for g in state.generators], 2 * code.n
                 ) == len(state.generators)

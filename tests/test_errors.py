@@ -119,6 +119,21 @@ class TestLogicalTrace:
         with pytest.raises(ValidationError):
             build_logical_trace(code, parse_pauli("Z1 Z2", 3))
 
+    def test_one_pass_equals_separate_traces(self):
+        from dyncode import canonical_logicals
+
+        rng = random.Random(3131)
+        for _ in range(40):
+            code = random_instance(rng)
+            logicals = [op for op, _ in canonical_logicals(code.n, list(code.s0))]
+            expected = []
+            for op in logicals:
+                try:
+                    expected.append(build_logical_trace(code, op))
+                except ValidationError:
+                    expected.append(None)
+            assert build_logical_trace(code, logicals) == expected
+
     def test_rejects_schedules_that_measure_the_logical(self):
         code = code_of(2, ["Z1"], [["Z2"]])
         with pytest.raises(ValidationError):

@@ -18,7 +18,9 @@ from dyncode.gf2 import rank
 from dyncode.library import honeycomb_cycle
 from dyncode.pauli import encode, parse_pauli
 
-from oracles import random_round, spans_equal
+from dyncode import ISGState
+
+from oracles import group_elements, random_round, reference_measure, spans_equal
 
 
 class TestIterateCycles:
@@ -38,6 +40,31 @@ class TestIterateCycles:
         with pytest.raises(CapExceededError):
             initialization_depth(trace)
 
+    def test_snapshots_and_fixpoint_match_the_reference(self):
+        rng = random.Random(6022)
+        for _ in range(40):
+            n = rng.randint(2, 5)
+            sequence = []
+            for _ in range(rng.randint(1, 3)):
+                sequence.extend(random_round(rng, n, rng.randint(1, 2)))
+            trace = iterate_cycles(sequence, n)
+            state = ISGState(n)
+            for j, cycle_snaps in enumerate(trace.snapshots):
+                for i, m in enumerate(sequence):
+                    state, _ = reference_measure(state, m)
+                    assert cycle_snaps[i] == state.generators
+                    if j:
+                        earlier = group_elements(trace.snapshots[j - 1][i], n)
+                        assert earlier <= group_elements(state.generators, n)
+            last = len(trace.snapshots) - 1
+            equal = [
+                all(spans_equal(a, b, n)
+                    for a, b in zip(trace.snapshots[j], trace.snapshots[j + 1]))
+                for j in range(last)
+            ]
+            assert trace.fixpoint == (last - 1 if equal and equal[-1] else None)
+            assert not any(equal[:-1])
+
     def test_fuzzed_schedules_obey_the_growth_laws(self):
         rng = random.Random(6021)
         for _ in range(40):
@@ -52,6 +79,19 @@ class TestIterateCycles:
             assert accounting["violations"] == []
             deltas = accounting["deltas"]
             assert all(b <= a for a, b in zip(deltas, deltas[1:]))
+
+
+@pytest.mark.parametrize("sequence, n", [
+    ([m for rnd in honeycomb_cycle(3, 3)[1] for m in rnd], 18),
+    ([m for rnd in build_worst_case_sequence(5).rounds for m in rnd], 5),
+    ([m for rnd in build_1d_chain(10).rounds for m in rnd], 10),
+])
+def test_snapshot_rank_is_its_length(sequence, n):
+    # growth_accounting reads ranks as generator counts.
+    trace = iterate_cycles(sequence, n)
+    for cycle_snaps in trace.snapshots:
+        for snap in cycle_snaps:
+            assert rank([encode(op) for op in snap], 2 * n) == len(snap)
 
 
 class TestWorstCase:

@@ -22,8 +22,8 @@ from dyncode.pauli import (
 from oracles import all_paulis
 
 
-def paulis(max_n=8):
-    return st.integers(1, max_n).flatmap(
+def paulis(max_n=8, min_n=1):
+    return st.integers(min_n, max_n).flatmap(
         lambda n: st.tuples(
             st.just(n), st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1)
         )
@@ -57,11 +57,22 @@ class TestParseFormat:
         with pytest.raises(ValueError):
             parse_pauli("XQ", 2)
 
+    @pytest.mark.parametrize("text, n, message", [
+        ("XQ", 2, "invalid Pauli character 'Q' in 'XQ'"),
+        (" XyZé ", 4, "invalid Pauli character 'y' in ' XyZé '"),
+        ("XX", 3, "dense Pauli string has length 2, expected 3: 'XX'"),
+        ("X_1", 3, "invalid sparse Pauli token 'X_1' in 'X_1'"),
+    ])
+    def test_error_messages(self, text, n, message):
+        with pytest.raises(ValueError) as caught:
+            parse_pauli(text, n)
+        assert str(caught.value) == message
+
     def test_rejects_out_of_range_index(self):
         with pytest.raises(ValueError):
             parse_pauli("X5", 4)
 
-    @given(paulis())
+    @given(paulis(max_n=130, min_n=0))
     def test_round_trip_everything(self, op):
         assert parse_pauli(format_pauli(op), op.n) == op
 

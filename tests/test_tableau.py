@@ -1,0 +1,142 @@
+"""The bit-plane tableau against brute force and the scan-based references.
+
+``tests/oracles.py`` keeps the stabilizer update and the classification's
+forward pass as scans over generator lists (``reference_measure``,
+``reference_forward``); every evolution built on the tableau must match
+them exactly, pivot choices and outcome expressions included.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dyncode import (
+    ISGState,
+    bacon_shor,
+    build_1d_chain,
+    build_worst_case_sequence,
+    honeycomb,
+    run_classification,
+    simulate_measurements,
+)
+from dyncode.engine import ONE, Evolution
+from dyncode.pauli import PauliOperator, decode, symplectic_product
+from dyncode.tableau import Tableau, bits
+
+from oracles import random_instance, reference_forward, reference_measure
+
+
+def anticommute(a: int, b: int, n: int) -> int:
+    return symplectic_product(decode(a, n), decode(b, n))
+
+
+def check_invariants(tab: Tableau) -> None:
+    """Symplectic basis, and every plane agrees with the rows."""
+    n = tab.n
+    stab = [(s, tab.stab.rows[s]) for s in tab.stab.slots()]
+    destab = {tab.owner[d]: tab.destab.rows[d] for d in tab.destab.slots()}
+    logical = [(s, tab.logical.rows[s]) for s in tab.logical.slots()]
+    assert sorted(destab) == [s for s, _ in stab]
+    assert len(stab) * 2 + len(logical) == 2 * n
+    for i, (s, row) in enumerate(stab):
+        for t, other in stab[i + 1:]:
+            assert not anticommute(row, other, n)
+        for t, d in destab.items():
+            assert anticommute(row, d, n) == (s == t)
+        for _, lrow in logical:
+            assert not anticommute(row, lrow, n)
+    for d in destab.values():
+        for _, lrow in logical:
+            assert not anticommute(d, lrow, n)
+    for s, lrow in logical:
+        for t, other in logical:
+            assert anticommute(lrow, other, n) == (t == s ^ 1)
+    for group in (tab.stab, tab.destab, tab.logical, tab.tracked):
+        for q in range(2 * n):
+            single = 1 << q
+            expected = sum(
+                1 << s for s in group.slots() if anticommute(group.rows[s], single, n)
+            )
+            assert group.anti([q]) == expected
+
+
+@st.composite
+def measurement_runs(draw):
+    n = draw(st.integers(1, 5))
+    ops = st.tuples(st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1))
+    run = draw(st.lists(ops, min_size=1, max_size=14))
+    return n, [x | (z << n) for x, z in run]
+
+
+class TestInvariants:
+    @settings(max_examples=60, deadline=None)
+    @given(measurement_runs())
+    def test_measurements_keep_a_symplectic_basis(self, run):
+        n, vecs = run
+        tab = Tableau(n, destabilizers=True)
+        for vec in vecs:
+            tab.measure(vec)
+            check_invariants(tab)
+            vec_bits = bits(vec)
+            assert not tab.stab.anti(vec_bits) and tab.contains(vec_bits)
+            combo = 0
+            for slot in tab.combination(vec_bits):
+                combo ^= tab.stab.rows[slot]
+            assert combo == vec
+
+    @settings(max_examples=30, deadline=None)
+    @given(measurement_runs(), st.data())
+    def test_removal_returns_the_pair_to_the_logicals(self, run, data):
+        n, vecs = run
+        tab = Tableau(n, destabilizers=True)
+        for vec in vecs:
+            tab.measure(vec)
+        slots = tab.stab.slots()
+        if not slots:
+            return
+        p = data.draw(st.sampled_from(slots))
+        d = next(d for d in tab.destab.slots() if tab.owner[d] == p)
+        tab.remove(p, tab.destab.rows[d])
+        check_invariants(tab)
+
+
+def fixture_codes():
+    rng = random.Random(4242)
+    codes = [random_instance(rng) for _ in range(40)]
+    return codes + [
+        build_1d_chain(16), honeycomb(3, 3), bacon_shor(3, 3), build_worst_case_sequence(6),
+    ]
+
+
+CODES = fixture_codes()
+
+
+@pytest.mark.parametrize("code", CODES, ids=range(len(CODES)))
+def test_forward_pass_matches_the_reference(code):
+    report = run_classification(code)
+    C, V, removals = reference_forward(code)
+    assert report.removals == removals
+    assert report.C_final == C
+    assert report.V_final == V
+
+
+@pytest.mark.parametrize("code", CODES, ids=range(len(CODES)))
+@pytest.mark.parametrize("track_logicals", [False, True])
+def test_every_state_matches_the_reference(code, track_logicals):
+    state = ISGState.initial(code, track_logicals=track_logicals)
+    evolution = Evolution(state)
+    expected = []
+    for t, (_, m) in enumerate(code.measurements()):
+        state, outcome = reference_measure(state, m, logical_policy="track")
+        expected.append((t, m, outcome))
+        assert evolution.measure(m, logical_policy="track") == outcome
+        assert evolution.state() == state
+    assert simulate_measurements(code, track_logicals=track_logicals) == (state, expected)
+
+
+@pytest.mark.parametrize("second", [PauliOperator(2, 0, 1), PauliOperator(2, 1, 0)])
+def test_dependent_or_anticommuting_generators_are_rejected(second):
+    with pytest.raises(ValueError):
+        Evolution(ISGState(2, [PauliOperator(2, 0, 1), second], [ONE, ONE]))
