@@ -25,7 +25,6 @@ from .engine import (
     DynamicalCode,
     InternalInvariantError,
     ISGState,
-    LogicalMeasurementError,
     OutcomeExpr,
     OutcomeSymbol,
     ValidationError,

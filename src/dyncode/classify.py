@@ -26,13 +26,14 @@ After the window, the intersection of the two spans yields every
 syndrome that the schedule reveals.  The removals are replayed backwards
 through the same pivot rule, on a tableau of the final ISG, to recover
 the permanently masked stabilizers together with their destabilizers.
+One incremental basis of the initial group, in the order U | T | P,
+collects the three parts as they are found; the partition check and the
+classification of every element read it.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
-import operator
 from dataclasses import dataclass, field
 
 from .engine import (
@@ -64,12 +65,11 @@ from .pauli import (
     commuting_paulis_up_to_weight,
     decode,
     encode,
-    product,
     symplectic_partner,
     symplectic_product,
     weight,
 )
-from .tableau import Tableau, bits, lowest
+from .tableau import Tableau, anticommutation_masks, bits, lowest
 
 
 @dataclass
@@ -85,14 +85,6 @@ class TrackedPauli:
     op: PauliOperator
     assoc: Combination | None
     carry: OutcomeExpr
-
-    def __mul__(self, other: "TrackedPauli") -> "TrackedPauli":
-        """Product of the operators, the associated combinations (a None
-        ``assoc`` counts as empty) and the carried outcomes."""
-        assoc = self.assoc if other.assoc is None else other.assoc
-        if self.assoc is not None and other.assoc is not None:
-            assoc = Combination(self.assoc.mask ^ other.assoc.mask, self.assoc.size)
-        return TrackedPauli(product(self.op, other.op), assoc, self.carry * other.carry)
 
 
 @dataclass(frozen=True)
@@ -119,7 +111,10 @@ class ClassificationReport:
 
     ``U[j].syndrome`` is the product of measurement outcomes revealing
     that stabilizer.  ``K[j]`` is the destabilizer paired with ``P[j]``.
-    ``tags[i]`` classifies initial generator i.
+    ``tags[i]`` classifies initial generator i.  ``_basis`` holds the
+    rows of U, T and P in that order, tagged by position; rows it rejected
+    as dependent took a tag bit too, so ``_ends`` records its size when U
+    and when T were complete.
     """
 
     n: int
@@ -133,12 +128,8 @@ class ClassificationReport:
     C_final: list[TrackedPauli] = field(default_factory=list)
     V_final: list[TrackedPauli] = field(default_factory=list)
     removals: list[RemovalEvent] = field(default_factory=list)
-
-    @functools.cached_property
-    def _span(self) -> Echelon:
-        """Span of U, T and P, in that order."""
-        ops = [u.op for u in self.U] + list(self.T) + list(self.P)
-        return Echelon(2 * self.n, [encode(op) for op in ops])
+    _basis: Echelon | None = field(default=None, repr=False, compare=False)
+    _ends: tuple[int, int] = (0, 0)
 
     def element_class(self, op: PauliOperator) -> str:
         """Classify an arbitrary element of the initial group.
@@ -148,12 +139,13 @@ class ClassificationReport:
         permanently masked, else any temporarily masked factor makes it
         temporarily masked.
         """
-        combo = in_span(encode(op), self._span)
+        combo = in_span(encode(op), self._basis)
         if combo is None:
             raise ValueError("operator is not in the initial stabilizer group")
-        if combo.mask >> (len(self.U) + len(self.T)):
+        u_end, t_end = self._ends
+        if combo.mask >> t_end:
             return "permanently-masked"
-        if combo.mask >> len(self.U):
+        if combo.mask >> u_end:
             return "temporarily-masked"
         return "unmasked"
 
@@ -179,10 +171,11 @@ def run_classification(code: DynamicalCode, window: int | None = None) -> Classi
         raise ValidationError(diagnostics)
     window = resolve_window(code, window)
     n, k = code.n, len(code.s0)
+    s0_rows = [encode(op) for op in code.s0]
     # V is the stabilizer set of the tableau, C its tracked rows.
     tab = Tableau(n)
-    for i, op in enumerate(code.s0):
-        tab.tracked.append(encode(op), 1 << i, ONE)
+    for i, row in enumerate(s0_rows):
+        tab.tracked.append(row, 1 << i, ONE)
     removals: list[RemovalEvent] = []
     t = 0
     for round_index, rnd in enumerate(code.rounds[:window], start=1):
@@ -221,22 +214,28 @@ def run_classification(code: DynamicalCode, window: int | None = None) -> Classi
         for s in c.slots()
     ]
 
-    U = _extract_unmasked(code, C, V)
-    P, K = _extract_permanently_masked(code, window, C, V, removals)
-    T = _extract_temporarily_masked(code, C, U, P)
-    _check_partition(code, U, T, P, K)
+    basis = Echelon(2 * n)
+    U = _extract_unmasked(n, C, V, s0_rows, basis)
+    u_end = basis.size
+    P, K = _extract_permanently_masked(n, window, C, V, removals, s0_rows)
+    T = _extract_temporarily_masked(n, C, s0_rows, basis)
+    t_end = basis.size
+    _check_partition(n, U, T, P, K, s0_rows, basis)
     report = ClassificationReport(
         n=code.n, window=window, s0=code.s0, U=U, T=T, P=P, K=K,
         tags=[], C_final=C, V_final=V, removals=removals,
+        _basis=basis, _ends=(u_end, t_end),
     )
     report.tags = [report.element_class(op) for op in code.s0]
     return report
 
 
 def _extract_unmasked(
-    code: DynamicalCode, C: list[TrackedPauli], V: list[TrackedPauli]
+    n: int, C: list[TrackedPauli], V: list[TrackedPauli], s0_rows: list[int],
+    basis: Echelon,
 ) -> list[UnmaskedStabilizer]:
-    """Read the revealed syndromes off the intersection of the two spans.
+    """Read the revealed syndromes off the intersection of the two spans,
+    adding each independent one to ``basis``.
 
     Every intersection generator u lies in the span of V (its outcome is
     a product of known measurement outcomes) and in the span of C (it
@@ -245,34 +244,31 @@ def _extract_unmasked(
     rows of the block matrix are dependencies among C and contribute
     their associated stabilizers with the carry alone.
     """
-    width = 2 * code.n
-    s0_rows = [encode(op) for op in code.s0]
-    c_rows = BitMatrix([encode(c.op) for c in C], width)
-    v_rows = BitMatrix([encode(v.op) for v in V], width)
+    c_rows = BitMatrix([encode(c.op) for c in C], 2 * n)
+    v_rows = BitMatrix([encode(v.op) for v in V], 2 * n)
     elements, redundancies = span_intersection(c_rows, v_rows)
-    ech = Echelon(width)
     unmasked: list[UnmaskedStabilizer] = []
     for entry in itertools.chain(elements, redundancies):
-        # Never empty: both kinds of entry carry a nonzero C combination.
-        c = functools.reduce(operator.mul, [C[i] for i in entry.left_combo.indices()])
-        outcome_u = ONE
+        assoc, syndrome = 0, ONE
+        for i in entry.left_combo.indices():
+            assoc ^= C[i].assoc.mask
+            syndrome = syndrome * C[i].carry
         for i in entry.right_combo.indices():
-            outcome_u = outcome_u * V[i].carry
-        s_vec = c.assoc.evaluate(s0_rows)
-        if not c.assoc or not ech.add(s_vec):
-            continue
-        unmasked.append(
-            UnmaskedStabilizer(decode(s_vec, code.n), c.assoc, outcome_u * c.carry)
-        )
+            syndrome = syndrome * V[i].carry
+        combination = Combination(assoc, len(s0_rows))
+        s_vec = combination.evaluate(s0_rows)
+        if assoc and basis.add(s_vec):
+            unmasked.append(UnmaskedStabilizer(decode(s_vec, n), combination, syndrome))
     return unmasked
 
 
 def _extract_permanently_masked(
-    code: DynamicalCode,
+    n: int,
     window: int,
     C: list[TrackedPauli],
     V: list[TrackedPauli],
     removals: list[RemovalEvent],
+    s0_rows: list[int],
 ) -> tuple[list[PauliOperator], list[PauliOperator]]:
     """Recover permanently masked stabilizers and destabilizers by replay.
 
@@ -283,7 +279,6 @@ def _extract_permanently_masked(
     logical operators of a gauge qubit and is propagated back to round 0
     by the ordinary update rules.
     """
-    n = code.n
     # Generators of the final ISG (R) are the tableau's stabilizers; the
     # (masked stabilizer, destabilizer) pairs, flattened, its tracked rows.
     tab = Tableau(n)
@@ -321,74 +316,58 @@ def _extract_permanently_masked(
                         "replay measurement acts as a gauge logical"
                     )
                 tab.append(vec, vec_bits)
-    R = [decode(row, n) for row in tab.generators()]
-    flat = [decode(row, n) for row in tab.tracked.rows]
+    R = tab.generators()
+    flat = tab.tracked.rows
     # The replayed pair elements are gauge logicals, defined only modulo
     # the replayed stabilizer group: strip the R component so each masked
     # stabilizer lands in the initial group.  R commutes with every pair
     # element, so the reduction cannot change any commutation pattern,
     # which is asserted below.
-    pairs = list(zip(flat[::2], flat[1::2]))
-    s0_rows = [encode(op) for op in code.s0]
-    basis = Echelon(2 * n, [encode(r) for r in R] + s0_rows)
-    P: list[PauliOperator] = []
-    K: list[PauliOperator] = []
-    for p_op, kappa in pairs:
-        combo = in_span(encode(p_op), basis)
+    basis = Echelon(2 * n, R + s0_rows)
+    P: list[int] = []
+    for p_vec in flat[::2]:
+        combo = in_span(p_vec, basis)
         if combo is None:
             raise InternalInvariantError(
                 "replayed masked stabilizer is not in the initial group"
             )
-        reduced = Combination(combo.mask >> len(R), len(s0_rows)).evaluate(s0_rows)
-        stripped = decode(encode(p_op) ^ reduced, n)
-        for other_p, other_k in pairs:
-            if symplectic_product(stripped, other_p) or symplectic_product(
-                stripped, other_k
-            ):
-                raise InternalInvariantError(
-                    "replayed stabilizer group does not centralize the pairs"
-                )
-        P.append(decode(reduced, n))
-        K.append(kappa)
-    return P, K
+        P.append(Combination(combo.mask >> len(R), len(s0_rows)).evaluate(s0_rows))
+    stripped = [p_vec ^ p for p_vec, p in zip(flat[::2], P)]
+    if any(mask >> len(P) for mask in anticommutation_masks(n, stripped + flat)[:len(P)]):
+        raise InternalInvariantError(
+            "replayed stabilizer group does not centralize the pairs"
+        )
+    return [decode(p, n) for p in P], [decode(kappa, n) for kappa in flat[1::2]]
 
 
 def _extract_temporarily_masked(
-    code: DynamicalCode,
-    C: list[TrackedPauli],
-    U: list[UnmaskedStabilizer],
-    P: list[PauliOperator],
+    n: int, C: list[TrackedPauli], s0_rows: list[int], basis: Echelon
 ) -> list[PauliOperator]:
-    """Surviving associated stabilizers whose syndromes were not revealed."""
-    s0_rows = [encode(op) for op in code.s0]
-    ech = Echelon(2 * code.n, [encode(u.op) for u in U])
+    """Surviving associated stabilizers whose syndromes were not revealed:
+    those independent of ``basis`` (U so far), added to it."""
     T: list[PauliOperator] = []
     for tracked in C:
         s_vec = tracked.assoc.evaluate(s0_rows)
-        if s_vec and ech.add(s_vec):
-            T.append(decode(s_vec, code.n))
+        if s_vec and basis.add(s_vec):
+            T.append(decode(s_vec, n))
     return T
 
 
-def _check_partition(code, U, T, P, K) -> None:
-    rows = [encode(u.op) for u in U] + [encode(t) for t in T] + [encode(p) for p in P]
-    span = Echelon(2 * code.n, rows)
-    if len(span) != len(rows) or len(rows) != len(code.s0):
+def _check_partition(n, U, T, P, K, s0_rows, basis) -> None:
+    """Add P to ``basis`` (holding U and T) and check that U | T | P is a
+    basis of S0 with K[j] anticommuting with P[j] alone."""
+    p_rows = [encode(p) for p in P]
+    if not all(map(basis.add, p_rows)) or len(basis) != len(s0_rows):
         raise InternalInvariantError("U, T, P is not an independent basis of S0")
-    for op in code.s0:
-        if in_span(encode(op), span) is None:
-            raise InternalInvariantError("U, T, P does not span the initial group")
+    if any(basis.reduce(row)[0] for row in s0_rows):
+        raise InternalInvariantError("U, T, P does not span the initial group")
     if len(P) != len(K):
         raise InternalInvariantError("P and K length mismatch")
-    members = [u.op for u in U] + list(T) + list(P)
+    members = [encode(u.op) for u in U] + [encode(t) for t in T] + p_rows
+    masks = anticommutation_masks(n, [encode(kappa) for kappa in K] + members)
     offset = len(U) + len(T)
-    for j, kappa in enumerate(K):
-        for i, member in enumerate(members):
-            expected = 1 if i == offset + j else 0
-            if symplectic_product(kappa, member) != expected:
-                raise InternalInvariantError(
-                    "destabilizer commutation pattern violated"
-                )
+    if any(mask >> len(K) != 1 << (offset + j) for j, mask in enumerate(masks[:len(K)])):
+        raise InternalInvariantError("destabilizer commutation pattern violated")
 
 
 @dataclass

@@ -28,7 +28,6 @@ from .engine import (
     CapExceededError,
     DynamicalCode,
     InternalInvariantError,
-    LogicalMeasurementError,
     ValidationError,
     simulate_measurements,
     validate_code,
@@ -38,6 +37,7 @@ from .floquet import (
     growth_accounting,
     check_subset_monotonicity,
     initialization_depth,
+    isg_after,
     iterate_cycles,
     unmask_cycle_count,
 )
@@ -101,7 +101,7 @@ def _run(command):
         click.echo(json.dumps({"error": "validation", "diagnostics":
                                exc.diagnostics}, sort_keys=True), err=True)
         sys.exit(1)
-    except (CapExceededError, LogicalMeasurementError) as exc:
+    except CapExceededError as exc:
         click.echo(json.dumps({"error": "cap-exceeded", "message": str(exc)},
                               sort_keys=True), err=True)
         sys.exit(2)
@@ -115,9 +115,8 @@ def _shift_code(code: DynamicalCode, isg_round: int) -> DynamicalCode:
     """Replace s0 by the ISG reached after ``isg_round`` rounds."""
     if isg_round == 0:
         return code
-    state, _ = simulate_measurements(code, window=isg_round)
     return DynamicalCode.make(
-        code.n, state.generators, code.rounds[isg_round:], labels=code.labels
+        code.n, isg_after(code, isg_round), code.rounds[isg_round:], labels=code.labels
     )
 
 
@@ -310,8 +309,9 @@ def simulate(file, error_spec, seed, max_weight, fmt):
             str(r): format_pauli(op) for r, op in error.by_round
         }
         syndromes = []
+        occurrences = list(code.measurements())
         for u in result.U:
-            decomposition = _syndrome_decomposition(code, u)
+            decomposition = _syndrome_decomposition(code.n, occurrences, u)
             bit = syndrome_of_spacetime_error(error, decomposition, u.op)
             syndromes.append(
                 {"stabilizer": format_pauli(u.op), "flip": _computed(bit)}
@@ -391,18 +391,13 @@ def _logical_outcomes(code: DynamicalCode, error, rng) -> list[dict]:
     return results
 
 
-def _syndrome_decomposition(code: DynamicalCode, unmasked_entry) -> dict:
-    """Per-round operator products entering an unmasked syndrome formula."""
+def _syndrome_decomposition(n: int, occurrences: list, unmasked_entry) -> dict:
+    """Per-round operator products entering an unmasked syndrome formula;
+    ``occurrences[t]`` is the (round, operator) of measurement t."""
     from .pauli import identity, product
 
-    occurrence_round = {}
-    occurrence_op = {}
-    for t, (r, m) in enumerate(code.measurements()):
-        occurrence_round[t] = r
-        occurrence_op[t] = m
     decomposition: dict[int, object] = {}
     for symbol in unmasked_entry.syndrome.symbols:
-        r = occurrence_round[symbol.index]
-        op = decomposition.get(r, identity(code.n))
-        decomposition[r] = product(op, occurrence_op[symbol.index])
+        r, m = occurrences[symbol.index]
+        decomposition[r] = product(decomposition.get(r, identity(n)), m)
     return decomposition

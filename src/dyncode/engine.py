@@ -37,10 +37,6 @@ class ValidationError(ValueError):
         super().__init__("; ".join(str(d) for d in self.diagnostics))
 
 
-class LogicalMeasurementError(RuntimeError):
-    """A measurement acted as a nontrivial logical of the current ISG."""
-
-
 class CapExceededError(RuntimeError):
     """An enumeration or search cap was exceeded."""
 
@@ -239,7 +235,7 @@ class Evolution:
         self.rand_counter += 1
         return symbol_expr(RANDOM_BIT, self.rand_counter - 1)
 
-    def measure(self, m: PauliOperator, logical_policy: str = "error") -> OutcomeExpr:
+    def measure(self, m: PauliOperator) -> OutcomeExpr:
         """Apply :func:`measure`'s rules in place and return the outcome."""
         tab = self.tableau
         vec = encode(m)
@@ -257,8 +253,6 @@ class Evolution:
             return outcome
         tracked = tab.tracked
         hit = tracked.anti(vec_bits)
-        if hit and logical_policy == "error":
-            raise LogicalMeasurementError(f"measurement {m} acts as a logical operator")
         matching = [s for s in tracked.slots() if tracked.rows[s] == vec]
         # Reading out a tracked logical representative directly: the
         # outcome is its tracked value, not fresh randomness.
@@ -294,9 +288,7 @@ class Evolution:
         )
 
 
-def measure(
-    state: ISGState, m: PauliOperator, logical_policy: str = "error"
-) -> tuple[ISGState, OutcomeExpr]:
+def measure(state: ISGState, m: PauliOperator) -> tuple[ISGState, OutcomeExpr]:
     """Measure a Pauli operator, returning the new state and the outcome.
 
     The three stabilizer update rules:
@@ -311,9 +303,8 @@ def measure(
     3. ``m`` independent and commuting: appended with a fresh random bit.
 
     In rule 3, if ``m`` anticommutes with a tracked logical it is acting
-    as a logical measurement.  ``logical_policy`` selects the behavior:
-    ``"error"`` raises :class:`LogicalMeasurementError`; ``"track"``
-    proceeds, reduces the tracked logical count, and records an event.
+    as a logical measurement: the anticommuting logicals leave the tracked
+    set and a ``"logical-measurement"`` event is recorded.
 
     The rules run on a :class:`Tableau` built from ``state``: membership
     and the rule-1 combination are read from its destabilizer rows in
@@ -322,7 +313,7 @@ def measure(
     call.
     """
     evolution = Evolution(state)
-    outcome = evolution.measure(m, logical_policy)
+    outcome = evolution.measure(m)
     return evolution.state(), outcome
 
 
@@ -372,7 +363,7 @@ def simulate_measurements(
     record = []
     for round_index, rnd in enumerate(code.rounds[:window], start=1):
         for m in rnd:
-            record.append((len(record), m, evolution.measure(m, logical_policy="track")))
+            record.append((len(record), m, evolution.measure(m)))
         if round_index in errors:
             evolution.apply_error(errors[round_index])
     return evolution.state(), record

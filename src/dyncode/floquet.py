@@ -18,7 +18,7 @@ from .engine import (
     DynamicalCode,
     InternalInvariantError,
     ValidationError,
-    simulate_measurements,
+    resolve_window,
 )
 # in_span stays importable from this module, as from gf2 and engine.
 from .gf2 import in_span as in_span, minimize_over_span, solve_linear
@@ -219,13 +219,9 @@ def _extend_worst_case(
     """
     # Evolve position-tracked generators through the steady cycle, up to
     # just before the final measurement.
-    tab = Tableau(n)
-    for i in range(k - 1):
-        vec = 1 << (n + i)  # Z_{i+1}
-        tab.append(vec, bits(vec))
-    for m in seq[:-1]:
-        tab.measure(encode(m))
-    slots = [decode(row, n) for row in tab.generators()]
+    z = [PauliOperator(n, 0, 1 << i) for i in range(k - 1)]  # Z_1 .. Z_{k-1}
+    steady = DynamicalCode.make(n, z, [[m] for m in seq[:-1]])
+    slots = isg_after(steady, len(steady.rounds))
     if len(slots) != k - 1:
         raise InternalInvariantError("steady-cycle tracking changed the rank")
 
@@ -311,18 +307,32 @@ def build_1d_chain(n: int) -> DynamicalCode:
     return DynamicalCode.make(n, [], rounds, labels={"name": "1d-chain", "n": n})
 
 
-def round_isg_history(code: DynamicalCode) -> list[list[PauliOperator]]:
-    """Generator lists after each round, starting from the code's s0."""
+def _evolve(code: DynamicalCode, window: int):
+    """Yield one tableau holding the ISG from s0, then again after each of
+    the first ``window`` rounds (plain stabilizer update, no outcomes)."""
     tab = Tableau(code.n)
     for op in code.s0:
         vec = encode(op)
         tab.append(vec, bits(vec))
-    history = []
-    for rnd in code.rounds:
+    yield tab
+    for rnd in code.rounds[:window]:
         for m in rnd:
             tab.measure(encode(m))
-        history.append([decode(row, code.n) for row in tab.generators()])
-    return history
+        yield tab
+
+
+def round_isg_history(code: DynamicalCode) -> list[list[PauliOperator]]:
+    """Generator lists after each round, starting from the code's s0."""
+    states = _evolve(code, len(code.rounds))
+    return [[decode(row, code.n) for row in tab.generators()] for tab in states][1:]
+
+
+def isg_after(code: DynamicalCode, rounds: int) -> list[PauliOperator]:
+    """Generators of the ISG reached from s0 after ``rounds`` rounds, as
+    :func:`simulate_measurements` leaves them.  A count outside the
+    schedule raises :class:`ValidationError`."""
+    *_, tab = _evolve(code, resolve_window(code, rounds))
+    return [decode(row, code.n) for row in tab.generators()]
 
 
 def unmask_cycle_count(
@@ -342,8 +352,7 @@ def unmask_cycle_count(
     period = len(code.rounds)
     if not period:
         raise ValidationError([{"kind": "empty-schedule"}])
-    state, _ = simulate_measurements(code, window=isg_round)
-    isg = list(state.generators)
+    isg = isg_after(code, isg_round)
     shift = isg_round % period
     cycle = list(code.rounds[shift:]) + list(code.rounds[:shift])
     if max_cycles <= 0:

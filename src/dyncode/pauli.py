@@ -42,12 +42,13 @@ def identity(n: int) -> PauliOperator:
 
 
 _CHAR_TO_BITS = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
-_BITS_TO_CHAR = {v: k for k, v in _CHAR_TO_BITS.items()}
 # str.translate tables for dense strings: delete the four letters (what
 # remains is invalid), and map each letter to its x or z bit.
 _DENSE_LETTERS = str.maketrans("", "", "IXYZ")
 _X_DIGITS = str.maketrans("IXYZ", "0110")
 _Z_DIGITS = str.maketrans("IXYZ", "0011")
+# format_pauli's digit x + 2z of each qubit to its letter.
+_LETTERS = str.maketrans("0123", "IXZY")
 
 
 def parse_pauli(text: str, n: int) -> PauliOperator:
@@ -114,12 +115,15 @@ def parse_pauli(text: str, n: int) -> PauliOperator:
 
 
 def format_pauli(op: PauliOperator) -> str:
-    """Render an operator in the canonical dense form (``"XIZY..."``)."""
-    chars = []
-    for i in range(op.n):
-        bits = ((op.x_mask >> i) & 1, (op.z_mask >> i) & 1)
-        chars.append(_BITS_TO_CHAR[bits])
-    return "".join(chars)
+    """Render an operator in the canonical dense form (``"XIZY..."``).
+
+    The binary digits of each mask, read as hexadecimal, put qubit i in
+    hex digit i; x + 2z then has digit 0-3 per qubit (I, X, Z, Y).
+    """
+    if not op.n:
+        return ""
+    digits = int(f"{op.x_mask:b}", 16) + 2 * int(f"{op.z_mask:b}", 16)
+    return f"{digits:0{op.n}x}"[::-1].translate(_LETTERS)
 
 
 def product(a: PauliOperator, b: PauliOperator) -> PauliOperator:

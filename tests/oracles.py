@@ -28,7 +28,6 @@ from dyncode.engine import (
     CapExceededError,
     InternalInvariantError,
     ISGState,
-    LogicalMeasurementError,
     OutcomeSymbol,
     ValidationError,
     resolve_window,
@@ -128,9 +127,7 @@ def check_abelian(generators: list[PauliOperator]) -> None:
                 )
 
 
-def reference_measure(
-    state: ISGState, m: PauliOperator, logical_policy: str = "error"
-) -> tuple[ISGState, OutcomeExpr]:
+def reference_measure(state: ISGState, m: PauliOperator) -> tuple[ISGState, OutcomeExpr]:
     """``engine.measure`` as a scan: every generator and tracked logical is
     tested with ``symplectic_product``, and rule 1 builds a span of the
     generators."""
@@ -164,10 +161,6 @@ def reference_measure(
         if new.logicals is not None and any(
             symplectic_product(op, m) for op, _ in new.logicals
         ):
-            if logical_policy == "error":
-                raise LogicalMeasurementError(
-                    f"measurement {m} acts as a logical operator"
-                )
             new.events = new.events + (
                 {"kind": "logical-measurement", "measurement": m},
             )
@@ -195,6 +188,15 @@ def reference_measure(
     return new, outcome
 
 
+def _times(a: TrackedPauli, b: TrackedPauli) -> TrackedPauli:
+    """Product of the operators, the associated combinations (a None
+    ``assoc`` counts as empty) and the carried outcomes."""
+    assoc = a.assoc if b.assoc is None else b.assoc
+    if a.assoc is not None and b.assoc is not None:
+        assoc = Combination(a.assoc.mask ^ b.assoc.mask, a.assoc.size)
+    return TrackedPauli(product(a.op, b.op), assoc, a.carry * b.carry)
+
+
 def _pivot(m: PauliOperator, *groups: list[TrackedPauli]):
     """The first element anticommuting with ``m``, searching the groups in
     order, as (group, index); every later anticommuting element is
@@ -206,7 +208,7 @@ def _pivot(m: PauliOperator, *groups: list[TrackedPauli]):
                 if found is None:
                     found, first = (group, i), tracked
                 else:
-                    group[i] = tracked * first
+                    group[i] = _times(tracked, first)
     return found
 
 
@@ -247,7 +249,7 @@ def reference_record(code: DynamicalCode, window: int | None = None):
     state = ISGState.initial(code)
     states, record = [], []
     for t, (_, m) in enumerate(code.measurements(window)):
-        state, outcome = reference_measure(state, m, logical_policy="track")
+        state, outcome = reference_measure(state, m)
         states.append(state)
         record.append((t, m, outcome))
     return states, record

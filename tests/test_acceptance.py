@@ -439,7 +439,7 @@ def test_criterion_8_logical_outcomes_and_syndromes():
             if not u.syndrome.symbols:
                 continue
             a = syndrome_of_spacetime_error(
-                error, _syndrome_decomposition(code, u), u.op
+                error, _syndrome_decomposition(code.n, list(code.measurements()), u), u.op
             )
             diff = 0
             for s in u.syndrome.symbols:

@@ -13,10 +13,11 @@ from dyncode import (
 )
 from dyncode import classify
 from dyncode.classify import DistanceResult
-from dyncode.engine import ValidationError
+from dyncode.engine import InternalInvariantError, ValidationError
 from dyncode.gf2 import Echelon, in_span, rank
 from dyncode.library import shor_code
 from dyncode.pauli import encode, parse_pauli, product, symplectic_product
+from dyncode.tableau import Tableau
 
 from oracles import (
     brute_force_min_weight,
@@ -171,6 +172,83 @@ class TestAgainstOracle:
             new_report = run_classification(extended)
             for p in report.P:
                 assert new_report.element_class(p) == "permanently-masked"
+
+
+class TestInvariantChecks:
+    """Each InternalInvariantError of the post-pass, reached by corrupting
+    one intermediate result of an otherwise valid classification."""
+
+    def first_code(self, wanted):
+        rng = random.Random(518)
+        while True:
+            code = random_instance(rng)
+            report = run_classification(code)
+            if wanted(report):
+                return code, report
+
+    def corrupt_replay(self, monkeypatch, change):
+        """Pass the replay's (P, K) through ``change`` before the check."""
+        original = classify._extract_permanently_masked
+
+        def corrupted(*args, **kwargs):
+            P, K = original(*args, **kwargs)
+            return change(list(P), list(K))
+
+        monkeypatch.setattr(classify, "_extract_permanently_masked", corrupted)
+
+    def assert_raises(self, code, message):
+        with pytest.raises(InternalInvariantError, match=message):
+            run_classification(code)
+
+    def test_swapped_destabilizers(self, monkeypatch):
+        code, _ = self.first_code(lambda r: len(r.P) >= 2)
+        self.corrupt_replay(monkeypatch, lambda P, K: (P, [K[1], K[0]] + K[2:]))
+        self.assert_raises(code, "destabilizer commutation pattern violated")
+
+    def test_permanently_masked_row_repeating_an_unmasked_one(self, monkeypatch):
+        code, report = self.first_code(lambda r: r.U and r.P)
+        self.corrupt_replay(monkeypatch, lambda P, K: ([report.U[0].op] + P[1:], K))
+        self.assert_raises(code, "U, T, P is not an independent basis of S0")
+
+    def test_missing_row(self, monkeypatch):
+        code, _ = self.first_code(lambda r: r.P)
+        self.corrupt_replay(monkeypatch, lambda P, K: (P[:-1], K[:-1]))
+        self.assert_raises(code, "U, T, P is not an independent basis of S0")
+
+    def test_row_outside_the_initial_group(self, monkeypatch):
+        # K[0] anticommutes with P[0], so it is outside the abelian S0 and
+        # independent of every other row.
+        code, _ = self.first_code(lambda r: r.P)
+        self.corrupt_replay(monkeypatch, lambda P, K: ([K[0]] + P[1:], K))
+        self.assert_raises(code, "U, T, P does not span the initial group")
+
+    def test_unpaired_permanently_masked_row(self, monkeypatch):
+        code, _ = self.first_code(lambda r: r.P)
+        self.corrupt_replay(monkeypatch, lambda P, K: (P, K[:-1]))
+        self.assert_raises(code, "P and K length mismatch")
+
+    def test_replayed_pair_outside_the_initial_group(self, monkeypatch):
+        # The pair element needs a generator of the final ISG: without
+        # them it has no expression over the initial group.
+        code = code_of(2, ["YZ"], [["ZX"], ["YX", "XZ"]])
+        assert run_classification(code).P
+        monkeypatch.setattr(Tableau, "generators", lambda self: [])
+        self.assert_raises(
+            code, "replayed masked stabilizer is not in the initial group"
+        )
+
+    def test_replayed_group_not_centralizing_the_pairs(self, monkeypatch):
+        # With the masked pair elements counted as generators of the final
+        # ISG, each strips to itself and anticommutes with its partner.
+        code, _ = self.first_code(lambda r: r.P)
+        original = Tableau.generators
+        monkeypatch.setattr(
+            Tableau, "generators",
+            lambda self: original(self) + self.tracked.rows[::2],
+        )
+        self.assert_raises(
+            code, "replayed stabilizer group does not centralize the pairs"
+        )
 
 
 class TestElementClass:

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from dyncode import (
     DynamicalCode,
     ISGState,
-    LogicalMeasurementError,
     apply_error,
     canonical_logicals,
     measure,
@@ -123,7 +122,7 @@ class TestMeasureRules:
             code = random_instance(rng)
             state = ISGState.initial(code)
             for _, m in code.measurements():
-                state, _ = measure(state, m, logical_policy="track")
+                state, _ = measure(state, m)
                 check_abelian(state.generators)
                 assert rank(
                     [encode(g) for g in state.generators], 2 * code.n
@@ -138,20 +137,11 @@ class TestLogicals:
         for op, _ in logicals:
             assert all(symplectic_product(op, g) == 0 for g in code.s0)
 
-    def test_measuring_a_logical_raises_by_default(self):
-        code = shor_code()
-        state = ISGState.initial(code, track_logicals=True)
-        logical = state.logicals[0][0]
-        with pytest.raises(LogicalMeasurementError):
-            measure(state, logical_partner(code, logical))
-
     def test_track_policy_reduces_logical_count(self):
         code = shor_code()
         state = ISGState.initial(code, track_logicals=True)
         logical = state.logicals[0][0]
-        state, _ = measure(
-            state, logical_partner(code, logical), logical_policy="track"
-        )
+        state, _ = measure(state, logical_partner(code, logical))
         assert len(state.logicals) == 1
         assert state.events and state.events[0]["kind"] == "logical-measurement"
 
@@ -159,7 +149,7 @@ class TestLogicals:
         code = shor_code()
         state = ISGState.initial(code, track_logicals=True)
         op, expr = state.logicals[0]
-        _, outcome = measure(state, op, logical_policy="track")
+        _, outcome = measure(state, op)
         assert outcome == expr
 
 

@@ -99,7 +99,7 @@ class TestSyndromeFlip:
                 if not u.syndrome.symbols:
                     continue
                 a = syndrome_of_spacetime_error(
-                    error, _syndrome_decomposition(code, u), u.op
+                    error, _syndrome_decomposition(code.n, list(code.measurements()), u), u.op
                 )
                 diff_sign = 0
                 for s in u.syndrome.symbols:

@@ -13,14 +13,21 @@ from dyncode import (
     round_isg_history,
     unmask_cycle_count,
 )
-from dyncode.engine import CapExceededError, ValidationError
+from dyncode.engine import CapExceededError, ValidationError, simulate_measurements
+from dyncode.floquet import isg_after
 from dyncode.gf2 import rank
-from dyncode.library import honeycomb_cycle
+from dyncode.library import bacon_shor, honeycomb, honeycomb_cycle
 from dyncode.pauli import encode, parse_pauli
 
 from dyncode import ISGState
 
-from oracles import group_elements, random_round, reference_measure, spans_equal
+from oracles import (
+    group_elements,
+    random_instance,
+    random_round,
+    reference_measure,
+    spans_equal,
+)
 
 
 class TestIterateCycles:
@@ -146,6 +153,17 @@ class TestChain:
             r for r, snap in enumerate(hist, start=1) if full_chain in snap
         )
         assert first == n - 1
+
+
+class TestIsgAfter:
+    def test_generators_match_the_symbolic_simulation(self):
+        rng = random.Random(519)
+        codes = [random_instance(rng) for _ in range(40)]
+        codes += [build_1d_chain(12), honeycomb(3, 3), bacon_shor(3, 3)]
+        for code in codes:
+            for rounds in range(len(code.rounds) + 1):
+                state, _ = simulate_measurements(code, window=rounds)
+                assert isg_after(code, rounds) == state.generators
 
 
 class TestUnmaskCycles:

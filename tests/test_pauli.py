@@ -76,6 +76,11 @@ class TestParseFormat:
     def test_round_trip_everything(self, op):
         assert parse_pauli(format_pauli(op), op.n) == op
 
+    def test_format_edge_cases(self):
+        assert format_pauli(identity(0)) == ""
+        assert format_pauli(identity(3)) == "III"
+        assert format_pauli(PauliOperator(17, 1 << 16, 1 << 16)) == "I" * 16 + "Y"
+
 
 class TestAlgebra:
     def test_product_is_xor(self):

@@ -129,9 +129,9 @@ def test_every_state_matches_the_reference(code, track_logicals):
     evolution = Evolution(state)
     expected = []
     for t, (_, m) in enumerate(code.measurements()):
-        state, outcome = reference_measure(state, m, logical_policy="track")
+        state, outcome = reference_measure(state, m)
         expected.append((t, m, outcome))
-        assert evolution.measure(m, logical_policy="track") == outcome
+        assert evolution.measure(m) == outcome
         assert evolution.state() == state
     assert simulate_measurements(code, track_logicals=track_logicals) == (state, expected)
 
