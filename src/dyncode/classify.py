@@ -171,19 +171,17 @@ def run_classification(code: DynamicalCode, window: int | None = None) -> Classi
         raise ValidationError(diagnostics)
     window = resolve_window(code, window)
     n, k = code.n, len(code.s0)
-    s0_rows = [encode(op) for op in code.s0]
+    s0_rows = [vec for vec, _ in code.encoded_s0]
     # V is the stabilizer set of the tableau, C its tracked rows.
     tab = Tableau(n)
     for i, row in enumerate(s0_rows):
         tab.tracked.append(row, 1 << i, ONE)
     removals: list[RemovalEvent] = []
     t = 0
-    for round_index, rnd in enumerate(code.rounds[:window], start=1):
-        for m in rnd:
+    for round_index, rnd in enumerate(code.encoded_rounds[:window], start=1):
+        for vec, vec_bits in rnd:
             outcome = symbol_expr(RANDOM_BIT, t)
             t += 1
-            vec = encode(m)
-            vec_bits = bits(vec)
             anti = tab.stab.anti(vec_bits)
             if anti:
                 # Cases 3-4: the V pivot is removed and m joins V.

@@ -25,6 +25,8 @@ from .classify import (
     unmasked_distance,
 )
 from .engine import (
+    INITIAL_STABILIZER,
+    RANDOM_BIT,
     CapExceededError,
     DynamicalCode,
     InternalInvariantError,
@@ -43,6 +45,7 @@ from .floquet import (
 )
 from .library import load_code
 from .pauli import format_pauli, parse_pauli
+from .tableau import bits
 
 SCHEMA_VERSION = 1
 
@@ -123,9 +126,8 @@ def _shift_code(code: DynamicalCode, isg_round: int) -> DynamicalCode:
 def _expr_to_json(expr) -> dict:
     return {
         "sign": -1 if expr.sign else 1,
-        "symbols": sorted(
-            [[s.kind, s.index] for s in expr.symbols]
-        ),
+        "symbols": [[INITIAL_STABILIZER, i] for i in bits(expr.initial)]
+        + [[RANDOM_BIT, i] for i in bits(expr.random)],
     }
 
 
@@ -344,28 +346,38 @@ def _logical_outcomes(code: DynamicalCode, error, rng) -> list[dict]:
     the same (seeded) assignment of all unknown bits.  They must agree.
     """
     from .engine import canonical_logicals
-    from .engine import OutcomeSymbol, RANDOM_BIT
     from .errors import build_logical_trace, logical_outcome
 
     placed = dict(error.by_round)
     state, record = simulate_measurements(
         code, errors=placed, track_logicals=True
     )
-    symbols = {s for _, _, expr in record for s in expr.symbols}
-    if state.logicals:
-        for _, expr in state.logicals:
-            symbols |= expr.symbols
-    assignment = {
-        s: rng.choice((1, -1))
-        for s in sorted(symbols, key=lambda s: (s.kind, s.index))
-    }
-    initial_values = {
-        s.index: v for s, v in assignment.items()
-        if s.kind == "initial-stabilizer"
-    }
-    measurement_values = {
-        t: expr.evaluate(assignment) for t, _, expr in record
-    }
+    exprs = [expr for _, _, expr in record] + [expr for _, expr in state.logicals or ()]
+    initial = random_bits = 0
+    for expr in exprs:
+        initial |= expr.initial
+        random_bits |= expr.random
+
+    def draw(mask: int) -> int:
+        """One seeded +/-1 per symbol of ``mask``, lowest first; the mask
+        of those drawn as -1."""
+        minus = 0
+        for i in bits(mask):
+            if rng.choice((1, -1)) < 0:
+                minus |= 1 << i
+        return minus
+
+    # Initial-stabilizer symbols draw first, then the random bits.
+    minus_initial = draw(initial)
+    minus_random = draw(random_bits)
+
+    def value(expr) -> int:
+        parity = (expr.sign + (expr.initial & minus_initial).bit_count()
+                  + (expr.random & minus_random).bit_count())
+        return -1 if parity & 1 else 1
+
+    initial_values = {i: -1 if minus_initial >> i & 1 else 1 for i in bits(initial)}
+    measurement_values = {t: value(expr) for t, _, expr in record}
     results = []
     logical_ops = [op for op, _ in canonical_logicals(code.n, list(code.s0))]
     traces = build_logical_trace(code, logical_ops)
@@ -375,7 +387,7 @@ def _logical_outcomes(code: DynamicalCode, error, rng) -> list[dict]:
             entry["status"] = "measured-out"
             results.append(entry)
             continue
-        l0_value = assignment.get(OutcomeSymbol(RANDOM_BIT, i), 1)
+        l0_value = -1 if minus_random >> i & 1 else 1
         formula = logical_outcome(
             trace, error, l0_value, initial_values, measurement_values
         )
@@ -384,7 +396,7 @@ def _logical_outcomes(code: DynamicalCode, error, rng) -> list[dict]:
         # Positional matching with the simulation only holds when no
         # tracked logical was measured out along the way.
         if state.logicals is not None and len(state.logicals) == len(logical_ops):
-            simulated = state.logicals[i][1].evaluate(assignment)
+            simulated = value(state.logicals[i][1])
             entry["simulated_value"] = _computed(simulated)
             entry["agree"] = formula == simulated
         results.append(entry)
@@ -397,7 +409,7 @@ def _syndrome_decomposition(n: int, occurrences: list, unmasked_entry) -> dict:
     from .pauli import identity, product
 
     decomposition: dict[int, object] = {}
-    for symbol in unmasked_entry.syndrome.symbols:
-        r, m = occurrences[symbol.index]
+    for index in bits(unmasked_entry.syndrome.random):
+        r, m = occurrences[index]
         decomposition[r] = product(decomposition.get(r, identity(n)), m)
     return decomposition

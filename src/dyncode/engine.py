@@ -57,27 +57,39 @@ class OutcomeSymbol:
             raise ValueError(f"unknown symbol kind {self.kind!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class OutcomeExpr:
     """A +/-1 value written as a signed product of symbols.
 
-    Multiplication XORs the signs and takes the symmetric difference of
-    the symbol sets, matching how +/-1 products of square-to-one unknowns
-    behave.
+    ``sign`` is 1 for a leading minus; bit i of ``random`` stands for the
+    random-bit symbol i and bit i of ``initial`` for the initial-stabilizer
+    symbol i.  Multiplication XORs the sign and both masks, matching how
+    +/-1 products of square-to-one unknowns behave.  Expressions are
+    values: nothing changes one after it is built.
     """
 
     sign: int = 0
-    symbols: frozenset[OutcomeSymbol] = frozenset()
+    random: int = 0
+    initial: int = 0
 
     def __mul__(self, other: "OutcomeExpr") -> "OutcomeExpr":
-        return OutcomeExpr(self.sign ^ other.sign, self.symbols ^ other.symbols)
+        return OutcomeExpr(self.sign ^ other.sign, self.random ^ other.random,
+                           self.initial ^ other.initial)
+
+    @property
+    def symbols(self) -> frozenset[OutcomeSymbol]:
+        """The symbols of the product, as :class:`OutcomeSymbol` values."""
+        return frozenset(
+            [OutcomeSymbol(INITIAL_STABILIZER, i) for i in bits(self.initial)]
+            + [OutcomeSymbol(RANDOM_BIT, i) for i in bits(self.random)]
+        )
 
     def negate(self) -> "OutcomeExpr":
-        return OutcomeExpr(self.sign ^ 1, self.symbols)
+        return OutcomeExpr(self.sign ^ 1, self.random, self.initial)
 
     def is_deterministic(self) -> bool:
         """True when no random-bit symbols remain in the expression."""
-        return all(s.kind != RANDOM_BIT for s in self.symbols)
+        return not self.random
 
     def evaluate(self, assignment: dict[OutcomeSymbol, int]) -> int:
         """Evaluate to +/-1 under a symbol assignment (values in {+1,-1})."""
@@ -91,12 +103,20 @@ ONE = OutcomeExpr()
 
 
 def symbol_expr(kind: str, index: int) -> OutcomeExpr:
-    return OutcomeExpr(0, frozenset({OutcomeSymbol(kind, index)}))
+    if kind == RANDOM_BIT:
+        return OutcomeExpr(0, 1 << index)
+    if kind == INITIAL_STABILIZER:
+        return OutcomeExpr(0, 0, 1 << index)
+    raise ValueError(f"unknown symbol kind {kind!r}")
 
 
 @dataclass(frozen=True)
 class DynamicalCode:
-    """A code defined by an initial ISG and rounds of commuting measurements."""
+    """A code defined by an initial ISG and rounds of commuting measurements.
+
+    A code caches on itself its encoded operators, each with its set bits
+    (:func:`tableau.bits`), and its structural diagnostics.
+    """
 
     n: int
     s0: tuple[PauliOperator, ...]
@@ -116,43 +136,64 @@ class DynamicalCode:
             for m in rnd:
                 yield i, m
 
+    @functools.cached_property
+    def encoded_s0(self) -> tuple[tuple[int, list[int]], ...]:
+        """(encoded row, its set bits) of each initial generator."""
+        return tuple(map(_encoded, self.s0))
+
+    @functools.cached_property
+    def encoded_rounds(self) -> tuple[tuple[tuple[int, list[int]], ...], ...]:
+        """Per round, (encoded row, its set bits) of each measurement."""
+        return tuple(tuple(map(_encoded, rnd)) for rnd in self.rounds)
+
+    @functools.cached_property
+    def _diagnostics(self) -> tuple[dict, ...]:
+        return tuple(_validate(self))
+
+
+def _encoded(op: PauliOperator) -> tuple[int, list[int]]:
+    vec = encode(op)
+    return vec, bits(vec)
+
 
 def validate_code(code: DynamicalCode) -> list[dict]:
     """Structural diagnostics for a dynamical code; empty means valid.
 
     Checks operator sizes, pairwise commutation of the initial generators
     and within every round, and linear independence of the initial set.
-    Returns diagnostics rather than raising so callers can report them.
+    Returns diagnostics rather than raising so callers can report them;
+    the check runs once per code object and each call gets its own copy.
     """
-    diagnostics: list[dict] = []
-    for where, ops in itertools.chain(
-        [("s0", code.s0)],
-        ((f"round {i}", rnd) for i, rnd in enumerate(code.rounds, start=1)),
-    ):
-        for j, op in enumerate(ops):
-            if op.n != code.n:
-                diagnostics.append(
-                    {"kind": "size-mismatch", "where": where, "index": j,
-                     "got": op.n, "expected": code.n}
-                )
-    if any(d["kind"] == "size-mismatch" for d in diagnostics):
+    return [dict(d) for d in code._diagnostics]
+
+
+def _validate(code: DynamicalCode) -> list[dict]:
+    groups = [("s0", code.s0)]
+    groups += [(f"round {i}", rnd) for i, rnd in enumerate(code.rounds, start=1)]
+    diagnostics = [
+        {"kind": "size-mismatch", "where": where, "index": j, "got": op.n,
+         "expected": code.n}
+        for where, ops in groups for j, op in enumerate(ops) if op.n != code.n
+    ]
+    if diagnostics:
         return diagnostics
-    for where, ops in itertools.chain(
-        [("s0", code.s0)],
-        ((f"round {i}", rnd) for i, rnd in enumerate(code.rounds, start=1)),
-    ):
+    for (where, ops), encoded in zip(groups, (code.encoded_s0, *code.encoded_rounds)):
         supports = [op.x_mask | op.z_mask for op in ops]
         union = functools.reduce(operator.or_, supports, 0)
         if sum(map(int.bit_count, supports)) == union.bit_count():
             continue  # pairwise disjoint supports: every pair commutes
-        masks = anticommutation_masks(code.n, [encode(op) for op in ops])
+        vecs, vec_bits = zip(*encoded)
+        masks = anticommutation_masks(code.n, vecs, vec_bits)
+        if not any(masks):
+            continue
         for a, mask in enumerate(masks):
             for b in bits(mask >> (a + 1)):
                 diagnostics.append(
                     {"kind": "commutation-violation", "where": where,
                      "pair": (a, a + 1 + b)}
                 )
-    if code.s0 and rank([encode(op) for op in code.s0], 2 * code.n) < len(code.s0):
+    s0_rows = [vec for vec, _ in code.encoded_s0]
+    if s0_rows and rank(s0_rows, 2 * code.n) < len(s0_rows):
         diagnostics.append({"kind": "dependent-generators", "where": "s0"})
     return diagnostics
 

@@ -158,9 +158,8 @@ def build_logical_trace(
         window = len(code.rounds)
     n, k = code.n, len(code.s0)
     tab = Tableau(n)
-    for i, op in enumerate(code.s0):
-        vec = encode(op)
-        tab.append(vec, bits(vec), 1 << i, ONE)
+    for i, (vec, vec_bits) in enumerate(code.encoded_s0):
+        tab.append(vec, vec_bits, 1 << i, ONE)
     for op in logicals:
         vec = encode(op)
         vec_bits = bits(vec)
@@ -170,12 +169,12 @@ def build_logical_trace(
 
     read_out: dict[int, int] = {}  # tracked slot -> round reading it out
     measured: list[tuple[int, PauliOperator]] = []  # (round, operator) per occurrence
-    for round_index, rnd in enumerate(code.rounds[:window], start=1):
-        for m in rnd:
+    for round_index, (rnd, encoded) in enumerate(
+        zip(code.rounds[:window], code.encoded_rounds), start=1
+    ):
+        for m, (vec, vec_bits) in zip(rnd, encoded):
             expr = symbol_expr(RANDOM_BIT, len(measured))
             measured.append((round_index, m))
-            vec = encode(m)
-            vec_bits = bits(vec)
             anti = tab.stab.anti(vec_bits)
             if anti:
                 tab.replace(anti, vec, vec_bits, expr=expr)
@@ -197,7 +196,7 @@ def build_logical_trace(
             traces.append(None)
             continue
         factors: dict[int, tuple[PauliOperator, tuple[int, ...]]] = {}
-        for occ in sorted(symbol.index for symbol in tracked.exprs[slot].symbols):
+        for occ in bits(tracked.exprs[slot].random):
             r, m = measured[occ]
             f_op, occs = factors.get(r, (identity(n), ()))
             factors[r] = (product(f_op, m), occs + (occ,))

@@ -64,7 +64,7 @@ def iterate_cycles(
         max_cycles = n + 2
     trace = CycleTrace(n, tuple(sequence))
     tab = Tableau(n)
-    vecs = [encode(m) for m in sequence]
+    encoded = [(vec, bits(vec)) for vec in map(encode, sequence)]
     ops: dict[int, PauliOperator] = {}
     row_bits: dict[int, list[int]] = {}
     prev_rows: list[list[int]] = []
@@ -73,8 +73,8 @@ def iterate_cycles(
         cycle_snaps: list[list[PauliOperator]] = []
         cycle_rows: list[list[int]] = []
         settled = cycle > 0
-        for i, vec in enumerate(vecs):
-            tab.measure(vec)
+        for i, (vec, vec_bits) in enumerate(encoded):
+            tab.measure(vec, vec_bits)
             rows = tab.generators()
             if cycle > 0:
                 for row in prev_rows[i]:
@@ -311,13 +311,12 @@ def _evolve(code: DynamicalCode, window: int):
     """Yield one tableau holding the ISG from s0, then again after each of
     the first ``window`` rounds (plain stabilizer update, no outcomes)."""
     tab = Tableau(code.n)
-    for op in code.s0:
-        vec = encode(op)
-        tab.append(vec, bits(vec))
+    for vec, vec_bits in code.encoded_s0:
+        tab.append(vec, vec_bits)
     yield tab
-    for rnd in code.rounds[:window]:
-        for m in rnd:
-            tab.measure(encode(m))
+    for rnd in code.encoded_rounds[:window]:
+        for vec, vec_bits in rnd:
+            tab.measure(vec, vec_bits)
         yield tab
 
 

@@ -15,6 +15,8 @@ every membership, rank and equality question about it.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 
 
@@ -74,25 +76,32 @@ def rref(matrix: BitMatrix) -> tuple[BitMatrix, BitMatrix, int]:
     rows = list(matrix.rows)
     m = len(rows)
     trans = [1 << i for i in range(m)]
+    width = (1 << matrix.cols) - 1
+    # The columns set in the rows not yet used as pivots: the lowest one
+    # is the next pivot column, and every column below it is empty there.
+    rest = functools.reduce(operator.or_, rows, 0) & width
     pivot_row = 0
-    for col in range(matrix.cols):
-        bit = 1 << col
-        found = -1
-        for r in range(pivot_row, m):
-            if rows[r] & bit:
-                found = r
-                break
-        if found < 0:
-            continue
+    while rest:
+        bit = rest & -rest
+        found = pivot_row
+        while not rows[found] & bit:
+            found += 1
         rows[pivot_row], rows[found] = rows[found], rows[pivot_row]
         trans[pivot_row], trans[found] = trans[found], trans[pivot_row]
-        for r in range(m):
-            if r != pivot_row and rows[r] & bit:
-                rows[r] ^= rows[pivot_row]
-                trans[r] ^= trans[pivot_row]
+        pivot, pivot_trans = rows[pivot_row], trans[pivot_row]
+        for r in range(pivot_row):
+            if rows[r] & bit:
+                rows[r] ^= pivot
+                trans[r] ^= pivot_trans
+        rest = 0
+        for r in range(pivot_row + 1, m):
+            row = rows[r]
+            if row & bit:
+                row = rows[r] = row ^ pivot
+                trans[r] ^= pivot_trans
+            rest |= row
+        rest &= width
         pivot_row += 1
-        if pivot_row == m:
-            break
     return BitMatrix(rows, matrix.cols), BitMatrix(trans, matrix.cols), pivot_row
 
 
@@ -106,6 +115,7 @@ class Echelon:
     def __init__(self, cols: int, rows=()) -> None:
         self.cols = cols
         self.pivots: dict[int, tuple[int, int]] = {}  # pivot bit -> (row, combo)
+        self.mask = 0  # OR of the pivot bits
         self.size = 0  # rows added so far
         for row in rows:
             self.add(row)
@@ -115,12 +125,19 @@ class Echelon:
 
     def reduce(self, vec: int) -> tuple[int, int]:
         """Reduce ``vec`` by the span: (residue, combination of the rows
-        used), with a zero residue exactly when ``vec`` is in the span."""
+        used), with a zero residue exactly when ``vec`` is in the span.
+
+        Each stored row's lowest bit is its pivot, so clearing the lowest
+        pivot present never sets a lower one; the residue, free of pivot
+        bits, and its combination are unique."""
         combo = 0
-        for pivot, (row, row_combo) in self.pivots.items():
-            if vec & (1 << pivot):
-                vec ^= row
-                combo ^= row_combo
+        pivots, mask = self.pivots, self.mask
+        present = vec & mask
+        while present:
+            row, row_combo = pivots[(present & -present).bit_length() - 1]
+            vec ^= row
+            combo ^= row_combo
+            present = vec & mask
         return vec, combo
 
     def add(self, vec: int) -> bool:
@@ -130,7 +147,9 @@ class Echelon:
         self.size += 1
         if vec == 0:
             return False
-        self.pivots[_lowest_bit(vec)] = (vec, combo)
+        pivot = _lowest_bit(vec)
+        self.pivots[pivot] = (vec, combo)
+        self.mask |= 1 << pivot
         return True
 
 

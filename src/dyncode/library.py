@@ -232,7 +232,7 @@ def load_code(path) -> DynamicalCode:
     if not isinstance(document, dict):
         raise ValidationError([{"kind": "not-an-object"}])
     version = document.get("version")
-    if isinstance(version, bool) or version != FILE_FORMAT_VERSION:
+    if type(version) is not int or version != FILE_FORMAT_VERSION:
         diagnostics.append({"kind": "unsupported-version", "got": version})
     n = document.get("n")
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:

@@ -180,11 +180,13 @@ class Rows:
         return [s for s, row in enumerate(self.rows) if row is not None]
 
 
-def anticommutation_masks(n: int, vecs: list[int]) -> list[int]:
+def anticommutation_masks(n: int, vecs: list[int], vec_bits=None) -> list[int]:
     """Bit b of entry a is set iff ``vecs[a]`` and ``vecs[b]`` anticommute:
-    one set of planes over the list, then one XOR per bit of each entry."""
+    one set of planes over the list, then one XOR per bit of each entry.
+    ``vec_bits`` are the entries' set bits when already known."""
     planes = [0] * (2 * n)
-    vec_bits = [bits(vec) for vec in vecs]
+    if vec_bits is None:
+        vec_bits = [bits(vec) for vec in vecs]
     for a, a_bits in enumerate(vec_bits):
         bit = 1 << a
         for b in a_bits:
@@ -346,10 +348,10 @@ class Tableau:
                         tracked.assoc[q], tracked.exprs[q])
         return q
 
-    def measure(self, vec: int) -> None:
-        """The plain update: the first anticommuting generator is replaced
-        in place, else an independent ``vec`` is appended."""
-        vec_bits = bits(vec)
+    def measure(self, vec: int, vec_bits: list[int]) -> None:
+        """The plain update of ``vec``, whose set bits are ``vec_bits``: the
+        first anticommuting generator is replaced in place, else an
+        independent ``vec`` is appended."""
         mask = self.stab.anti(vec_bits)
         if mask:
             self.replace(mask, vec, vec_bits)

@@ -12,7 +12,12 @@ package computed them before its stabilizer tableau; :func:`forward_oracle`
 reads its outcome expressions from :func:`reference_measure`.
 :func:`reference_min_weight_outside` is the distance search as it was
 before the syndrome table: the same result type, but a parity test of
-every candidate against every row.
+every candidate against every row.  :class:`ReferenceOutcomeExpr`,
+:func:`reference_rref` and :class:`ReferenceEchelon` are the outcome
+expression (a sign and a set of symbols), the row reduction (every
+column tested for a pivot) and the incremental span (every pivot
+scanned in insertion order) as the package wrote them before bit masks
+and pivot-indexed reduction.
 """
 
 from __future__ import annotations
@@ -45,6 +50,89 @@ from dyncode.pauli import (
     symplectic_product,
     weight,
 )
+
+
+@dataclass(frozen=True)
+class ReferenceOutcomeExpr:
+    """``engine.OutcomeExpr`` as a sign and a set of symbols: a product
+    XORs the signs and takes the symmetric difference of the sets."""
+
+    sign: int = 0
+    symbols: frozenset[OutcomeSymbol] = frozenset()
+
+    def __mul__(self, other: "ReferenceOutcomeExpr") -> "ReferenceOutcomeExpr":
+        return ReferenceOutcomeExpr(self.sign ^ other.sign, self.symbols ^ other.symbols)
+
+    def negate(self) -> "ReferenceOutcomeExpr":
+        return ReferenceOutcomeExpr(self.sign ^ 1, self.symbols)
+
+    def is_deterministic(self) -> bool:
+        return all(s.kind != RANDOM_BIT for s in self.symbols)
+
+    def evaluate(self, assignment: dict[OutcomeSymbol, int]) -> int:
+        value = -1 if self.sign else 1
+        for symbol in self.symbols:
+            value *= assignment[symbol]
+        return value
+
+
+def reference_rref(matrix: BitMatrix) -> tuple[BitMatrix, BitMatrix, int]:
+    """``gf2.rref`` testing every column in turn for a pivot."""
+    rows = list(matrix.rows)
+    m = len(rows)
+    trans = [1 << i for i in range(m)]
+    pivot_row = 0
+    for col in range(matrix.cols):
+        bit = 1 << col
+        found = -1
+        for r in range(pivot_row, m):
+            if rows[r] & bit:
+                found = r
+                break
+        if found < 0:
+            continue
+        rows[pivot_row], rows[found] = rows[found], rows[pivot_row]
+        trans[pivot_row], trans[found] = trans[found], trans[pivot_row]
+        for r in range(m):
+            if r != pivot_row and rows[r] & bit:
+                rows[r] ^= rows[pivot_row]
+                trans[r] ^= trans[pivot_row]
+        pivot_row += 1
+        if pivot_row == m:
+            break
+    return BitMatrix(rows, matrix.cols), BitMatrix(trans, matrix.cols), pivot_row
+
+
+class ReferenceEchelon:
+    """``gf2.Echelon`` whose reduction scans every pivot in the order the
+    rows were added."""
+
+    def __init__(self, cols: int, rows=()) -> None:
+        self.cols = cols
+        self.pivots: dict[int, tuple[int, int]] = {}
+        self.size = 0
+        for row in rows:
+            self.add(row)
+
+    def __len__(self) -> int:
+        return len(self.pivots)
+
+    def reduce(self, vec: int) -> tuple[int, int]:
+        combo = 0
+        for pivot, (row, row_combo) in self.pivots.items():
+            if vec & (1 << pivot):
+                vec ^= row
+                combo ^= row_combo
+        return vec, combo
+
+    def add(self, vec: int) -> bool:
+        vec, combo = self.reduce(vec)
+        combo ^= 1 << self.size
+        self.size += 1
+        if vec == 0:
+            return False
+        self.pivots[(vec & -vec).bit_length() - 1] = (vec, combo)
+        return True
 
 
 def all_paulis(n: int):
@@ -279,9 +367,7 @@ def formula_reproduces_stabilizer(
     expected = ONE
     for i in range(len(code.s0)):
         if (combination_mask >> i) & 1:
-            expected = expected * OutcomeExpr(
-                0, frozenset({OutcomeSymbol(INITIAL_STABILIZER, i)})
-            )
+            expected = expected * symbol_expr(INITIAL_STABILIZER, i)
     return expr == expected and op == combination_op(code, combination_mask)
 
 

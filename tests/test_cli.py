@@ -192,6 +192,8 @@ def _write(tmp_path, document):
         ("classify", {"version": 1, "n": 2, "s0": None, "rounds": []}, [], "bad-field"),
         ("classify", {"version": True, "n": 2, "s0": [], "rounds": []}, [],
          "unsupported-version"),
+        ("classify", {"version": 1.0, "n": 2, "s0": [], "rounds": []}, [],
+         "unsupported-version"),
         ("classify", {"version": 1, "n": 2, "s0": ["ZZ"], "rounds": [["XX"]]},
          ["--window", "-1"], "window-out-of-range"),
         ("floquet", {"version": 1, "n": 2, "s0": ["ZZ"], "rounds": []}, [],
@@ -211,7 +213,7 @@ def _write(tmp_path, document):
     ],
     ids=[
         "non-string-pauli", "non-string-measurement", "boolean-n",
-        "string-rounds", "string-round", "null-s0", "boolean-version",
+        "string-rounds", "string-round", "null-s0", "boolean-version", "float-version",
         "negative-window", "floquet-empty-schedule", "unparsable-error-pauli",
         "isg-round-too-large", "negative-isg-round", "repeated-error-round",
         "negative-cap", "negative-max-weight",

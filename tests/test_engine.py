@@ -13,18 +13,25 @@ from dyncode import (
     simulate_measurements,
     validate_code,
 )
+from dyncode import engine
+from dyncode.classify import run_classification
+from dyncode.cli import _shift_code
 from dyncode.engine import (
     INITIAL_STABILIZER,
+    ONE,
     RANDOM_BIT,
     CapExceededError,
+    OutcomeExpr,
     OutcomeSymbol,
     symbol_expr,
 )
 from dyncode.gf2 import rank
-from dyncode.library import shor_code
+from dyncode.library import load_code, save_code, shor_code
 from dyncode.pauli import encode, parse_pauli, symplectic_product
+from dyncode.tableau import bits
 
 from oracles import (
+    ReferenceOutcomeExpr,
     check_abelian,
     formula_reproduces_stabilizer,
     forward_oracle,
@@ -226,3 +233,106 @@ class TestForwardOracle:
         code = random_instance(rng, max_n=5, max_s0=5)
         with pytest.raises(CapExceededError):
             forward_oracle(code, cap=len(code.s0) - 1)
+
+
+symbol_sets = st.frozensets(
+    st.builds(OutcomeSymbol, st.sampled_from([INITIAL_STABILIZER, RANDOM_BIT]),
+              st.integers(0, 200)),
+    max_size=12,
+)
+reference_exprs = st.builds(ReferenceOutcomeExpr, st.integers(0, 1), symbol_sets)
+
+
+def from_reference(ref: ReferenceOutcomeExpr) -> OutcomeExpr:
+    expr = ONE.negate() if ref.sign else ONE
+    for s in ref.symbols:
+        expr = expr * symbol_expr(s.kind, s.index)
+    return expr
+
+
+class TestOutcomeExprOracle:
+    """The bit-mask expressions against the symbol-set reference."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(reference_exprs, reference_exprs, st.randoms(use_true_random=False))
+    def test_operations_match_the_reference(self, a_ref, b_ref, rng):
+        a, b = from_reference(a_ref), from_reference(b_ref)
+        for expr, ref in [(a, a_ref), (b, b_ref), (a * b, a_ref * b_ref),
+                          (a.negate(), a_ref.negate()), (b * a * b, a_ref)]:
+            assert expr.sign == ref.sign
+            assert expr.symbols == ref.symbols
+            assert expr.is_deterministic() == ref.is_deterministic()
+            assignment = {s: rng.choice((1, -1)) for s in ref.symbols}
+            assert expr.evaluate(assignment) == ref.evaluate(assignment)
+        assert (a == b) == (a_ref == b_ref)
+        assert (a * b == ONE) == (a_ref == b_ref)
+        if a == b:
+            assert hash(a) == hash(b)
+        assert hash(from_reference(a_ref)) == hash(a)
+
+    def test_symbol_kinds_and_empty_expression(self):
+        assert ONE == OutcomeExpr() and ONE.symbols == frozenset()
+        assert ONE.is_deterministic() and ONE.evaluate({}) == 1
+        assert symbol_expr(RANDOM_BIT, 70) != symbol_expr(INITIAL_STABILIZER, 70)
+        assert not symbol_expr(RANDOM_BIT, 70).is_deterministic()
+        assert symbol_expr(INITIAL_STABILIZER, 70).is_deterministic()
+        with pytest.raises(ValueError):
+            symbol_expr("no-such-kind", 0)
+
+
+@pytest.fixture
+def validations(monkeypatch):
+    """The codes passed to the private structural check, in call order."""
+    calls = []
+    validate = engine._validate
+
+    def counting(code):
+        calls.append(code)
+        return validate(code)
+
+    monkeypatch.setattr(engine, "_validate", counting)
+    return calls
+
+
+class TestCodeCache:
+    def test_load_then_classify_validates_once(self, tmp_path, validations):
+        path = tmp_path / "shor.json"
+        save_code(shor_code(), path)
+        code = load_code(path)
+        run_classification(code)
+        assert validations == [code]
+
+    def test_each_call_gets_a_fresh_list(self):
+        code = code_of(2, ["X1", "Z1"], [])
+        first = validate_code(code)
+        first[0]["kind"] = "edited"
+        first.append({})
+        second = validate_code(code)
+        assert second is not first
+        assert [d["kind"] for d in second] == ["commutation-violation"]
+
+    def test_equal_codes_are_validated_separately(self, validations):
+        a, b = shor_code(), shor_code()
+        assert a == b and a is not b
+        validate_code(a)
+        validate_code(b)
+        validate_code(a)
+        assert len(validations) == 2
+        assert validations[0] is a and validations[1] is b
+
+    def test_a_shifted_code_is_validated_again(self, validations):
+        # --isg-round builds a new code object, with a cache of its own.
+        code = shor_code()
+        validate_code(code)
+        shifted = _shift_code(code, 1)
+        run_classification(shifted)
+        assert validations == [code, shifted]
+
+    def test_cached_encoding_matches_encode(self):
+        rng = random.Random(5)
+        for _ in range(40):
+            code = random_instance(rng)
+            assert code.encoded_s0 == tuple((encode(op), bits(encode(op))) for op in code.s0)
+            assert code.encoded_rounds == tuple(
+                tuple((encode(m), bits(encode(m))) for m in rnd) for rnd in code.rounds
+            )

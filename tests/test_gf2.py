@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyncode.gf2 import (
@@ -17,6 +17,8 @@ from dyncode.gf2 import (
     solve_linear,
     span_intersection,
 )
+
+from oracles import ReferenceEchelon, reference_rref
 
 
 def matrices(max_rows=6, max_cols=8):
@@ -186,3 +188,54 @@ class TestKernelUnderForm:
             )
         }
         assert brute_span(kernel.rows) == commuting
+
+
+@st.composite
+def structured_matrices(draw):
+    """Up to 40 rows of width 1-150, mixing fresh rows (dense or sparse)
+    with zero rows, repeats and XORs of two earlier rows."""
+    cols = draw(st.integers(1, 150))
+    rows: list[int] = []
+    for _ in range(draw(st.integers(0, 40))):
+        kind = draw(st.sampled_from(["dense", "sparse", "zero", "repeat", "sum"]))
+        if kind in ("repeat", "sum") and rows:
+            row = draw(st.sampled_from(rows))
+            if kind == "sum":
+                row ^= draw(st.sampled_from(rows))
+        elif kind == "sparse":
+            row = 0
+            for col in draw(st.lists(st.integers(0, cols - 1), max_size=4)):
+                row |= 1 << col
+        elif kind == "zero":
+            row = 0
+        else:
+            row = draw(st.integers(0, (1 << cols) - 1))
+        rows.append(row)
+    return BitMatrix(rows, cols)
+
+
+class TestKernelOracles:
+    """``rref`` and ``Echelon`` against the column-scanning references."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(structured_matrices())
+    def test_rref_matches_the_reference(self, m):
+        echelon, transform, r = rref(m)
+        ref_echelon, ref_transform, ref_r = reference_rref(m)
+        assert echelon.rows == ref_echelon.rows
+        assert transform.rows == ref_transform.rows
+        assert r == ref_r
+
+    @settings(max_examples=300, deadline=None)
+    @given(structured_matrices(), st.data())
+    def test_echelon_matches_the_reference(self, m, data):
+        span, ref = Echelon(m.cols), ReferenceEchelon(m.cols)
+        for row in m.rows:
+            assert span.add(row) == ref.add(row)
+            assert span.pivots == ref.pivots
+        assert len(span) == len(ref) and span.size == ref.size
+        queries = data.draw(st.lists(st.integers(0, (1 << m.cols) - 1), max_size=8))
+        for i in range(len(m.rows)):
+            queries.append(m.rows[i] ^ m.rows[i // 2])
+        for vec in queries:
+            assert span.reduce(vec) == ref.reduce(vec)

@@ -77,9 +77,9 @@ class TestInvariants:
         n, vecs = run
         tab = Tableau(n, destabilizers=True)
         for vec in vecs:
-            tab.measure(vec)
-            check_invariants(tab)
             vec_bits = bits(vec)
+            tab.measure(vec, vec_bits)
+            check_invariants(tab)
             assert not tab.stab.anti(vec_bits) and tab.contains(vec_bits)
             combo = 0
             for slot in tab.combination(vec_bits):
@@ -92,7 +92,7 @@ class TestInvariants:
         n, vecs = run
         tab = Tableau(n, destabilizers=True)
         for vec in vecs:
-            tab.measure(vec)
+            tab.measure(vec, bits(vec))
         slots = tab.stab.slots()
         if not slots:
             return
