@@ -487,9 +487,13 @@ def _min_weight_outside(
     """Minimum weight over operators commuting with all constraint rows
     but outside the excluded span, up to ``cap``.
 
-    The commuting operators come lightest first from a syndrome table
-    (:func:`commuting_paulis_up_to_weight`), so only they are tested
+    The commuting operators come lightest first, in
+    :func:`~dyncode.pauli.paulis_up_to_weight` order, from a syndrome
+    join (:func:`commuting_paulis_up_to_weight`: the 3n letters at small
+    sizes, halves of the weight at large ones), so only they are tested
     against the excluded span; the first one outside it is the witness.
+    Every weight below the answer is searched in full, and at the answer
+    weight the join stops at the witness.
     """
     if cap < 0:
         raise ValidationError([{"kind": "cap-out-of-range", "cap": cap}])

@@ -10,7 +10,10 @@ module and lives in outcome expressions instead.
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 
 
@@ -169,51 +172,116 @@ def paulis_up_to_weight(n: int, max_weight: int):
             yield from map(sum, itertools.product(*support))
 
 
+# The last qubit of each operator comes from the 3n-letter table while a
+# weight's (w - 1)-qubit prefixes have at most this many letter assignments
+# in all; past it the weight is split in halves (meet in the middle).
+_LETTER_JOIN_LEVEL = 1 << 20
+# A set of a table's syndromes, at most this many, screens each prefix's
+# assignments in C; a larger table is searched by bisection alone, which
+# keeps the half split's memory at the sorted table (~48 bytes an entry).
+_SCREENED_TABLE = 1 << 16
+
+
+def _suffix_weight(n: int, w: int) -> int:
+    """The weight b of the table side when weight w is joined as (w - b) + b."""
+    if math.comb(n, w - 1) * 3 ** (w - 1) <= _LETTER_JOIN_LEVEL:
+        return 1
+    return w // 2
+
+
+def _assignments(syndromes, stop: int, size: int, start: int = 0, support=(), syns=(0,)):
+    """Yield ``(support, syns)`` for every ``size``-qubit support in
+    ``range(start, stop)``, in :func:`itertools.combinations` order, with
+    the syndromes of its 3**size letter assignments in product order (the
+    last qubit fastest, X < Z < Y).  Each list extends its parent's."""
+    if not size:
+        yield support, syns
+        return
+    for q in range(start, stop - size + 1):
+        ext = [s ^ letter for s in syns for letter in syndromes[q]]
+        if size == 1:
+            yield support + (q,), ext
+        else:
+            yield from _assignments(syndromes, stop, size - 1, q + 1, support + (q,), ext)
+
+
+def _syndrome_table(n: int, syndromes, b: int):
+    """The weight-b operators, each as ``syndrome << shift | k``, sorted.
+
+    k numbers the operators in :func:`paulis_up_to_weight` order, so k //
+    3**b is the rank of its support and k % 3**b its letters, and the
+    entries of one syndrome rise with their first qubit.
+    """
+    shift = (math.comb(n, b) * 3 ** b).bit_length()
+    syns = itertools.chain.from_iterable(s for _, s in _assignments(syndromes, n, b))
+    table = sorted(map(operator.or_, map(operator.lshift, syns, itertools.repeat(shift)),
+                       itertools.count()))
+    screen = {e >> shift for e in table} if len(table) <= _SCREENED_TABLE else None
+    return table, shift, screen, list(itertools.combinations(range(n), b))
+
+
 def commuting_paulis_up_to_weight(n: int, max_weight: int, rows: list[int]):
     """Yield the encoded operators of weight <= max_weight that commute
     with every encoded row, in :func:`paulis_up_to_weight` order.
 
     The result is exactly the commuting subsequence of that order, found
-    with a syndrome table instead of a parity test per candidate.  A
-    letter's syndrome has bit j set iff it anticommutes with ``rows[j]``;
-    an operator's syndrome is the XOR over its letters and is zero iff it
-    commutes with every row.  For each support of w - 1 qubits (in
-    lexicographic order) the letter assignments are indexed by syndrome;
-    a last qubit q beyond that support then completes a commuting
-    operator exactly where an assignment's syndrome equals one of q's
-    letter syndromes.  Per weight this costs C(n, w-1) * 3^(w-1) XORs and
-    3 * C(n, w) lookups, not C(n, w) * 3^w * len(rows) parity tests.
+    by a syndrome join instead of a parity test per candidate.  A letter's
+    syndrome has bit j set iff it anticommutes with ``rows[j]``; an
+    operator's syndrome is the XOR over its letters and is zero iff it
+    commutes with every row.  Weight w is joined as a + b qubits: the
+    a-qubit prefix supports are walked in lexicographic order, each
+    extending its parent's assignment syndromes, and each assignment
+    looks its syndrome up in a sorted table of the weight-b operators,
+    taking only entries whose first qubit follows the prefix, so that
+    every operator is found once.  A prefix's hits are yielded sorted by
+    (support, letters), lazily, prefix by prefix.
+
+    b = 1 (the 3n letters) while the prefix level C(n, w-1) * 3^(w-1)
+    is at most 2^20, and b = floor(w/2) past it.  A weight costs
+    C(n, a) * 3^a lookups into a table of C(n, b) * 3^b entries: at n=72
+    (honeycomb(6,6)) weight 6 is 1.6M lookups into 1.6M entries, where
+    the letter table would take C(72, 5) * 3^5 = 3.4G lookups.
     """
-    letters = []
+    syndromes = []
     for q in range(n):
         # X on q anticommutes with a row that has z on q, and Z with x.
         sx = sz = 0
         for j, row in enumerate(rows):
             sx |= ((row >> (q + n)) & 1) << j
             sz |= ((row >> q) & 1) << j
-        x, z = 1 << q, 1 << (q + n)
-        letters.append(((x, sx), (z, sz), (x | z, sx ^ sz)))
+        syndromes.append((sx, sz, sx ^ sz))
+    letters = [(1 << q, 1 << (q + n), (1 << q) | (1 << (q + n))) for q in range(n)]
     if max_weight >= 0:
         yield 0
+    tables = {}
     for w in range(1, min(max_weight, n) + 1):
-        for prefix in itertools.combinations(range(n), w - 1):
-            start = prefix[-1] + 1 if prefix else 0
-            if start == n:
+        b = _suffix_weight(n, w)
+        if b not in tables:
+            tables[b] = _syndrome_table(n, syndromes, b)
+        table, shift, screen, supports = tables[b]
+        per = 3 ** b
+        for prefix, syns in _assignments(syndromes, n - b, w - b):
+            if screen is not None and screen.isdisjoint(syns):
                 continue
-            vecs, syns = [0], [0]
-            for q in prefix:
-                vecs = [v | lv for v in vecs for lv, _ in letters[q]]
-                syns = [s ^ ls for s in syns for _, ls in letters[q]]
-            table: dict[int, list[int]] = {}
+            # Skip the entries whose support starts at or before the
+            # prefix's last qubit: they lead every syndrome's run.
+            lo = per * (len(supports) - math.comb(n - 1 - prefix[-1], b)) if prefix else 0
+            hits = []
             for i, s in enumerate(syns):
-                table.setdefault(s, []).append(i)
-            for q in range(start, n):
-                # The letter vectors rise X < Z < Y, so sorting by
-                # (assignment, letter vector) is paulis_up_to_weight's order.
-                hits = [(i, lv) for lv, ls in letters[q] if ls in table for i in table[ls]]
-                hits.sort()
-                for i, lv in hits:
-                    yield vecs[i] | lv
+                base = s << shift
+                j = bisect.bisect_left(table, base | lo)
+                while j < len(table) and table[j] >> shift == s:
+                    k = table[j] - base
+                    hits.append((k // per, i, k))
+                    j += 1
+            hits.sort()
+            for rank, i, k in hits:
+                digits = i * per + k % per
+                vec = 0
+                for q in reversed(prefix + supports[rank]):
+                    vec |= letters[q][digits % 3]
+                    digits //= 3
+                yield vec
 
 
 def symplectic_partner(vec: int, n: int) -> int:

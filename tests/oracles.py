@@ -11,8 +11,11 @@ over generator lists with a fresh span per membership test, the way the
 package computed them before its stabilizer tableau; :func:`forward_oracle`
 reads its outcome expressions from :func:`reference_measure`.
 :func:`reference_min_weight_outside` is the distance search as it was
-before the syndrome table: the same result type, but a parity test of
-every candidate against every row.  :class:`ReferenceOutcomeExpr`,
+before the syndrome join: the same result type, but every candidate of
+:func:`dyncode.pauli.paulis_up_to_weight` is parity-tested against every
+row, so it checks the join's values and witnesses.  :func:`forced_split`
+pins the join to one of its two splits (:data:`SPLITS`), so that both are
+compared at small sizes.  :class:`ReferenceOutcomeExpr`,
 :func:`reference_rref` and :class:`ReferenceEchelon` are the outcome
 expression (a sign and a set of symbols), the row reduction (every
 column tested for a pivot) and the incremental span (every pivot
@@ -24,8 +27,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from unittest import mock
 
-from dyncode import DynamicalCode, OutcomeExpr, PauliOperator
+from dyncode import DynamicalCode, OutcomeExpr, PauliOperator, pauli
 from dyncode.engine import (
     INITIAL_STABILIZER,
     ONE,
@@ -203,6 +207,17 @@ def reference_min_weight_outside(
             witness = decode(vec, n)
             return DistanceResult(weight(witness), cap, witness=witness)
     return DistanceResult(None, cap, exceeded_cap=True)
+
+
+# The splits w = (w - b) + b of the syndrome join: the last qubit from the
+# 3n-letter table, and halves (b = 0 at w = 1, the identity as the table).
+SPLITS = {"letters": lambda n, w: 1, "halves": lambda n, w: w // 2}
+
+
+def forced_split(name: str):
+    """Context manager running the syndrome join under one of
+    :data:`SPLITS` at every weight, instead of its size rule."""
+    return mock.patch.object(pauli, "_suffix_weight", SPLITS[name])
 
 
 def check_abelian(generators: list[PauliOperator]) -> None:

@@ -5,13 +5,14 @@ import pytest
 from dyncode import (
     DynamicalCode,
     build_gauge_group,
+    honeycomb,
     isg_distance,
     run_classification,
     simulate_measurements,
     subsystem_distance,
     unmasked_distance,
 )
-from dyncode import classify
+from dyncode import classify, pauli
 from dyncode.classify import DistanceResult
 from dyncode.engine import InternalInvariantError, ValidationError
 from dyncode.gf2 import Echelon, in_span, rank
@@ -20,7 +21,9 @@ from dyncode.pauli import encode, parse_pauli, product, symplectic_product
 from dyncode.tableau import Tableau
 
 from oracles import (
+    SPLITS,
     brute_force_min_weight,
+    forced_split,
     formula_reproduces_stabilizer,
     forward_oracle,
     group_elements,
@@ -374,7 +377,8 @@ class TestDistances:
     def test_results_match_the_reference_search(self, monkeypatch):
         """The whole DistanceResult (value, witness, exceeded_cap and
         no_logicals) equals the per-candidate parity search's, with the
-        cap above n and just below each distance found."""
+        cap above n and just below each distance found, under the join's
+        size rule and under each of its splits."""
 
         def searches(code, report, gauge, cap):
             return [
@@ -398,12 +402,38 @@ class TestDistances:
                         classify, "_min_weight_outside", reference_min_weight_outside
                     )
                     assert results == searches(code, report, gauge, cap)
+                for split in SPLITS:
+                    with forced_split(split):
+                        assert results == searches(code, report, gauge, cap), split
                 outcomes |= {
                     "exceeded" if r.exceeded_cap
                     else "undefined" if r.no_logicals else "value"
                     for r in results
                 }
         assert outcomes == {"exceeded", "undefined", "value"}
+
+    def test_honeycomb_6x6_at_cap_4_takes_the_half_split(self, monkeypatch):
+        """At n=72 weight 4 is joined as 2 + 2 (C(72, 3) * 3^3 > 2^20), and
+        no operator of weight <= 4 is a logical for any of the three
+        distances."""
+        splits = []
+        rule = pauli._suffix_weight
+
+        def recorded(n, w):
+            splits.append((w, rule(n, w)))
+            return splits[-1][1]
+
+        monkeypatch.setattr(pauli, "_suffix_weight", recorded)
+        code = honeycomb(6, 6)
+        report = run_classification(code)
+        gauge = build_gauge_group(report)
+        results = [
+            isg_distance(list(code.s0), code.n, cap=4),
+            subsystem_distance(gauge, cap=4),
+            unmasked_distance(report, gauge, cap=4),
+        ]
+        assert all(r.exceeded_cap and r.value is None for r in results)
+        assert set(splits) == {(1, 1), (2, 1), (3, 1), (4, 2)}
 
     def test_window_larger_than_schedule_rejected(self):
         code = shor_code()

@@ -1,12 +1,25 @@
 import json
+import os
+import random
+import tempfile
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dyncode import DynamicalCode, save_code, shor_code
+from dyncode import (
+    DynamicalCode,
+    build_gauge_group,
+    run_classification,
+    save_code,
+    shor_code,
+)
 from dyncode.cli import main, parse_error_spec
 from dyncode.engine import ValidationError
-from dyncode.pauli import parse_pauli
+from dyncode.pauli import parse_pauli, symplectic_product, weight
+
+from oracles import group_elements, random_instance
 
 
 @pytest.fixture
@@ -104,6 +117,69 @@ class TestDistance:
     def test_cap_exceeded_status(self, runner, shor_file):
         report = run_json(runner, ["distance", shor_file, "--cap", "2"])
         assert report["d_isg"]["status"] == "exceeded-cap"
+
+
+def _check_witnesses(code, report, cap):
+    """Each reported witness has its reported weight (at most ``cap``),
+    commutes with its search's constraints and lies outside its excluded
+    group, both expanded element by element.
+
+    Under the exhaustive policy ``d_u`` is a maximum over destabilizer
+    choices and the report does not name the witness's choice, so its
+    excluded group is the part of the gauge group every choice shares.
+    """
+    n = code.n
+    result = run_classification(code)
+    gauge = build_gauge_group(result, t_destab_policy=report["t_destab_policy"])
+    generators = list(gauge.generators)
+    shared = generators[: len(generators) - len(gauge.t_destabs)]
+    center = [
+        e for e in group_elements(generators, n)
+        if not any(symplectic_product(e, g) for g in generators)
+    ]
+    searches = {
+        "d_isg": (list(code.s0), list(code.s0)),
+        "d_subsystem": (center, generators),
+        "d_u": ([u.op for u in result.U], shared if gauge.alternatives else generators),
+    }
+    for key, (constraints, excluded) in searches.items():
+        entry = report[key]
+        if entry["status"] == "exceeded-cap":
+            assert entry["cap"]["value"] == cap, key
+        if entry["status"] != "ok":
+            assert entry["status"] in ("exceeded-cap", "no-logicals"), key
+            continue
+        witness = parse_pauli(entry["witness"], n)
+        assert weight(witness) == entry["value"]["value"] <= cap, key
+        assert not any(symplectic_product(witness, c) for c in constraints), key
+        assert witness not in group_elements(excluded, n), key
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.data())
+def test_distance_ends_in_a_verdict_or_a_diagnostic(seed, data):
+    """Random small codes, every cap from -1 to n+1, both destabilizer
+    policies: exit 0 with checked witnesses, or 1/2 with a JSON error."""
+    code = random_instance(random.Random(seed), max_n=6, max_s0=4)
+    cap = data.draw(st.integers(-1, code.n + 1), label="cap")
+    policy = data.draw(st.sampled_from(["canonical", "exhaustive"]), label="policy")
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "code.json")
+        save_code(code, path)
+        result = CliRunner().invoke(
+            main, ["distance", path, "--cap", str(cap), "--t-destab", policy]
+        )
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert result.exit_code in (0, 1, 2)
+    if result.exit_code:
+        error = json.loads(result.stderr)
+        assert error["error"] == {1: "validation", 2: "cap-exceeded"}[result.exit_code]
+        if cap < 0:
+            assert "cap-out-of-range" in [d["kind"] for d in error["diagnostics"]]
+        return
+    assert cap >= 0
+    _check_witnesses(code, json.loads(result.output), cap)
 
 
 class TestFloquet:

@@ -1,9 +1,11 @@
 import math
+import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dyncode import pauli
 from dyncode.pauli import (
     PauliOperator,
     commuting_paulis_up_to_weight,
@@ -19,7 +21,7 @@ from dyncode.pauli import (
     weight,
 )
 
-from oracles import all_paulis
+from oracles import SPLITS, all_paulis, forced_split
 
 
 def paulis(max_n=8, min_n=1):
@@ -183,9 +185,13 @@ class TestEnumeration:
     )
     def test_commuting_enumeration_is_the_commuting_subsequence(self, case):
         n, max_weight, rows = case
-        assert list(commuting_paulis_up_to_weight(n, max_weight, rows)) == (
-            self.commuting_subsequence(n, max_weight, rows)
-        )
+        expected = self.commuting_subsequence(n, max_weight, rows)
+        assert list(commuting_paulis_up_to_weight(n, max_weight, rows)) == expected
+        for split in SPLITS:
+            with forced_split(split):
+                assert list(commuting_paulis_up_to_weight(n, max_weight, rows)) == (
+                    expected
+                ), split
 
     @pytest.mark.parametrize(
         "n, max_weight, rows",
@@ -202,13 +208,38 @@ class TestEnumeration:
              "weight-beyond-n", "weight-zero"],
     )
     def test_commuting_enumeration_cases(self, n, max_weight, rows):
-        vecs = list(commuting_paulis_up_to_weight(n, max_weight, rows))
-        assert vecs == self.commuting_subsequence(n, max_weight, rows)
+        expected = self.commuting_subsequence(n, max_weight, rows)
         if not any(rows):
-            assert vecs == list(paulis_up_to_weight(n, max_weight))
+            assert expected == list(paulis_up_to_weight(n, max_weight))
+        assert list(commuting_paulis_up_to_weight(n, max_weight, rows)) == expected
+        for split in SPLITS:
+            with forced_split(split):
+                vecs = list(commuting_paulis_up_to_weight(n, max_weight, rows))
+                assert vecs == expected, split
 
     def test_weight_is_clamped_at_n(self):
         assert list(paulis_up_to_weight(2, 10**9)) == list(paulis_up_to_weight(2, 2))
-        assert list(commuting_paulis_up_to_weight(2, 10**9, [0b0101])) == list(
-            commuting_paulis_up_to_weight(2, 2, [0b0101])
-        )
+        for split in SPLITS:
+            with forced_split(split):
+                assert list(commuting_paulis_up_to_weight(2, 10**9, [0b0101])) == list(
+                    commuting_paulis_up_to_weight(2, 2, [0b0101])
+                )
+
+    @pytest.mark.parametrize("split", sorted(SPLITS))
+    def test_each_operator_once_at_larger_sizes(self, split):
+        """Seeded row sets at n 6-9, weights up to 4: each split yields the
+        commuting subsequence, including operators whose syndromes collide."""
+        rng = random.Random(f"join/{split}")
+        with forced_split(split):
+            for _ in range(12):
+                n = rng.randint(6, 9)
+                rows = [rng.getrandbits(2 * n) for _ in range(rng.randint(0, 4))]
+                assert list(commuting_paulis_up_to_weight(n, 4, rows)) == (
+                    self.commuting_subsequence(n, 4, rows)
+                )
+
+    def test_size_rule_takes_the_letters_then_halves(self):
+        # At n=18 the (w-1)-prefix level passes 2^20 only at w=6:
+        # C(18, 5) * 3^5 = 2,082,024.
+        assert [pauli._suffix_weight(18, w) for w in range(1, 8)] == [1] * 5 + [3, 3]
+        assert [pauli._suffix_weight(72, w) for w in range(1, 7)] == [1, 1, 1, 2, 2, 3]
