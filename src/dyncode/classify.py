@@ -89,13 +89,17 @@ class TrackedPauli:
 
 @dataclass(frozen=True)
 class RemovalEvent:
-    """A generator dropped from C (kind "C") or V (kind "V") mid-schedule."""
+    """A generator dropped from C (kind "C") or V (kind "V") mid-schedule.
+
+    ``row`` is ``op`` encoded, as the forward pass held it, for the replay.
+    """
 
     round_index: int
     kind: str
     op: PauliOperator
     assoc: Combination | None
     carry: OutcomeExpr
+    row: int = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -186,36 +190,36 @@ def run_classification(code: DynamicalCode, window: int | None = None) -> Classi
             if anti:
                 # Cases 3-4: the V pivot is removed and m joins V.
                 row, _, carry = tab.replace(anti, vec, vec_bits, expr=outcome, fresh=True)
-                removals.append(RemovalEvent(round_index, "V", decode(row, n), None, carry))
+                removals.append(RemovalEvent(round_index, "V", decode(row, n), None, carry, row))
                 continue
             q = tab.tracked_pivot(vec_bits)
             if q is not None:
                 # Case 2: the C pivot is removed; m commutes with V and is
                 # independent of it, as it anticommutes with the pivot.
                 c = tab.tracked
+                row = c.rows[q]
                 removals.append(RemovalEvent(
-                    round_index, "C", decode(c.rows[q], n),
-                    Combination(c.assoc[q], k), c.exprs[q],
+                    round_index, "C", decode(row, n),
+                    Combination(c.assoc[q], k), c.exprs[q], row,
                 ))
                 c.free(q)
                 tab.append(vec, vec_bits, expr=outcome)
             elif not tab.contains(vec_bits):
                 # Case 1: add to V only if independent of it.
                 tab.append(vec, vec_bits, expr=outcome)
-    V = [
-        TrackedPauli(decode(tab.stab.rows[s], n), None, tab.stab.exprs[s])
-        for s in tab.stab.slots()
-    ]
-    c = tab.tracked
+    v, c = tab.stab, tab.tracked
+    v_slots, c_slots = v.slots(), c.slots()
+    V = [TrackedPauli(decode(v.rows[s], n), None, v.exprs[s]) for s in v_slots]
     C = [
         TrackedPauli(decode(c.rows[s], n), Combination(c.assoc[s], k), c.exprs[s])
-        for s in c.slots()
+        for s in c_slots
     ]
+    isg_rows = [c.rows[s] for s in c_slots] + [v.rows[s] for s in v_slots]
 
     basis = Echelon(2 * n)
     U = _extract_unmasked(n, C, V, s0_rows, basis)
     u_end = basis.size
-    P, K = _extract_permanently_masked(n, window, C, V, removals, s0_rows)
+    P, K = _extract_permanently_masked(n, isg_rows, removals, s0_rows)
     T = _extract_temporarily_masked(n, C, s0_rows, basis)
     t_end = basis.size
     _check_partition(n, U, T, P, K, s0_rows, basis)
@@ -262,65 +266,69 @@ def _extract_unmasked(
 
 def _extract_permanently_masked(
     n: int,
-    window: int,
-    C: list[TrackedPauli],
-    V: list[TrackedPauli],
+    isg_rows: list[int],
     removals: list[RemovalEvent],
     s0_rows: list[int],
 ) -> tuple[list[PauliOperator], list[PauliOperator]]:
     """Recover permanently masked stabilizers and destabilizers by replay.
 
-    The final ISG (R, the stabilizers of a tableau) is evolved backwards
-    by "measuring" the removed elements in reverse order.  Each element
+    The final ISG (R) is evolved backwards by "measuring" the removed
+    elements, from their recorded rows, in reverse order.  Each element
     that was removed from C pairs with the group element that
     anticommutes with it at that point; the pair behaves as the two
     logical operators of a gauge qubit and is propagated back to round 0
     by the ordinary update rules.
+
+    ``isg_rows`` are the rows of C and then V at the end of the window;
+    one incremental basis selects the independent ones as R.  The replay
+    tableau holds R as its stabilizers and the pairs, flattened, as its
+    tracked rows, and no logical rows: no replayed element reads them.
+    An element commuting with R and the pairs is tested for membership
+    in R by elimination.
     """
-    # Generators of the final ISG (R) are the tableau's stabilizers; the
-    # (masked stabilizer, destabilizer) pairs, flattened, its tracked rows.
-    tab = Tableau(n)
-    for tracked in itertools.chain(C, V):
-        vec = encode(tracked.op)
-        vec_bits = bits(vec)
-        if not tab.contains(vec_bits):
-            tab.append(vec, vec_bits)
-    # Reversed schedule: removals of round r replay in round (window-r+1),
-    # most recent removals first.
-    reversed_rounds: list[list[RemovalEvent]] = [[] for _ in range(window)]
+    tab = Tableau(n, logicals=False)
+    independent = Echelon(2 * n)
+    for row in isg_rows:
+        if independent.add(row):
+            tab.stab.append(row)
+    # The removals are in schedule order: replay the most recent first.
     for event in reversed(removals):
-        reversed_rounds[window - event.round_index].append(event)
-    for rnd in reversed_rounds:
-        for event in rnd:
-            vec = encode(event.op)
-            vec_bits = bits(vec)
-            anti = tab.stab.anti(vec_bits)
-            if anti:
-                p = lowest(anti)
-                row, _, _ = tab.replace(anti, vec, vec_bits)
-                if event.kind == "C":
-                    tab.remove(p, row)
-                    tab.tracked.append(vec)
-                    tab.tracked.append(row)
-                continue
-            hit = tab.tracked_pivot(vec_bits)
+        vec = event.row
+        vec_bits = bits(vec)
+        anti = tab.stab.anti(vec_bits)
+        if anti:
+            p = lowest(anti)
+            row, _, _ = tab.replace(anti, vec, vec_bits)
             if event.kind == "C":
+                tab.remove(p, row)
+                tab.tracked.append(vec)
+                tab.tracked.append(row)
+            continue
+        hit = tab.tracked_pivot(vec_bits)
+        if event.kind == "C":
+            raise InternalInvariantError(
+                "staged removal has no anticommuting partner in replay"
+            )
+        if Echelon(2 * n, tab.generators()).reduce(vec)[0]:
+            if hit is not None:
                 raise InternalInvariantError(
-                    "staged removal has no anticommuting partner in replay"
+                    "replay measurement acts as a gauge logical"
                 )
-            if not tab.contains(vec_bits):
-                if hit is not None:
-                    raise InternalInvariantError(
-                        "replay measurement acts as a gauge logical"
-                    )
-                tab.append(vec, vec_bits)
-    R = tab.generators()
-    flat = tab.tracked.rows
-    # The replayed pair elements are gauge logicals, defined only modulo
-    # the replayed stabilizer group: strip the R component so each masked
-    # stabilizer lands in the initial group.  R commutes with every pair
-    # element, so the reduction cannot change any commutation pattern,
-    # which is asserted below.
+            tab.stab.append(vec)
+    return _strip_pairs(n, tab.generators(), tab.tracked.rows, s0_rows)
+
+
+def _strip_pairs(
+    n: int, R: list[int], flat: list[int], s0_rows: list[int]
+) -> tuple[list[PauliOperator], list[PauliOperator]]:
+    """The (P, K) pairs of the replayed group R and the flattened pair rows.
+
+    The replayed pair elements are gauge logicals, defined only modulo
+    the replayed stabilizer group: strip the R component so each masked
+    stabilizer lands in the initial group.  R commutes with every pair
+    element, so the reduction cannot change any commutation pattern,
+    which is asserted.
+    """
     basis = Echelon(2 * n, R + s0_rows)
     P: list[int] = []
     for p_vec in flat[::2]:

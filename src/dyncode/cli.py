@@ -39,7 +39,7 @@ from .floquet import (
     growth_accounting,
     check_subset_monotonicity,
     initialization_depth,
-    isg_after,
+    isg_rows,
     iterate_cycles,
     unmask_cycle_count,
 )
@@ -118,9 +118,7 @@ def _shift_code(code: DynamicalCode, isg_round: int) -> DynamicalCode:
     """Replace s0 by the ISG reached after ``isg_round`` rounds."""
     if isg_round == 0:
         return code
-    return DynamicalCode.make(
-        code.n, isg_after(code, isg_round), code.rounds[isg_round:], labels=code.labels
-    )
+    return code.derive(isg_rows(code, isg_round), range(isg_round, len(code.rounds)))
 
 
 def _expr_to_json(expr) -> dict:
@@ -244,7 +242,8 @@ def floquet(file, max_cycles, fmt):
     def body():
         code = load_code(file)
         sequence = [m for rnd in code.rounds for m in rnd]
-        trace = iterate_cycles(sequence, code.n, max_cycles=max_cycles)
+        encoded = [pair for rnd in code.encoded_rounds for pair in rnd]
+        trace = iterate_cycles(sequence, code.n, max_cycles=max_cycles, encoded=encoded)
         accounting = growth_accounting(trace)
         report = _report_shell("floquet", file)
         report["initialization_depth"] = _computed(initialization_depth(trace))
@@ -345,7 +344,6 @@ def _logical_outcomes(code: DynamicalCode, error, rng) -> list[dict]:
     simulated value from evaluating the symbolic forward simulation under
     the same (seeded) assignment of all unknown bits.  They must agree.
     """
-    from .engine import canonical_logicals
     from .errors import build_logical_trace, logical_outcome
 
     placed = dict(error.by_round)
@@ -379,7 +377,7 @@ def _logical_outcomes(code: DynamicalCode, error, rng) -> list[dict]:
     initial_values = {i: -1 if minus_initial >> i & 1 else 1 for i in bits(initial)}
     measurement_values = {t: value(expr) for t, _, expr in record}
     results = []
-    logical_ops = [op for op, _ in canonical_logicals(code.n, list(code.s0))]
+    logical_ops = list(code.logical_basis)
     traces = build_logical_trace(code, logical_ops)
     for i, (op, trace) in enumerate(zip(logical_ops, traces)):
         entry = {"logical": format_pauli(op)}

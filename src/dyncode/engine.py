@@ -115,7 +115,9 @@ class DynamicalCode:
     """A code defined by an initial ISG and rounds of commuting measurements.
 
     A code caches on itself its encoded operators, each with its set bits
-    (:func:`tableau.bits`), and its structural diagnostics.
+    (:func:`tableau.bits`), its structural diagnostics and its canonical
+    logicals.  :meth:`derive` builds a code from its rounds that reuses
+    their encodings.
     """
 
     n: int
@@ -139,21 +141,57 @@ class DynamicalCode:
     @functools.cached_property
     def encoded_s0(self) -> tuple[tuple[int, list[int]], ...]:
         """(encoded row, its set bits) of each initial generator."""
-        return tuple(map(_encoded, self.s0))
+        return self._encode(map(encode, self.s0))
 
     @functools.cached_property
     def encoded_rounds(self) -> tuple[tuple[tuple[int, list[int]], ...], ...]:
-        """Per round, (encoded row, its set bits) of each measurement."""
-        return tuple(tuple(map(_encoded, rnd)) for rnd in self.rounds)
+        """Per round, (encoded row, its set bits) of each measurement.
+
+        The bits of each distinct operator are split once, and equal
+        rounds share one tuple."""
+        rounds: dict[tuple[int, ...], tuple] = {}
+        return tuple(
+            rounds.get(rows) or rounds.setdefault(rows, self._encode(rows))
+            for rows in (tuple(map(encode, rnd)) for rnd in self.rounds)
+        )
+
+    @functools.cached_property
+    def _encodings(self) -> dict[int, tuple[int, list[int]]]:
+        return {}
+
+    def _encode(self, rows) -> tuple[tuple[int, list[int]], ...]:
+        """(row, set bits) of each row; the bits of each distinct row are
+        split once per code."""
+        known = self._encodings
+        out = []
+        for vec in rows:
+            pair = known.get(vec)
+            if pair is None:
+                pair = known[vec] = (vec, bits(vec))
+            out.append(pair)
+        return tuple(out)
+
+    @functools.cached_property
+    def logical_basis(self) -> tuple[PauliOperator, ...]:
+        """The operators of :func:`canonical_logicals` for ``s0``."""
+        return tuple(op for op, _ in canonical_logicals(self.n, list(self.s0)))
+
+    def derive(self, s0_rows: list[int], round_indices) -> "DynamicalCode":
+        """The code on the same qubits whose initial generators are the
+        encoded ``s0_rows`` and whose schedule is this code's rounds at
+        ``round_indices``, taking its encodings from this code."""
+        n, rounds, encoded = self.n, self.rounds, self.encoded_rounds
+        code = DynamicalCode.make(
+            n, [decode(row, n) for row in s0_rows], [rounds[i] for i in round_indices],
+            self.labels,
+        )
+        code.__dict__["encoded_s0"] = tuple((row, bits(row)) for row in s0_rows)
+        code.__dict__["encoded_rounds"] = tuple(encoded[i] for i in round_indices)
+        return code
 
     @functools.cached_property
     def _diagnostics(self) -> tuple[dict, ...]:
         return tuple(_validate(self))
-
-
-def _encoded(op: PauliOperator) -> tuple[int, list[int]]:
-    vec = encode(op)
-    return vec, bits(vec)
 
 
 def validate_code(code: DynamicalCode) -> list[dict]:
@@ -177,25 +215,35 @@ def _validate(code: DynamicalCode) -> list[dict]:
     ]
     if diagnostics:
         return diagnostics
+    # Equal rounds share one encoded tuple (alive as long as the code), so
+    # its identity keys one check; each copy reports under its own name.
+    violations: dict[int, list[tuple[int, int]]] = {}
     for (where, ops), encoded in zip(groups, (code.encoded_s0, *code.encoded_rounds)):
-        supports = [op.x_mask | op.z_mask for op in ops]
-        union = functools.reduce(operator.or_, supports, 0)
-        if sum(map(int.bit_count, supports)) == union.bit_count():
-            continue  # pairwise disjoint supports: every pair commutes
-        vecs, vec_bits = zip(*encoded)
-        masks = anticommutation_masks(code.n, vecs, vec_bits)
-        if not any(masks):
-            continue
-        for a, mask in enumerate(masks):
-            for b in bits(mask >> (a + 1)):
-                diagnostics.append(
-                    {"kind": "commutation-violation", "where": where,
-                     "pair": (a, a + 1 + b)}
-                )
+        pairs = violations.get(id(encoded))
+        if pairs is None:
+            pairs = violations[id(encoded)] = _anticommuting_pairs(code.n, ops, encoded)
+        diagnostics += [
+            {"kind": "commutation-violation", "where": where, "pair": pair}
+            for pair in pairs
+        ]
     s0_rows = [vec for vec, _ in code.encoded_s0]
     if s0_rows and rank(s0_rows, 2 * code.n) < len(s0_rows):
         diagnostics.append({"kind": "dependent-generators", "where": "s0"})
     return diagnostics
+
+
+def _anticommuting_pairs(n: int, ops, encoded) -> list[tuple[int, int]]:
+    """Index pairs (a, b), a < b, of the anticommuting operators of a group."""
+    supports = [op.x_mask | op.z_mask for op in ops]
+    union = functools.reduce(operator.or_, supports, 0)
+    if sum(map(int.bit_count, supports)) == union.bit_count():
+        return []  # pairwise disjoint supports: every pair commutes
+    vecs, vec_bits = zip(*encoded)
+    return [
+        (a, a + 1 + b)
+        for a, mask in enumerate(anticommutation_masks(n, vecs, vec_bits)) if mask
+        for b in bits(mask >> (a + 1))
+    ]
 
 
 @dataclass
@@ -227,7 +275,7 @@ class ISGState:
         outcomes = [symbol_expr(INITIAL_STABILIZER, i) for i in range(len(code.s0))]
         state = ISGState(code.n, list(code.s0), outcomes)
         if track_logicals:
-            ops = [op for op, _ in canonical_logicals(code.n, list(code.s0))]
+            ops = code.logical_basis
             state.logicals = [(op, symbol_expr(RANDOM_BIT, i)) for i, op in enumerate(ops)]
             state.rand_counter = len(ops)
         return state
@@ -260,12 +308,14 @@ class Evolution:
     their outcomes as provenance; tracked logicals are its tracked rows.
     """
 
-    def __init__(self, state: ISGState) -> None:
+    def __init__(self, state: ISGState, encoded=None) -> None:
+        """``encoded`` holds (row, set bits) of each generator when known."""
         self.n = state.n
         self.tableau = Tableau(state.n, destabilizers=True)
-        for g, expr in zip(state.generators, state.outcomes):
-            vec = encode(g)
-            self.tableau.append(vec, bits(vec), expr=expr)
+        if encoded is None:
+            encoded = [(vec, bits(vec)) for vec in map(encode, state.generators)]
+        for (vec, vec_bits), expr in zip(encoded, state.outcomes):
+            self.tableau.append(vec, vec_bits, expr=expr)
         self.track_logicals = state.logicals is not None
         for op, expr in state.logicals or ():
             self.tableau.tracked.append(encode(op), expr=expr)
@@ -276,11 +326,14 @@ class Evolution:
         self.rand_counter += 1
         return symbol_expr(RANDOM_BIT, self.rand_counter - 1)
 
-    def measure(self, m: PauliOperator) -> OutcomeExpr:
-        """Apply :func:`measure`'s rules in place and return the outcome."""
+    def measure(self, m: PauliOperator, vec: int | None = None,
+                vec_bits: list[int] | None = None) -> OutcomeExpr:
+        """Apply :func:`measure`'s rules in place and return the outcome;
+        ``vec`` and ``vec_bits`` are the encoding of ``m`` when known."""
         tab = self.tableau
-        vec = encode(m)
-        vec_bits = bits(vec)
+        if vec is None:
+            vec = encode(m)
+            vec_bits = bits(vec)
         anti = tab.stab.anti(vec_bits)
         if anti:
             outcome = self._fresh()
@@ -397,14 +450,18 @@ def simulate_measurements(
     A window outside the schedule raises :class:`ValidationError`.
     """
     window = resolve_window(code, window)
-    evolution = Evolution(ISGState.initial(code, track_logicals=track_logicals))
+    evolution = Evolution(
+        ISGState.initial(code, track_logicals=track_logicals), code.encoded_s0
+    )
     errors = errors or {}
     if 0 in errors:
         evolution.apply_error(errors[0])
     record = []
-    for round_index, rnd in enumerate(code.rounds[:window], start=1):
-        for m in rnd:
-            record.append((len(record), m, evolution.measure(m)))
+    for round_index, (rnd, encoded) in enumerate(
+        zip(code.rounds[:window], code.encoded_rounds), start=1
+    ):
+        for m, (vec, vec_bits) in zip(rnd, encoded):
+            record.append((len(record), m, evolution.measure(m, vec, vec_bits)))
         if round_index in errors:
             evolution.apply_error(errors[round_index])
     return evolution.state(), record

@@ -163,7 +163,8 @@ def build_logical_trace(
     for op in logicals:
         vec = encode(op)
         vec_bits = bits(vec)
-        if tab.stab.anti(vec_bits) or tab.contains(vec_bits):
+        anti, logical_anti = tab.masks(vec_bits)
+        if anti or not logical_anti:
             raise ValidationError([{"kind": "not-a-logical", "operator": str(op)}])
         tab.tracked.append(vec, 0, ONE)
 

@@ -47,7 +47,7 @@ class CycleTrace:
 
 
 def iterate_cycles(
-    sequence: list[PauliOperator], n: int, max_cycles: int = 0
+    sequence: list[PauliOperator], n: int, max_cycles: int = 0, encoded=None
 ) -> CycleTrace:
     """Repeat a measurement sequence from the empty group, snapshotting.
 
@@ -56,15 +56,17 @@ def iterate_cycles(
     any schedule since the generator count grows by at least one per
     non-stationary cycle.  After each measurement the tableau tests every
     generator of the previous cycle's snapshot at the same index for
-    membership, in O(weight) each: the first one outside is recorded in
-    ``escapes``, and two snapshots hold the same group when none escapes
-    and they have as many generators.
+    membership, in one O(weight) pass each: the first one outside is
+    recorded in ``escapes``, and two snapshots hold the same group when
+    none escapes and they have as many generators.  ``encoded`` holds
+    (row, set bits) of each element of the sequence when known.
     """
     if max_cycles <= 0:
         max_cycles = n + 2
     trace = CycleTrace(n, tuple(sequence))
     tab = Tableau(n)
-    encoded = [(vec, bits(vec)) for vec in map(encode, sequence)]
+    if encoded is None:
+        encoded = [(vec, bits(vec)) for vec in map(encode, sequence)]
     ops: dict[int, PauliOperator] = {}
     row_bits: dict[int, list[int]] = {}
     prev_rows: list[list[int]] = []
@@ -79,7 +81,7 @@ def iterate_cycles(
             if cycle > 0:
                 for row in prev_rows[i]:
                     vec_bits = row_bits.get(row) or row_bits.setdefault(row, bits(row))
-                    if tab.stab.anti(vec_bits) or not tab.contains(vec_bits):
+                    if not tab.member(vec_bits):
                         trace.escapes.append((cycle - 1, i, ops[row]))
                         settled = False
                         break
@@ -326,12 +328,17 @@ def round_isg_history(code: DynamicalCode) -> list[list[PauliOperator]]:
     return [[decode(row, code.n) for row in tab.generators()] for tab in states][1:]
 
 
-def isg_after(code: DynamicalCode, rounds: int) -> list[PauliOperator]:
-    """Generators of the ISG reached from s0 after ``rounds`` rounds, as
-    :func:`simulate_measurements` leaves them.  A count outside the
-    schedule raises :class:`ValidationError`."""
+def isg_rows(code: DynamicalCode, rounds: int) -> list[int]:
+    """Encoded generators of the ISG reached from s0 after ``rounds``
+    rounds, as :func:`simulate_measurements` leaves them.  A count
+    outside the schedule raises :class:`ValidationError`."""
     *_, tab = _evolve(code, resolve_window(code, rounds))
-    return [decode(row, code.n) for row in tab.generators()]
+    return tab.generators()
+
+
+def isg_after(code: DynamicalCode, rounds: int) -> list[PauliOperator]:
+    """:func:`isg_rows` as operators."""
+    return [decode(row, code.n) for row in isg_rows(code, rounds)]
 
 
 def unmask_cycle_count(
@@ -351,14 +358,13 @@ def unmask_cycle_count(
     period = len(code.rounds)
     if not period:
         raise ValidationError([{"kind": "empty-schedule"}])
-    isg = isg_after(code, isg_round)
+    isg = isg_rows(code, isg_round)
     shift = isg_round % period
-    cycle = list(code.rounds[shift:]) + list(code.rounds[:shift])
+    cycle = [(shift + i) % period for i in range(period)]
     if max_cycles <= 0:
         max_cycles = len(isg) + 2
     for count in range(1, max_cycles + 1):
-        probe = DynamicalCode.make(code.n, isg, cycle * count)
-        report = run_classification(probe)
+        report = run_classification(code.derive(isg, cycle * count))
         if not report.T:
             return count
     raise CapExceededError(

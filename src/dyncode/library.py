@@ -239,6 +239,16 @@ def load_code(path) -> DynamicalCode:
         diagnostics.append({"kind": "bad-field", "field": "n"})
         raise ValidationError(diagnostics)
 
+    # Each distinct string is parsed once per file: to its operator, or to
+    # the message of its parse error, reported at every occurrence.
+    parsed: dict[str, PauliOperator | str] = {}
+
+    def parse(text: str) -> PauliOperator | str:
+        try:
+            return parse_pauli(text, n)
+        except ValueError as exc:
+            return str(exc)
+
     def parse_all(strings, where):
         if not isinstance(strings, list):
             diagnostics.append({"kind": "bad-field", "field": where})
@@ -251,13 +261,15 @@ def load_code(path) -> DynamicalCode:
                      "message": f"expected a Pauli string, got {type(s).__name__}"}
                 )
                 continue
-            try:
-                ops.append(parse_pauli(s, n))
-            except ValueError as exc:
+            op = parsed.get(s)
+            if op is None:
+                op = parsed[s] = parse(s)
+            if isinstance(op, str):
                 diagnostics.append(
-                    {"kind": "bad-pauli", "where": where, "index": idx,
-                     "message": str(exc)}
+                    {"kind": "bad-pauli", "where": where, "index": idx, "message": op}
                 )
+            else:
+                ops.append(op)
         return ops
 
     s0 = parse_all(document.get("s0", []), "s0")

@@ -211,18 +211,22 @@ class Tableau:
     membership needs the logical rows alone, and only
     :meth:`combination` reads them.  Each write of a destabilizer takes a
     fresh slot of its own group, so no dense row is ever re-scanned;
-    ``owner`` maps a destabilizer slot to its stabilizer slot.
+    ``owner`` maps a destabilizer slot to its stabilizer slot.  Without
+    ``logicals`` no logical row is kept, and the caller fills the
+    stabilizer rows directly and answers membership itself: only
+    :meth:`replace`, :meth:`remove` and :meth:`tracked_pivot` apply.
     """
 
-    def __init__(self, n: int, destabilizers: bool = False) -> None:
+    def __init__(self, n: int, destabilizers: bool = False, logicals: bool = True) -> None:
         self.n = n
         self.stab = Rows(n)
         self.destab = Rows(n) if destabilizers else None
         self.owner: list[int] = []
         self._destab_of: dict[int, int] = {}
-        self.logical = Rows(n)
+        self.logical = Rows(n) if logicals else None
         self.tracked = Rows(n)
-        for q in range(n):  # X_q and Z_q, whose partner bits are z_q and x_q
+        for q in range(n if logicals else 0):
+            # X_q and Z_q, whose partner bits are z_q and x_q
             self.logical.append(1 << q, row_bits=[q + n])
             self.logical.append(1 << (q + n), row_bits=[q])
 
@@ -233,6 +237,30 @@ class Tableau:
     def contains(self, vec_bits: list[int]) -> bool:
         """Membership of an operator commuting with every stabilizer."""
         return not self.logical.anti(vec_bits)
+
+    def masks(self, vec_bits: list[int]) -> tuple[int, int]:
+        """The slot masks of the stabilizers and of the logical rows
+        anticommuting with an operator, in one pass over its bits."""
+        stab, logical = self.stab, self.logical
+        s_planes, l_planes = stab.planes, logical.planes
+        s = l = 0
+        for b in vec_bits:
+            s ^= s_planes[b]
+            l ^= l_planes[b]
+        return s & stab.live, l & logical.live
+
+    def member(self, vec_bits: list[int]) -> bool:
+        """Membership of any operator: both :meth:`masks` are zero.  The
+        pass is written out, as the snapshot sweep of
+        :func:`~dyncode.floquet.iterate_cycles` calls it for every
+        generator."""
+        stab, logical = self.stab, self.logical
+        s_planes, l_planes = stab.planes, logical.planes
+        s = l = 0
+        for b in vec_bits:
+            s ^= s_planes[b]
+            l ^= l_planes[b]
+        return not (s & stab.live or l & logical.live)
 
     def combination(self, vec_bits: list[int]) -> list[int]:
         """Stabilizer slots whose product is the operator, a member of the
@@ -266,9 +294,10 @@ class Tableau:
         mask = anti ^ (1 << p)
         if mask:
             stab.mul(mask, old, old_bits, old_assoc, old_expr)
-        mask = self.logical.anti(vec_bits)
-        if mask:
-            self.logical.mul(mask, old, old_bits)
+        if self.logical is not None:
+            mask = self.logical.anti(vec_bits)
+            if mask:
+                self.logical.mul(mask, old, old_bits)
         mask = self.tracked.anti(vec_bits)
         if mask:
             self.tracked.mul(mask, old, old_bits, old_assoc, old_expr)
@@ -328,8 +357,9 @@ class Tableau:
         """Drop the generator in slot p; it and ``partner``, which
         anticommutes with it and commutes with every other row, become a
         logical pair."""
-        self.logical.append(self.stab.rows[p])
-        self.logical.append(partner)
+        if self.logical is not None:
+            self.logical.append(self.stab.rows[p])
+            self.logical.append(partner)
         self.stab.free(p)
         if self.destab is not None:
             self.destab.free(self._destab_of.pop(p))

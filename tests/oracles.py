@@ -340,7 +340,7 @@ def reference_forward(
             removed = group.pop(j)
             removals.append(RemovalEvent(
                 round_index, "V" if group is V else "C",
-                removed.op, removed.assoc, removed.carry,
+                removed.op, removed.assoc, removed.carry, encode(removed.op),
             ))
             V.append(TrackedPauli(m, None, outcome))
     return C, V, removals

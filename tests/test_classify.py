@@ -13,12 +13,18 @@ from dyncode import (
     unmasked_distance,
 )
 from dyncode import classify, pauli
-from dyncode.classify import DistanceResult
-from dyncode.engine import InternalInvariantError, ValidationError
+from dyncode.classify import DistanceResult, RemovalEvent
+from dyncode.engine import ONE, InternalInvariantError, ValidationError
 from dyncode.gf2 import Echelon, in_span, rank
 from dyncode.library import shor_code
-from dyncode.pauli import encode, parse_pauli, product, symplectic_product
-from dyncode.tableau import Tableau
+from dyncode.pauli import (
+    decode,
+    encode,
+    format_pauli,
+    parse_pauli,
+    product,
+    symplectic_product,
+)
 
 from oracles import (
     SPLITS,
@@ -230,12 +236,23 @@ class TestInvariantChecks:
         self.corrupt_replay(monkeypatch, lambda P, K: (P, K[:-1]))
         self.assert_raises(code, "P and K length mismatch")
 
+    def corrupt_replayed_group(self, monkeypatch, change):
+        """Pass R, the generators of the replayed group, through
+        ``change`` (with the flattened pair rows) before the pairs are
+        stripped."""
+        original = classify._strip_pairs
+
+        def corrupted(n, R, flat, s0_rows):
+            return original(n, change(list(R), list(flat)), flat, s0_rows)
+
+        monkeypatch.setattr(classify, "_strip_pairs", corrupted)
+
     def test_replayed_pair_outside_the_initial_group(self, monkeypatch):
         # The pair element needs a generator of the final ISG: without
         # them it has no expression over the initial group.
         code = code_of(2, ["YZ"], [["ZX"], ["YX", "XZ"]])
         assert run_classification(code).P
-        monkeypatch.setattr(Tableau, "generators", lambda self: [])
+        self.corrupt_replayed_group(monkeypatch, lambda R, flat: [])
         self.assert_raises(
             code, "replayed masked stabilizer is not in the initial group"
         )
@@ -244,14 +261,60 @@ class TestInvariantChecks:
         # With the masked pair elements counted as generators of the final
         # ISG, each strips to itself and anticommutes with its partner.
         code, _ = self.first_code(lambda r: r.P)
-        original = Tableau.generators
-        monkeypatch.setattr(
-            Tableau, "generators",
-            lambda self: original(self) + self.tracked.rows[::2],
-        )
+        self.corrupt_replayed_group(monkeypatch, lambda R, flat: R + flat[::2])
         self.assert_raises(
             code, "replayed stabilizer group does not centralize the pairs"
         )
+
+
+class TestReplayCommutingBranch:
+    """The replay of a removed element commuting with every generator of
+    the replayed group R, on hand-made removal lists: no schedule of the
+    test suite or the benchmark reaches this branch."""
+
+    def replay(self, monkeypatch, n, isg, events, s0):
+        """R, P and K (dense strings) of the replay of ``events``, given as
+        (round, kind, operator), from the final ISG ``isg``."""
+        def rows(texts):
+            return [encode(parse_pauli(t, n)) for t in texts]
+
+        removals = [
+            RemovalEvent(r, kind, parse_pauli(text, n), None, ONE, row)
+            for (r, kind, text), row in zip(events, rows(t for _, _, t in events))
+        ]
+        replayed = []
+        strip = classify._strip_pairs
+
+        def recording(n, R, flat, s0_rows):
+            replayed.extend(R)
+            return strip(n, R, flat, s0_rows)
+
+        monkeypatch.setattr(classify, "_strip_pairs", recording)
+        P, K = classify._extract_permanently_masked(n, rows(isg), removals, rows(s0))
+        return (
+            [format_pauli(decode(row, n)) for row in replayed],
+            [format_pauli(p) for p in P], [format_pauli(k) for k in K],
+        )
+
+    def test_staged_removal_without_a_partner(self, monkeypatch):
+        with pytest.raises(InternalInvariantError, match="no anticommuting partner"):
+            self.replay(monkeypatch, 2, ["ZI"], [(1, "C", "IZ")], ["ZI"])
+
+    def test_measurement_acting_as_a_gauge_logical(self, monkeypatch):
+        # Round 2 replays first: XI takes over ZI, and the two leave R as a
+        # pair.  Round 1's XI then commutes with the empty R, lies outside
+        # it and anticommutes with the pair element ZI.
+        with pytest.raises(InternalInvariantError, match="acts as a gauge logical"):
+            self.replay(
+                monkeypatch, 2, ["ZI"], [(1, "V", "XI"), (2, "C", "XI")], ["XI"]
+            )
+
+    def test_independent_element_joins_the_group_once(self, monkeypatch):
+        # IZ commutes with R and the pair: round 2 appends it to R, and
+        # round 1 finds it a member already.
+        events = [(1, "V", "IZ"), (2, "V", "IZ"), (3, "C", "XI")]
+        R, P, K = self.replay(monkeypatch, 2, ["ZI"], events, ["XI"])
+        assert (R, P, K) == (["IZ"], ["XI"], ["ZI"])
 
 
 class TestElementClass:

@@ -10,14 +10,17 @@ from hypothesis import strategies as st
 
 from dyncode import (
     DynamicalCode,
+    build_1d_chain,
     build_gauge_group,
     run_classification,
     save_code,
     shor_code,
+    simulate_measurements,
 )
-from dyncode.cli import main, parse_error_spec
+from dyncode import engine
+from dyncode.cli import _expr_to_json, main, parse_error_spec
 from dyncode.engine import ValidationError
-from dyncode.pauli import parse_pauli, symplectic_product, weight
+from dyncode.pauli import format_pauli, parse_pauli, symplectic_product, weight
 
 from oracles import group_elements, random_instance
 
@@ -103,6 +106,29 @@ class TestClassify:
         assert len(report["unmasked"]) == 1
         assert report["unmasked"][0]["operator"] == "IIXXXX"
         assert report["temporarily_masked"] == ["XXXXXX"]
+
+    def test_isg_round_matches_an_independent_shift(self, runner, tmp_path):
+        # One file at several --isg-round values, one of them twice: each
+        # report matches a code shifted by hand from a fresh build.
+        path = tmp_path / "chain.json"
+        save_code(build_1d_chain(12), path)
+        for isg_round in (5, 2, 9, 5):
+            report = run_json(runner, ["classify", str(path), "--isg-round", str(isg_round)])
+            fresh = build_1d_chain(12)
+            state, _ = simulate_measurements(fresh, window=isg_round)
+            expected = run_classification(
+                DynamicalCode.make(fresh.n, state.generators, fresh.rounds[isg_round:])
+            )
+            assert report["unmasked"] == [
+                {"operator": format_pauli(u.op), "syndrome": _expr_to_json(u.syndrome)}
+                for u in expected.U
+            ]
+            assert report["temporarily_masked"] == [format_pauli(t) for t in expected.T]
+            assert report["permanently_masked"] == [
+                {"operator": format_pauli(p), "destabilizer": format_pauli(k)}
+                for p, k in zip(expected.P, expected.K)
+            ]
+            assert report["generator_tags"] == expected.tags
 
 
 class TestDistance:
@@ -221,6 +247,19 @@ class TestSimulate:
         for entry in report["logical_outcomes"]:
             assert entry["status"] == "ok"
             assert entry["agree"] is True
+
+    def test_logical_basis_is_built_once(self, runner, shor_file, monkeypatch):
+        calls = []
+        basis = engine.canonical_logicals
+
+        def counting(n, generators):
+            calls.append(n)
+            return basis(n, generators)
+
+        monkeypatch.setattr(engine, "canonical_logicals", counting)
+        report = run_json(runner, ["simulate", shor_file, "--errors", "0:X1"])
+        assert calls == [9]
+        assert [entry["status"] for entry in report["logical_outcomes"]] == ["ok", "ok"]
 
     def test_round_out_of_range_exits_1(self, runner, shor_file):
         result = runner.invoke(main, ["simulate", shor_file, "--errors", "9:X1"])

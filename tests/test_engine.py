@@ -8,6 +8,7 @@ from dyncode import (
     DynamicalCode,
     ISGState,
     apply_error,
+    build_1d_chain,
     canonical_logicals,
     measure,
     simulate_measurements,
@@ -327,6 +328,42 @@ class TestCodeCache:
         shifted = _shift_code(code, 1)
         run_classification(shifted)
         assert validations == [code, shifted]
+
+    def test_each_distinct_round_is_checked_once(self, monkeypatch):
+        checked = []
+        check = engine._anticommuting_pairs
+
+        def counting(n, ops, encoded):
+            checked.append(ops)
+            return check(n, ops, encoded)
+
+        monkeypatch.setattr(engine, "_anticommuting_pairs", counting)
+        bad = ["X1", "Z1"]
+        code = code_of(2, ["Z2"], [bad, ["Z2"], bad, bad])
+        assert validate_code(code) == [
+            {"kind": "commutation-violation", "where": f"round {i}", "pair": (0, 1)}
+            for i in (1, 3, 4)
+        ]
+        assert checked == [code.s0, code.rounds[0], code.rounds[1]]
+
+    def test_equal_operators_share_one_encoding(self):
+        code = build_1d_chain(12)
+        rounds = code.encoded_rounds
+        assert rounds[1] is rounds[5] and rounds[2] is rounds[6]
+        pairs = {id(pair) for rnd in rounds for pair in rnd}
+        assert len(pairs) == len({op for rnd in code.rounds for op in rnd})
+
+    def test_a_derived_code_reuses_the_encodings(self):
+        code = build_1d_chain(12)
+        for isg_round in (0, 3, 7):
+            shifted = _shift_code(code, isg_round)
+            assert all(
+                a is b for a, b in zip(shifted.encoded_rounds, code.encoded_rounds[isg_round:])
+            )
+            assert shifted.encoded_s0 == tuple(
+                (encode(op), bits(encode(op))) for op in shifted.s0
+            )
+            assert shifted.rounds == code.rounds[isg_round:]
 
     def test_cached_encoding_matches_encode(self):
         rng = random.Random(5)

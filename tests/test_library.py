@@ -13,9 +13,10 @@ from dyncode import (
     shor_code,
     validate_code,
 )
+from dyncode import library
 from dyncode.engine import ValidationError
 from dyncode.gf2 import rank
-from dyncode.pauli import encode, symplectic_product, weight
+from dyncode.pauli import encode, parse_pauli, symplectic_product, weight
 
 
 class TestBuilders:
@@ -126,6 +127,51 @@ class TestFileRoundTrip:
         }
         diags = self.diagnostics_of(tmp_path, json.dumps(document))
         assert any(d["kind"] == "commutation-violation" for d in diags)
+
+
+class TestSharedParse:
+    """Each distinct Pauli string of a file is parsed once."""
+
+    def write(self, tmp_path, s0, rounds, n=3):
+        path = tmp_path / "code.json"
+        path.write_text(json.dumps({"version": 1, "n": n, "s0": s0, "rounds": rounds}))
+        return path
+
+    def test_equal_strings_give_one_operator(self, tmp_path, monkeypatch):
+        parsed = []
+
+        def counting(text, n):
+            parsed.append(text)
+            return parse_pauli(text, n)
+
+        monkeypatch.setattr(library, "parse_pauli", counting)
+        path = self.write(tmp_path, ["ZZI"], [["ZZI", "IIX"], ["IIX"], ["ZZI"]])
+        code = load_code(path)
+        assert sorted(parsed) == ["IIX", "ZZI"]
+        assert code.s0[0] is code.rounds[0][0] is code.rounds[2][0]
+        assert code.rounds[0][1] is code.rounds[1][0]
+
+    def test_repeated_malformed_string_is_reported_at_every_occurrence(self, tmp_path):
+        path = self.write(tmp_path, ["XQ", "ZI"], [["XQ"], ["IZ", "XQ", 7]], n=2)
+        with pytest.raises(ValidationError) as exc_info:
+            load_code(path)
+        message = "invalid Pauli character 'Q' in 'XQ'"
+        assert exc_info.value.diagnostics == [
+            {"kind": "bad-pauli", "where": "s0", "index": 0, "message": message},
+            {"kind": "bad-pauli", "where": "round 1", "index": 0, "message": message},
+            {"kind": "bad-pauli", "where": "round 2", "index": 1, "message": message},
+            {"kind": "bad-pauli", "where": "round 2", "index": 2,
+             "message": "expected a Pauli string, got int"},
+        ]
+
+    def test_repeated_round_violation_is_reported_under_every_copy(self, tmp_path):
+        path = self.write(tmp_path, ["ZZ"], [["XI", "ZI"], ["ZZ"], ["XI", "ZI"]], n=2)
+        with pytest.raises(ValidationError) as exc_info:
+            load_code(path)
+        assert exc_info.value.diagnostics == [
+            {"kind": "commutation-violation", "where": "round 1", "pair": (0, 1)},
+            {"kind": "commutation-violation", "where": "round 3", "pair": (0, 1)},
+        ]
 
 
 class TestFixtures:

@@ -22,7 +22,8 @@ from dyncode import (
     simulate_measurements,
 )
 from dyncode.engine import ONE, Evolution
-from dyncode.pauli import PauliOperator, decode, symplectic_product
+from dyncode.gf2 import Echelon
+from dyncode.pauli import PauliOperator, decode, encode, symplectic_product
 from dyncode.tableau import Tableau, bits
 
 from oracles import random_instance, reference_forward, reference_measure
@@ -102,6 +103,22 @@ class TestInvariants:
         check_invariants(tab)
 
 
+    @settings(max_examples=40, deadline=None)
+    @given(measurement_runs())
+    def test_membership_in_one_pass(self, run):
+        n, vecs = run
+        tab = Tableau(n)
+        for vec in vecs:
+            tab.measure(vec, bits(vec))
+        group = Echelon(2 * n, tab.generators())
+        for vec in range(1 << (2 * n)):
+            vec_bits = bits(vec)
+            anti = tab.stab.anti(vec_bits)
+            assert tab.masks(vec_bits) == (anti, tab.logical.anti(vec_bits))
+            assert tab.member(vec_bits) == (not anti and tab.contains(vec_bits))
+            assert tab.member(vec_bits) == (group.reduce(vec)[0] == 0)
+
+
 def fixture_codes():
     rng = random.Random(4242)
     codes = [random_instance(rng) for _ in range(40)]
@@ -118,6 +135,7 @@ def test_forward_pass_matches_the_reference(code):
     report = run_classification(code)
     C, V, removals = reference_forward(code)
     assert report.removals == removals
+    assert [event.row for event in report.removals] == [encode(e.op) for e in removals]
     assert report.C_final == C
     assert report.V_final == V
 
