@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -17,7 +19,7 @@ from dyncode.engine import CapExceededError, ValidationError, simulate_measureme
 from dyncode.floquet import isg_after
 from dyncode.gf2 import rank
 from dyncode.library import bacon_shor, honeycomb, honeycomb_cycle
-from dyncode.pauli import encode, parse_pauli
+from dyncode.pauli import encode, format_pauli, parse_pauli
 
 from dyncode import ISGState
 
@@ -114,6 +116,16 @@ class TestWorstCase:
         assert initialization_depth(trace) == n - 1
         final = trace.snapshots[-1][-1]
         assert rank([encode(op) for op in final], 2 * n) == n
+
+    def test_schedules_are_pinned(self):
+        # sha256 of every schedule for n = 3..16, recorded before the
+        # destabilizer solve moved from truncated to full-width rows.
+        schedules = {
+            n: [[format_pauli(m) for m in r] for r in build_worst_case_sequence(n).rounds]
+            for n in range(3, 17)
+        }
+        digest = hashlib.sha256(json.dumps(schedules, sort_keys=True).encode()).hexdigest()
+        assert digest == "5f06dc9b8d9b15185c992d4ee082168294d1e0ffd7a869379bf010ed6d1b1123"
 
     def test_one_new_generator_per_cycle(self):
         code = build_worst_case_sequence(5)
