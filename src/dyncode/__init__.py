@@ -28,7 +28,6 @@ from .engine import (
     OutcomeExpr,
     OutcomeSymbol,
     ValidationError,
-    apply_error,
     canonical_logicals,
     measure,
     simulate_measurements,

@@ -53,8 +53,10 @@ from .gf2 import (
     BitMatrix,
     Combination,
     Echelon,
+    bits,
     in_span,
     kernel_under_form,
+    lowest,
     minimize_over_span,
     nullspace,
     solve_linear,
@@ -66,10 +68,9 @@ from .pauli import (
     decode,
     encode,
     symplectic_partner,
-    symplectic_product,
     weight,
 )
-from .tableau import Tableau, anticommutation_masks, bits, lowest
+from .tableau import Tableau, anticommutation_masks
 
 
 @dataclass
@@ -413,32 +414,27 @@ def build_gauge_group(
         raise ValidationError(
             [{"kind": "destabilizer-count-mismatch", "expected": len(report.T)}]
         )
+    # An operator's parities against the partner rows are its commutation
+    # pattern with U | T | P | K and with each chosen destabilizer.
+    partners = [symplectic_partner(encode(op), n) for op in stab_ops + report.K]
     chosen: list[PauliOperator] = []
-    for idx, t_op in enumerate(report.T):
+    for idx in range(len(report.T)):
         target = len(report.U) + idx
         if t_destabs is not None:
             kappa = t_destabs[idx]
+            if kappa.n != n:
+                raise ValueError(f"size mismatch: {kappa.n} vs {n} qubits")
         else:
-            rows = [symplectic_partner(encode(op), n) for op in stab_ops]
-            rows += [symplectic_partner(encode(op), n) for op in report.K + chosen]
-            rhs = [1 if i == target else 0 for i in range(len(stab_ops))]
-            rhs += [0] * (len(report.K) + len(chosen))
-            solution = solve_linear(rows, rhs, width)
+            rhs = [int(i == target) for i in range(len(partners))]
+            solution = solve_linear(partners, rhs, width)
             if solution is None:
                 raise InternalInvariantError("no destabilizer solution exists")
             particular, homogeneous = solution
             kappa = decode(minimize_over_span(particular, homogeneous, width), n)
-        for i, op in enumerate(stab_ops):
-            expected = 1 if i == target else 0
-            if symplectic_product(kappa, op) != expected:
-                raise ValidationError(
-                    [{"kind": "bad-destabilizer", "index": idx}]
-                )
-        for other in itertools.chain(report.K, chosen):
-            if symplectic_product(kappa, other):
-                raise ValidationError(
-                    [{"kind": "bad-destabilizer", "index": idx}]
-                )
+        vec = encode(kappa)
+        if any(((vec & row).bit_count() & 1) != (i == target) for i, row in enumerate(partners)):
+            raise ValidationError([{"kind": "bad-destabilizer", "index": idx}])
+        partners.append(symplectic_partner(vec, n))
         chosen.append(kappa)
     generators = stab_ops + list(report.K) + chosen
     gauge = GaugeGroup(n, generators, t_destab_policy, chosen)
@@ -537,14 +533,7 @@ def _group_center(n: int, rows: list[int]) -> list[int]:
     basis = [row for row in rows if ech.add(row)]
     # Row j of the pairing matrix records which basis elements anticommute
     # with generator j; combinations in its nullspace form the center.
-    pairing = []
-    for row in rows:
-        partner = symplectic_partner(row, n)
-        bits = 0
-        for i, vec in enumerate(basis):
-            if (vec & partner).bit_count() & 1:
-                bits |= 1 << i
-        pairing.append(bits)
+    pairing = [mask >> len(rows) for mask in anticommutation_masks(n, rows + basis)[:len(rows)]]
     return [
         Combination(combo, len(basis)).evaluate(basis)
         for combo in nullspace(BitMatrix(pairing, len(basis)))

@@ -9,6 +9,7 @@ failure, 2 cap exceeded, 3 internal invariant violation.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import random
@@ -43,13 +44,14 @@ from .floquet import (
     iterate_cycles,
     unmask_cycle_count,
 )
+from .gf2 import bits
 from .library import load_code
 from .pauli import format_pauli, parse_pauli
-from .tableau import bits
 
 SCHEMA_VERSION = 1
 
 
+@functools.cache
 def _tool_version() -> str:
     try:
         return metadata.version("artifact")

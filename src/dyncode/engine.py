@@ -19,9 +19,9 @@ import operator
 from dataclasses import dataclass, field
 
 # in_span stays importable from this module, as from gf2 and floquet.
-from .gf2 import BitMatrix, Echelon, in_span as in_span, kernel_under_form, rank
+from .gf2 import BitMatrix, Echelon, bits, in_span as in_span, kernel_under_form, rank
 from .pauli import PauliOperator, decode, encode
-from .tableau import Tableau, anticommutation_masks, bits
+from .tableau import Tableau, anticommutation_masks
 
 INITIAL_STABILIZER = "initial-stabilizer"
 RANDOM_BIT = "random-bit"
@@ -115,7 +115,7 @@ class DynamicalCode:
     """A code defined by an initial ISG and rounds of commuting measurements.
 
     A code caches on itself its encoded operators, each with its set bits
-    (:func:`tableau.bits`), its structural diagnostics and its canonical
+    (:func:`gf2.bits`), its structural diagnostics and its canonical
     logicals.  :meth:`derive` builds a code from its rounds that reuses
     their encodings.
     """
@@ -334,30 +334,26 @@ class Evolution:
         if vec is None:
             vec = encode(m)
             vec_bits = bits(vec)
-        anti = tab.stab.anti(vec_bits)
-        if anti:
-            outcome = self._fresh()
-            tab.replace(anti, vec, vec_bits, expr=outcome)
-            return outcome
-        if tab.contains(vec_bits):
+        rank = len(tab)
+        slot, read_out = tab.measure(vec, vec_bits)
+        exprs = tab.stab.exprs
+        if slot is None:
             outcome = ONE
-            exprs = tab.stab.exprs
-            for slot in tab.combination(vec_bits):
-                outcome = outcome * exprs[slot]
+            for s in tab.combination(vec_bits):
+                outcome = outcome * exprs[s]
             return outcome
         tracked = tab.tracked
-        hit = tracked.anti(vec_bits)
-        matching = [s for s in tracked.slots() if tracked.rows[s] == vec]
-        # Reading out a tracked logical representative directly: the
-        # outcome is its tracked value, not fresh randomness.
-        outcome = tracked.exprs[matching[0]] if matching else self._fresh()
-        if hit:
+        # Reading out a tracked logical representative directly, as m joins
+        # the group: the outcome is its tracked value, not fresh randomness.
+        joined = len(tab) > rank
+        matching = [s for s in tracked.slots() if tracked.rows[s] == vec] if joined else []
+        exprs[slot] = outcome = tracked.exprs[matching[0]] if matching else self._fresh()
+        if read_out:
             self.events = self.events + ({"kind": "logical-measurement", "measurement": m},)
-            # m is now a stabilizer: the anticommuting representatives and
+            # m is now a stabilizer: the representatives it read out and
             # m itself leave the logical basis (k-reduction).
-            for slot in set(bits(hit)) | set(matching):
-                tracked.free(slot)
-        tab.append(vec, vec_bits, expr=outcome)
+            for s in matching:
+                tracked.free(s)
         return outcome
 
     def apply_error(self, e: PauliOperator) -> None:
@@ -409,17 +405,6 @@ def measure(state: ISGState, m: PauliOperator) -> tuple[ISGState, OutcomeExpr]:
     evolution = Evolution(state)
     outcome = evolution.measure(m)
     return evolution.state(), outcome
-
-
-def apply_error(state: ISGState, e: PauliOperator) -> ISGState:
-    """Conjugate the tracked state past a Pauli error.
-
-    Generator and logical outcome expressions flip sign exactly when the
-    operator anticommutes with the error.
-    """
-    evolution = Evolution(state)
-    evolution.apply_error(e)
-    return evolution.state()
 
 
 def resolve_window(code: DynamicalCode, window: int | None) -> int:

@@ -22,7 +22,7 @@ from .engine import (
     ValidationError,
     symbol_expr,
 )
-from .gf2 import Combination, Echelon
+from .gf2 import Combination, Echelon, bits
 from .pauli import (
     PauliOperator,
     decode,
@@ -33,7 +33,7 @@ from .pauli import (
     symplectic_partner,
     symplectic_product,
 )
-from .tableau import Tableau, bits
+from .tableau import Tableau
 
 
 @dataclass(frozen=True)
@@ -176,15 +176,11 @@ def build_logical_trace(
         for m, (vec, vec_bits) in zip(rnd, encoded):
             expr = symbol_expr(RANDOM_BIT, len(measured))
             measured.append((round_index, m))
-            anti = tab.stab.anti(vec_bits)
-            if anti:
-                tab.replace(anti, vec, vec_bits, expr=expr)
-                continue
-            for slot in bits(tab.tracked.anti(vec_bits)):
-                tab.tracked.free(slot)
-                read_out[slot] = round_index
-            if not tab.contains(vec_bits):
-                tab.append(vec, vec_bits, expr=expr)
+            slot, freed = tab.measure(vec, vec_bits)
+            if slot is not None:
+                tab.stab.exprs[slot] = expr
+            for tracked_slot in bits(freed):
+                read_out[tracked_slot] = round_index
 
     if single and read_out:
         raise ValidationError(

@@ -21,9 +21,9 @@ from .engine import (
     resolve_window,
 )
 # in_span stays importable from this module, as from gf2 and engine.
-from .gf2 import in_span as in_span, minimize_over_span, solve_linear
-from .pauli import PauliOperator, decode, encode, product
-from .tableau import Tableau, bits
+from .gf2 import bits, in_span as in_span, minimize_over_span, solve_linear
+from .pauli import PauliOperator, decode, encode, product, symplectic_partner
+from .tableau import Tableau
 
 
 @dataclass
@@ -31,19 +31,21 @@ class CycleTrace:
     """Per-cycle, per-measurement-index ISG snapshots of a repeated sequence.
 
     ``snapshots[j][i]`` is the generator list right after measuring
-    element i of the sequence in cycle j (both zero-based).  ``fixpoint``
-    is the first cycle index j (zero-based) with every in-cycle group
-    equal to that of cycle j+1, or None if never reached.  ``escapes``
-    lists, per (j, i) in order, the first generator of snapshot (j, i)
-    outside the group of snapshot (j+1, i), where there is one.
+    element i of the sequence in cycle j (both zero-based), as encoded
+    rows (:func:`~dyncode.pauli.encode`).  ``fixpoint`` is the first
+    cycle index j (zero-based) with every in-cycle group equal to that of
+    cycle j+1, or None if never reached.  ``escapes`` lists, per (j, i)
+    in order, the encoded first generator of snapshot (j, i) outside the
+    group of snapshot (j+1, i), where there is one.  Callers decode the
+    rows they report (:func:`~dyncode.pauli.decode`).
     """
 
     n: int
     sequence: tuple[PauliOperator, ...]
-    snapshots: list[list[list[PauliOperator]]] = field(default_factory=list)
+    snapshots: list[list[list[int]]] = field(default_factory=list)
     new_counts: list[int] = field(default_factory=list)
     fixpoint: int | None = None
-    escapes: list[tuple[int, int, PauliOperator]] = field(default_factory=list)
+    escapes: list[tuple[int, int, int]] = field(default_factory=list)
 
 
 def iterate_cycles(
@@ -67,33 +69,29 @@ def iterate_cycles(
     tab = Tableau(n)
     if encoded is None:
         encoded = [(vec, bits(vec)) for vec in map(encode, sequence)]
-    ops: dict[int, PauliOperator] = {}
     row_bits: dict[int, list[int]] = {}
-    prev_rows: list[list[int]] = []
     for cycle in range(max_cycles):
         start_rank = len(tab)
-        cycle_snaps: list[list[PauliOperator]] = []
         cycle_rows: list[list[int]] = []
         settled = cycle > 0
         for i, (vec, vec_bits) in enumerate(encoded):
             tab.measure(vec, vec_bits)
             rows = tab.generators()
             if cycle > 0:
-                for row in prev_rows[i]:
+                prev_rows = trace.snapshots[-1][i]
+                for row in prev_rows:
                     vec_bits = row_bits.get(row) or row_bits.setdefault(row, bits(row))
                     if not tab.member(vec_bits):
-                        trace.escapes.append((cycle - 1, i, ops[row]))
+                        trace.escapes.append((cycle - 1, i, row))
                         settled = False
                         break
-                settled = settled and len(rows) == len(prev_rows[i])
+                settled = settled and len(rows) == len(prev_rows)
             cycle_rows.append(rows)
-            cycle_snaps.append([ops.get(r) or ops.setdefault(r, decode(r, n)) for r in rows])
-        trace.snapshots.append(cycle_snaps)
+        trace.snapshots.append(cycle_rows)
         trace.new_counts.append(len(tab) - start_rank)
         if settled:
             trace.fixpoint = cycle - 1
             break
-        prev_rows = cycle_rows
     return trace
 
 
@@ -106,7 +104,8 @@ def check_subset_monotonicity(trace: CycleTrace) -> list[dict]:
     in the corresponding group one cycle later.
     """
     return [
-        {"cycle": j, "index": i, "operator": str(op)} for j, i, op in trace.escapes
+        {"cycle": j, "index": i, "operator": str(decode(row, trace.n))}
+        for j, i, row in trace.escapes
     ]
 
 
@@ -232,23 +231,17 @@ def _extend_worst_case(
     sigma_s3 = PauliOperator(n, 0, 1 << (k - 1))
 
     # Destabilizers: anticommute with their own target only, commute with
-    # every other slot, with Z_k, and with each other; supported on the
-    # first k-1 qubits so commutation with Z_k and X_k is automatic.
+    # every other slot and with each other.  The slots act on the first
+    # k-1 qubits only, so the least solution does too, and it commutes
+    # with Z_k and X_k.
     def solve_destab(target_index: int, others: list[PauliOperator]) -> PauliOperator:
-        rows, rhs = [], []
-        for i, slot in enumerate(slots):
-            rows.append(_partner_restricted(slot, k - 1, n))
-            rhs.append(1 if i == target_index else 0)
-        for op in others:
-            rows.append(_partner_restricted(op, k - 1, n))
-            rhs.append(0)
-        solution = solve_linear(rows, rhs, 2 * (k - 1))
+        rows = [symplectic_partner(encode(op), n) for op in slots + others]
+        rhs = [int(i == target_index) for i in range(len(rows))]
+        solution = solve_linear(rows, rhs, 2 * n)
         if solution is None:
             raise InternalInvariantError("no destabilizer for the insertion block")
         particular, homogeneous = solution
-        vec = minimize_over_span(particular, homogeneous, 2 * (k - 1))
-        small = decode(vec, k - 1)
-        return PauliOperator(n, small.x_mask, small.z_mask)
+        return decode(minimize_over_span(particular, homogeneous, 2 * n), n)
 
     sigma_d1 = solve_destab(0, [])
     sigma_d2 = solve_destab(k - 2, [sigma_d1])
@@ -261,12 +254,6 @@ def _extend_worst_case(
         sigma_s1,
     ]
     return seq[:-1] + block + [seq[-1]]
-
-
-def _partner_restricted(op: PauliOperator, k: int, n: int) -> int:
-    """Symplectic-partner row of ``op`` truncated to the first k qubits."""
-    mask = (1 << k) - 1
-    return ((op.x_mask & mask) << k) | (op.z_mask & mask)
 
 
 def build_1d_chain(n: int) -> DynamicalCode:

@@ -19,6 +19,30 @@ import functools
 import operator
 from dataclasses import dataclass
 
+from .pauli import symplectic_partner
+
+# Set-bit offsets of every byte value, for dense vectors.
+_BYTE_BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
+
+
+def bits(vec: int) -> list[int]:
+    """Positions of the set bits of ``vec``, lowest first."""
+    if vec.bit_count() * 12 < vec.bit_length():
+        out = []
+        while vec:
+            low = vec & -vec
+            out.append(low.bit_length() - 1)
+            vec ^= low
+        return out
+    data = vec.to_bytes((vec.bit_length() + 7) >> 3, "little")
+    return [j + i for j, byte in zip(range(0, 8 * len(data), 8), data)
+            if byte for i in _BYTE_BITS[byte]]
+
+
+def lowest(mask: int) -> int:
+    """Index of the lowest set bit of a nonzero mask."""
+    return (mask & -mask).bit_length() - 1
+
 
 @dataclass(frozen=True)
 class Combination:
@@ -51,10 +75,6 @@ class BitMatrix:
 
     rows: list[int]
     cols: int
-
-
-def _lowest_bit(value: int) -> int:
-    return (value & -value).bit_length() - 1
 
 
 def rref(matrix: BitMatrix) -> tuple[BitMatrix, BitMatrix, int]:
@@ -147,7 +167,7 @@ class Echelon:
         self.size += 1
         if vec == 0:
             return False
-        pivot = _lowest_bit(vec)
+        pivot = lowest(vec)
         self.pivots[pivot] = (vec, combo)
         self.mask |= 1 << pivot
         return True
@@ -232,7 +252,7 @@ def span_intersection(
 def nullspace(matrix: BitMatrix) -> list[int]:
     """Basis of ``{v : parity(v & row) == 0 for every row}``."""
     echelon, _, r = rref(matrix)
-    pivot_cols = [_lowest_bit(row) for row in echelon.rows[:r]]
+    pivot_cols = [lowest(row) for row in echelon.rows[:r]]
     pivot_set = set(pivot_cols)
     free_cols = [c for c in range(matrix.cols) if c not in pivot_set]
     basis = []
@@ -257,7 +277,7 @@ def solve_linear(
     echelon, _, r = rref(BitMatrix(augmented, cols + 1))
     particular = 0
     for row in echelon.rows[:r]:
-        pivot = _lowest_bit(row)
+        pivot = lowest(row)
         if pivot == cols:
             return None
         if (row >> cols) & 1:
@@ -296,6 +316,5 @@ def kernel_under_form(generators: BitMatrix) -> BitMatrix:
     if generators.cols % 2:
         raise ValueError("symplectic rows must have even width")
     n = generators.cols // 2
-    low = (1 << n) - 1
-    swapped = [((row & low) << n) | (row >> n) for row in generators.rows]
+    swapped = [symplectic_partner(row, n) for row in generators.rows]
     return BitMatrix(nullspace(BitMatrix(swapped, 2 * n)), 2 * n)

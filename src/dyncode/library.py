@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 
 from .engine import DynamicalCode, ValidationError, validate_code
-from .pauli import PauliOperator, format_pauli, parse_pauli
+from .pauli import PauliOperator, decode, format_pauli, parse_pauli
 
 FILE_FORMAT_VERSION = 1
 
@@ -190,7 +190,7 @@ def honeycomb(cells_x: int, cells_y: int, cycles: int = 2) -> DynamicalCode:
 
     trace = iterate_cycles(flat, n)
     initialization_depth(trace)  # raises if no fixpoint
-    s0 = trace.snapshots[-1][-1]
+    s0 = [decode(row, n) for row in trace.snapshots[-1][-1]]
     return DynamicalCode.make(
         n, s0, cycle * cycles,
         labels={"name": "honeycomb", "cells_x": cells_x, "cells_y": cells_y},

@@ -34,32 +34,14 @@ elimination.
 Slot order is list order: an appended row takes a fresh highest slot, a
 replacement in place keeps its slot and a removal frees only its own, so
 "the first anticommuting row" is the lowest set bit of a mask.
+:meth:`Tableau.measure` is the one ISG update (CHP's measurement rule)
+that simulation, logical traces and Floquet cycles share.
 """
 
 from __future__ import annotations
 
-
-# Set-bit offsets of every byte value, for dense vectors.
-_BYTE_BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
-
-
-def bits(vec: int) -> list[int]:
-    """Positions of the set bits of ``vec``, lowest first."""
-    if vec.bit_count() * 12 < vec.bit_length():
-        out = []
-        while vec:
-            low = vec & -vec
-            out.append(low.bit_length() - 1)
-            vec ^= low
-        return out
-    data = vec.to_bytes((vec.bit_length() + 7) >> 3, "little")
-    return [j + i for j, byte in zip(range(0, 8 * len(data), 8), data)
-            if byte for i in _BYTE_BITS[byte]]
-
-
-def lowest(mask: int) -> int:
-    """Index of the lowest set bit of a nonzero mask."""
-    return (mask & -mask).bit_length() - 1
+from .gf2 import bits, lowest
+from .pauli import symplectic_partner
 
 
 class Rows:
@@ -90,8 +72,7 @@ class Rows:
     def partner_bits(self, vec: int) -> list[int]:
         """Plane indices a row ``vec`` occupies: its bits with the x and z
         blocks swapped."""
-        n = self.n
-        return bits(((vec & ((1 << n) - 1)) << n) | (vec >> n))
+        return bits(symplectic_partner(vec, self.n))
 
     def row_bits(self, slot: int) -> list[int]:
         """:meth:`partner_bits` of the row in ``slot``."""
@@ -204,11 +185,11 @@ class Tableau:
     """A stabilizer group in CHP form, evolved in place.
 
     Starts as the trivial group on ``n`` qubits, with the logical pairs
-    (X_q, Z_q).  The callers apply the measurement rules with
-    :meth:`replace`, :meth:`append`, :meth:`remove` and
-    :meth:`tracked_pivot`; :meth:`measure` is the plain rule without
-    provenance.  Destabilizer rows are kept only with ``destabilizers``:
-    membership needs the logical rows alone, and only
+    (X_q, Z_q).  :meth:`measure` applies the stabilizer update; the
+    classification, which removes rows and tracks C, applies its own rules
+    with :meth:`replace`, :meth:`append`, :meth:`remove` and
+    :meth:`tracked_pivot`.  Destabilizer rows are kept only with
+    ``destabilizers``: membership needs the logical rows alone, and only
     :meth:`combination` reads them.  Each write of a destabilizer takes a
     fresh slot of its own group, so no dense row is ever re-scanned;
     ``owner`` maps a destabilizer slot to its stabilizer slot.  Without
@@ -378,15 +359,22 @@ class Tableau:
                         tracked.assoc[q], tracked.exprs[q])
         return q
 
-    def measure(self, vec: int, vec_bits: list[int]) -> None:
-        """The plain update of ``vec``, whose set bits are ``vec_bits``: the
-        first anticommuting generator is replaced in place, else an
-        independent ``vec`` is appended."""
+    def measure(self, vec: int, vec_bits: list[int]) -> tuple[int | None, int]:
+        """The stabilizer update of ``vec`` (set bits ``vec_bits``): replace
+        the first anticommuting generator in place, or else append a ``vec``
+        outside the group and free the tracked rows it reads out (those
+        anticommuting with it).  Returns (the slot holding ``vec``, or None
+        for a member; the slot mask of the freed tracked rows)."""
         mask = self.stab.anti(vec_bits)
         if mask:
             self.replace(mask, vec, vec_bits)
-        elif not self.contains(vec_bits):
-            self.append(vec, vec_bits)
+            return lowest(mask), 0
+        if self.contains(vec_bits):
+            return None, 0
+        read_out = self.tracked.anti(vec_bits)
+        for slot in bits(read_out):
+            self.tracked.free(slot)
+        return self.append(vec, vec_bits), read_out
 
     def generators(self) -> list[int]:
         """The stabilizer rows in slot order."""

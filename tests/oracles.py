@@ -9,7 +9,8 @@ package; they use only its data types and ``gf2`` spans.
 stabilizer update and the classification's forward pass written as scans
 over generator lists with a fresh span per membership test, the way the
 package computed them before its stabilizer tableau; :func:`forward_oracle`
-reads its outcome expressions from :func:`reference_measure`.
+reads its outcome expressions from :func:`reference_measure`, and
+:func:`apply_error` flips them past an error by the same scan.
 :func:`reference_min_weight_outside` is the distance search as it was
 before the syndrome join: the same result type, but every candidate of
 :func:`dyncode.pauli.paulis_up_to_weight` is parity-tested against every
@@ -289,6 +290,22 @@ def reference_measure(state: ISGState, m: PauliOperator) -> tuple[ISGState, Outc
     new.generators[j] = m
     new.outcomes[j] = outcome
     return new, outcome
+
+
+def apply_error(state: ISGState, e: PauliOperator) -> ISGState:
+    """``Evolution.apply_error`` on a value: the outcome of every generator
+    and tracked logical anticommuting with ``e`` (``symplectic_product``)
+    flips sign, in a new state."""
+
+    def flip(op, expr):
+        return expr.negate() if symplectic_product(op, e) else expr
+
+    return ISGState(
+        state.n, list(state.generators),
+        [flip(g, expr) for g, expr in zip(state.generators, state.outcomes)],
+        None if state.logicals is None else [(op, flip(op, expr)) for op, expr in state.logicals],
+        state.rand_counter, state.events,
+    )
 
 
 def _times(a: TrackedPauli, b: TrackedPauli) -> TrackedPauli:

@@ -18,6 +18,7 @@ from dyncode.engine import ONE, InternalInvariantError, ValidationError
 from dyncode.gf2 import Echelon, in_span, rank
 from dyncode.library import shor_code
 from dyncode.pauli import (
+    PauliOperator,
     decode,
     encode,
     format_pauli,
@@ -356,6 +357,33 @@ class TestGaugeGroup:
             build_gauge_group(report, t_destabs=[parse_pauli("Z1", 9)])
         with pytest.raises(ValidationError):
             build_gauge_group(report, t_destabs=[])
+
+    def test_explicit_destabilizers_are_checked_against_every_row(self):
+        # The golden instance random-142: |U| = 1, |T| = 3 and |P| = 2.
+        report = run_classification(random_instance(random.Random(142), max_measurements=12))
+        assert report.U and report.T and report.P
+        n, canonical = report.n, build_gauge_group(report).t_destabs
+        assert build_gauge_group(report, t_destabs=canonical).t_destabs == canonical
+        # kappa * P[0] keeps kappa's pattern on U | T | P and anticommutes
+        # with K[0] alone; kappa * K[1] commutes with K and the other
+        # destabilizers and anticommutes with the non-target P[1] alone.
+        stab_ops = [u.op for u in report.U] + report.T + report.P
+        for idx, other, hits_stabilizer in [(0, report.P[0], False), (2, report.K[1], True)]:
+            kappa = product(canonical[idx], other)
+            target = len(report.U) + idx
+            pattern = [symplectic_product(kappa, op) for op in stab_ops]
+            assert (pattern != [int(i == target) for i in range(len(stab_ops))]) == hits_stabilizer
+            assert any(symplectic_product(kappa, k) for k in report.K) != hits_stabilizer
+            t_destabs = canonical[:idx] + [kappa] + canonical[idx + 1:]
+            with pytest.raises(ValidationError) as caught:
+                build_gauge_group(report, t_destabs=t_destabs)
+            assert caught.value.diagnostics == [{"kind": "bad-destabilizer", "index": idx}]
+        # One qubit wider, with the same encoded row as the canonical choice.
+        vec = encode(canonical[1])
+        wide = PauliOperator(n + 1, vec & ((1 << (n + 1)) - 1), vec >> (n + 1))
+        assert encode(wide) == vec
+        with pytest.raises(ValueError):
+            build_gauge_group(report, t_destabs=[canonical[0], wide, canonical[2]])
 
     def test_exhaustive_policy_records_alternatives(self):
         report = self.masked_shor()

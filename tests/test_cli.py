@@ -181,6 +181,18 @@ def _check_witnesses(code, report, cap):
         assert witness not in group_elements(excluded, n), key
 
 
+def invoke_without_traceback(code, command: str, options: list[str]):
+    """Run one command line on ``code``, saved to a temporary file, and
+    check that it ended by itself or by ``sys.exit``, with no traceback."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "code.json")
+        save_code(code, path)
+        result = CliRunner().invoke(main, [command, path, *options])
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    return result
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.data())
 def test_distance_ends_in_a_verdict_or_a_diagnostic(seed, data):
@@ -189,14 +201,7 @@ def test_distance_ends_in_a_verdict_or_a_diagnostic(seed, data):
     code = random_instance(random.Random(seed), max_n=6, max_s0=4)
     cap = data.draw(st.integers(-1, code.n + 1), label="cap")
     policy = data.draw(st.sampled_from(["canonical", "exhaustive"]), label="policy")
-    with tempfile.TemporaryDirectory() as directory:
-        path = os.path.join(directory, "code.json")
-        save_code(code, path)
-        result = CliRunner().invoke(
-            main, ["distance", path, "--cap", str(cap), "--t-destab", policy]
-        )
-    assert result.exception is None or isinstance(result.exception, SystemExit)
-    assert "Traceback" not in result.output
+    result = invoke_without_traceback(code, "distance", ["--cap", str(cap), "--t-destab", policy])
     assert result.exit_code in (0, 1, 2)
     if result.exit_code:
         error = json.loads(result.stderr)
@@ -206,6 +211,38 @@ def test_distance_ends_in_a_verdict_or_a_diagnostic(seed, data):
         return
     assert cap >= 0
     _check_witnesses(code, json.loads(result.output), cap)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.data())
+def test_every_command_ends_in_a_report_or_a_diagnostic(seed, data):
+    """Random small codes under validate, classify (with --window and
+    --isg-round, in range or not), floquet and simulate: exit 0 with a
+    JSON report, or 1-3 with a JSON error, and never a traceback."""
+    code = random_instance(random.Random(seed), max_n=6, max_s0=4)
+    rounds = st.integers(-1, len(code.rounds) + 1)
+    command = data.draw(st.sampled_from(["validate", "classify", "floquet", "simulate"]))
+    options = []
+    if command == "classify":
+        isg_round = data.draw(rounds)
+        window = data.draw(st.integers(-1, len(code.rounds) - max(isg_round, 0) + 1))
+        options = ["--window", str(window), "--isg-round", str(isg_round)]
+    elif command == "floquet":
+        options = ["--max-cycles", str(data.draw(st.integers(-1, 4)))]
+    elif command == "simulate":
+        letter = data.draw(st.sampled_from("XYZ"))
+        qubit = data.draw(st.integers(1, code.n))
+        options = ["--errors", f"{data.draw(rounds)}:{letter}{qubit}",
+                   "--seed", str(data.draw(st.integers(-5, 5))),
+                   "--max-weight", str(data.draw(st.integers(-1, 2)))]
+    result = invoke_without_traceback(code, command, options)
+    assert result.exit_code in (0, 1, 2, 3)
+    if result.exit_code:
+        error = json.loads(result.stderr)
+        expected = {1: "validation", 2: "cap-exceeded", 3: "internal-invariant"}
+        assert error["error"] == expected[result.exit_code]
+    else:
+        assert json.loads(result.output)["command"] == command
 
 
 class TestFloquet:

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from dyncode import (
     DynamicalCode,
     ISGState,
-    apply_error,
     build_1d_chain,
     canonical_logicals,
     measure,
@@ -26,12 +25,12 @@ from dyncode.engine import (
     OutcomeSymbol,
     symbol_expr,
 )
-from dyncode.gf2 import rank
+from dyncode.gf2 import bits, rank
 from dyncode.library import load_code, save_code, shor_code
 from dyncode.pauli import encode, parse_pauli, symplectic_product
-from dyncode.tableau import bits
 
 from oracles import (
+    apply_error,
     ReferenceOutcomeExpr,
     check_abelian,
     formula_reproduces_stabilizer,
@@ -181,6 +180,9 @@ class TestErrorsAndSimulation:
         flipped = apply_error(state, parse_pauli("X1", 2))
         assert flipped.outcomes[0].sign == 1
         assert flipped.outcomes[1].sign == 0
+        evolution = engine.Evolution(state)
+        evolution.apply_error(parse_pauli("X1", 2))
+        assert evolution.state() == flipped
 
     def test_simulation_record_covers_every_measurement(self):
         code = shor_code()

@@ -19,7 +19,7 @@ from dyncode.engine import CapExceededError, ValidationError, simulate_measureme
 from dyncode.floquet import isg_after
 from dyncode.gf2 import rank
 from dyncode.library import bacon_shor, honeycomb, honeycomb_cycle
-from dyncode.pauli import encode, format_pauli, parse_pauli
+from dyncode.pauli import decode, format_pauli, parse_pauli
 
 from dyncode import ISGState
 
@@ -57,18 +57,19 @@ class TestIterateCycles:
             for _ in range(rng.randint(1, 3)):
                 sequence.extend(random_round(rng, n, rng.randint(1, 2)))
             trace = iterate_cycles(sequence, n)
+            snapshots = [[[decode(row, n) for row in snap] for snap in cycle_snaps]
+                         for cycle_snaps in trace.snapshots]
             state = ISGState(n)
-            for j, cycle_snaps in enumerate(trace.snapshots):
+            for j, cycle_snaps in enumerate(snapshots):
                 for i, m in enumerate(sequence):
                     state, _ = reference_measure(state, m)
                     assert cycle_snaps[i] == state.generators
                     if j:
-                        earlier = group_elements(trace.snapshots[j - 1][i], n)
+                        earlier = group_elements(snapshots[j - 1][i], n)
                         assert earlier <= group_elements(state.generators, n)
-            last = len(trace.snapshots) - 1
+            last = len(snapshots) - 1
             equal = [
-                all(spans_equal(a, b, n)
-                    for a, b in zip(trace.snapshots[j], trace.snapshots[j + 1]))
+                all(spans_equal(a, b, n) for a, b in zip(snapshots[j], snapshots[j + 1]))
                 for j in range(last)
             ]
             assert trace.fixpoint == (last - 1 if equal and equal[-1] else None)
@@ -100,7 +101,7 @@ def test_snapshot_rank_is_its_length(sequence, n):
     trace = iterate_cycles(sequence, n)
     for cycle_snaps in trace.snapshots:
         for snap in cycle_snaps:
-            assert rank([encode(op) for op in snap], 2 * n) == len(snap)
+            assert rank(snap, 2 * n) == len(snap)
 
 
 class TestWorstCase:
@@ -114,8 +115,7 @@ class TestWorstCase:
         sequence = [m for rnd in code.rounds for m in rnd]
         trace = iterate_cycles(sequence, n)
         assert initialization_depth(trace) == n - 1
-        final = trace.snapshots[-1][-1]
-        assert rank([encode(op) for op in final], 2 * n) == n
+        assert rank(trace.snapshots[-1][-1], 2 * n) == n
 
     def test_schedules_are_pinned(self):
         # sha256 of every schedule for n = 3..16, recorded before the

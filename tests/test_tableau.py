@@ -22,9 +22,9 @@ from dyncode import (
     simulate_measurements,
 )
 from dyncode.engine import ONE, Evolution
-from dyncode.gf2 import Echelon
+from dyncode.gf2 import Echelon, bits, in_span
 from dyncode.pauli import PauliOperator, decode, encode, symplectic_product
-from dyncode.tableau import Tableau, bits
+from dyncode.tableau import Tableau
 
 from oracles import random_instance, reference_forward, reference_measure
 
@@ -138,6 +138,37 @@ def test_forward_pass_matches_the_reference(code):
     assert [event.row for event in report.removals] == [encode(e.op) for e in removals]
     assert report.C_final == C
     assert report.V_final == V
+
+
+@pytest.mark.parametrize("code", CODES, ids=range(len(CODES)))
+def test_measure_returns_the_slot_and_the_read_out_rows(code):
+    """``Tableau.measure`` with the logicals as tracked rows: the slot holds
+    the measured row, None exactly for a member, and the read-out mask
+    holds the logicals the reference drops, apart from the measured
+    operator itself (which joins the group)."""
+    n = code.n
+    state = ISGState.initial(code, track_logicals=True)
+    tab = Tableau(n)
+    for vec, vec_bits in code.encoded_s0:
+        tab.append(vec, vec_bits)
+    for op, _ in state.logicals:
+        tab.tracked.append(encode(op))
+    for _, m in code.measurements():
+        vec = encode(m)
+        member = in_span(vec, Echelon(2 * n, [encode(g) for g in state.generators]))
+        before, live = [op for op, _ in state.logicals], tab.tracked.slots()
+        state, _ = reference_measure(state, m)
+        after = [op for op, _ in state.logicals]
+        dropped = [i for i, op in enumerate(before) if len(after) < len(before) and op not in after]
+        slot, read_out = tab.measure(vec, bits(vec))
+        assert (slot is None) == (member is not None)
+        assert slot is None or tab.stab.rows[slot] == vec
+        assert read_out == sum(1 << live[i] for i in dropped if before[i] != m)
+        for i in dropped:
+            if before[i] == m:
+                tab.tracked.free(live[i])
+        assert [decode(row, n) for row in tab.generators()] == state.generators
+        assert [decode(tab.tracked.rows[s], n) for s in tab.tracked.slots()] == after
 
 
 @pytest.mark.parametrize("code", CODES, ids=range(len(CODES)))
