@@ -33,12 +33,12 @@ classification of every element read it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
 from .engine import (
     ONE,
-    RANDOM_BIT,
     CapExceededError,
     DynamicalCode,
     InternalInvariantError,
@@ -46,14 +46,12 @@ from .engine import (
     ValidationError,
     canonical_logicals,
     resolve_window,
-    symbol_expr,
     validate_code,
 )
 from .gf2 import (
     BitMatrix,
     Combination,
     Echelon,
-    bits,
     in_span,
     kernel_under_form,
     lowest,
@@ -67,6 +65,7 @@ from .pauli import (
     commuting_paulis_up_to_weight,
     decode,
     encode,
+    swap_halves,
     symplectic_partner,
     weight,
 )
@@ -92,7 +91,7 @@ class TrackedPauli:
 class RemovalEvent:
     """A generator dropped from C (kind "C") or V (kind "V") mid-schedule.
 
-    ``row`` is ``op`` encoded, as the forward pass held it, for the replay.
+    ``row`` is ``op`` encoded, as the forward pass held it.
     """
 
     round_index: int
@@ -119,7 +118,9 @@ class ClassificationReport:
     ``tags[i]`` classifies initial generator i.  ``_basis`` holds the
     rows of U, T and P in that order, tagged by position; rows it rejected
     as dependent took a tag bit too, so ``_ends`` records its size when U
-    and when T were complete.
+    and when T were complete.  ``_removals`` holds the forward pass's raw
+    removal records, (round, kind, row, assoc mask, carry, partner bits),
+    from which :attr:`removals` is built on first read.
     """
 
     n: int
@@ -132,7 +133,7 @@ class ClassificationReport:
     tags: list[str]
     C_final: list[TrackedPauli] = field(default_factory=list)
     V_final: list[TrackedPauli] = field(default_factory=list)
-    removals: list[RemovalEvent] = field(default_factory=list)
+    _removals: list[tuple] = field(default_factory=list, repr=False)
     _basis: Echelon | None = field(default=None, repr=False, compare=False)
     _ends: tuple[int, int] = (0, 0)
 
@@ -153,6 +154,16 @@ class ClassificationReport:
         if combo.mask >> u_end:
             return "temporarily-masked"
         return "unmasked"
+
+    @functools.cached_property
+    def removals(self) -> list[RemovalEvent]:
+        """The removal events of the forward pass, in schedule order."""
+        n, k = self.n, len(self.s0)
+        return [
+            RemovalEvent(r, kind, decode(row, n),
+                         Combination(assoc, k) if kind == "C" else None, carry, row)
+            for r, kind, row, assoc, carry, _ in self._removals
+        ]
 
 
 def run_classification(code: DynamicalCode, window: int | None = None) -> ClassificationReport:
@@ -181,28 +192,25 @@ def run_classification(code: DynamicalCode, window: int | None = None) -> Classi
     tab = Tableau(n)
     for i, row in enumerate(s0_rows):
         tab.tracked.append(row, 1 << i, ONE)
-    removals: list[RemovalEvent] = []
+    removals: list[tuple] = []
     t = 0
     for round_index, rnd in enumerate(code.encoded_rounds[:window], start=1):
         for vec, vec_bits in rnd:
-            outcome = symbol_expr(RANDOM_BIT, t)
+            outcome = OutcomeExpr(0, 1 << t)  # random bit t
             t += 1
             anti = tab.stab.anti(vec_bits)
             if anti:
                 # Cases 3-4: the V pivot is removed and m joins V.
-                row, _, carry = tab.replace(anti, vec, vec_bits, expr=outcome, fresh=True)
-                removals.append(RemovalEvent(round_index, "V", decode(row, n), None, carry, row))
+                pivot = tab.replace(anti, vec, vec_bits, expr=outcome, fresh=True)
+                removals.append((round_index, "V", *pivot))
                 continue
             q = tab.tracked_pivot(vec_bits)
             if q is not None:
                 # Case 2: the C pivot is removed; m commutes with V and is
                 # independent of it, as it anticommutes with the pivot.
                 c = tab.tracked
-                row = c.rows[q]
-                removals.append(RemovalEvent(
-                    round_index, "C", decode(row, n),
-                    Combination(c.assoc[q], k), c.exprs[q], row,
-                ))
+                removals.append((round_index, "C", c.rows[q], c.assoc[q], c.exprs[q],
+                                 c.row_bits(q)))
                 c.free(q)
                 tab.append(vec, vec_bits, expr=outcome)
             elif not tab.contains(vec_bits):
@@ -218,7 +226,7 @@ def run_classification(code: DynamicalCode, window: int | None = None) -> Classi
     isg_rows = [c.rows[s] for s in c_slots] + [v.rows[s] for s in v_slots]
 
     basis = Echelon(2 * n)
-    U = _extract_unmasked(n, C, V, s0_rows, basis)
+    U = _extract_unmasked(n, C, V, isg_rows, s0_rows, basis)
     u_end = basis.size
     P, K = _extract_permanently_masked(n, isg_rows, removals, s0_rows)
     T = _extract_temporarily_masked(n, C, s0_rows, basis)
@@ -226,7 +234,7 @@ def run_classification(code: DynamicalCode, window: int | None = None) -> Classi
     _check_partition(n, U, T, P, K, s0_rows, basis)
     report = ClassificationReport(
         n=code.n, window=window, s0=code.s0, U=U, T=T, P=P, K=K,
-        tags=[], C_final=C, V_final=V, removals=removals,
+        tags=[], C_final=C, V_final=V, _removals=removals,
         _basis=basis, _ends=(u_end, t_end),
     )
     report.tags = [report.element_class(op) for op in code.s0]
@@ -234,8 +242,8 @@ def run_classification(code: DynamicalCode, window: int | None = None) -> Classi
 
 
 def _extract_unmasked(
-    n: int, C: list[TrackedPauli], V: list[TrackedPauli], s0_rows: list[int],
-    basis: Echelon,
+    n: int, C: list[TrackedPauli], V: list[TrackedPauli], isg_rows: list[int],
+    s0_rows: list[int], basis: Echelon,
 ) -> list[UnmaskedStabilizer]:
     """Read the revealed syndromes off the intersection of the two spans,
     adding each independent one to ``basis``.
@@ -245,10 +253,11 @@ def _extract_unmasked(
     carries an associated initial stabilizer s with known outcome of
     u*s); the product of the two outcomes is the syndrome of s.  Zero
     rows of the block matrix are dependencies among C and contribute
-    their associated stabilizers with the carry alone.
+    their associated stabilizers with the carry alone.  ``isg_rows`` are
+    the rows of C and then V.
     """
-    c_rows = BitMatrix([encode(c.op) for c in C], 2 * n)
-    v_rows = BitMatrix([encode(v.op) for v in V], 2 * n)
+    c_rows = BitMatrix(isg_rows[:len(C)], 2 * n)
+    v_rows = BitMatrix(isg_rows[len(C):], 2 * n)
     elements, redundancies = span_intersection(c_rows, v_rows)
     unmasked: list[UnmaskedStabilizer] = []
     for entry in itertools.chain(elements, redundancies):
@@ -268,17 +277,19 @@ def _extract_unmasked(
 def _extract_permanently_masked(
     n: int,
     isg_rows: list[int],
-    removals: list[RemovalEvent],
+    removals: list[tuple],
     s0_rows: list[int],
 ) -> tuple[list[PauliOperator], list[PauliOperator]]:
     """Recover permanently masked stabilizers and destabilizers by replay.
 
     The final ISG (R) is evolved backwards by "measuring" the removed
-    elements, from their recorded rows, in reverse order.  Each element
-    that was removed from C pairs with the group element that
-    anticommutes with it at that point; the pair behaves as the two
-    logical operators of a gauge qubit and is propagated back to round 0
-    by the ordinary update rules.
+    elements, from their raw records (see :class:`ClassificationReport`),
+    in reverse order.  Each element that was removed from C pairs with the
+    group element that anticommutes with it at that point; the pair
+    behaves as the two logical operators of a gauge qubit and is
+    propagated back to round 0 by the ordinary update rules.  Pairs form
+    only at C removals, and neither invariant check can fail without one,
+    so with none there is nothing to replay.
 
     ``isg_rows`` are the rows of C and then V at the end of the window;
     one incremental basis selects the independent ones as R.  The replay
@@ -287,26 +298,27 @@ def _extract_permanently_masked(
     An element commuting with R and the pairs is tested for membership
     in R by elimination.
     """
+    if all(kind != "C" for _, kind, *_ in removals):
+        return [], []
     tab = Tableau(n, logicals=False)
     independent = Echelon(2 * n)
     for row in isg_rows:
         if independent.add(row):
             tab.stab.append(row)
     # The removals are in schedule order: replay the most recent first.
-    for event in reversed(removals):
-        vec = event.row
-        vec_bits = bits(vec)
+    for _, kind, vec, _, _, partner in reversed(removals):
+        vec_bits = swap_halves(partner, n)
         anti = tab.stab.anti(vec_bits)
         if anti:
             p = lowest(anti)
-            row, _, _ = tab.replace(anti, vec, vec_bits)
-            if event.kind == "C":
+            row, _, _, row_bits = tab.replace(anti, vec, vec_bits)
+            if kind == "C":
                 tab.remove(p, row)
-                tab.tracked.append(vec)
-                tab.tracked.append(row)
+                tab.tracked.append(vec, row_bits=partner)
+                tab.tracked.append(row, row_bits=row_bits)
             continue
         hit = tab.tracked_pivot(vec_bits)
-        if event.kind == "C":
+        if kind == "C":
             raise InternalInvariantError(
                 "staged removal has no anticommuting partner in replay"
             )

@@ -11,6 +11,7 @@ depth, and build the two explicit slow-initialization schedules.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import filterfalse
 
 from .classify import run_classification
 from .engine import (
@@ -19,6 +20,7 @@ from .engine import (
     InternalInvariantError,
     ValidationError,
     resolve_window,
+    validate_code,
 )
 # in_span stays importable from this module, as from gf2 and engine.
 from .gf2 import bits, in_span as in_span, minimize_over_span, solve_linear
@@ -56,12 +58,13 @@ def iterate_cycles(
     Runs until the in-cycle groups repeat exactly (fixpoint) or
     ``max_cycles`` is hit; a zero cap defaults to n+2 cycles, enough for
     any schedule since the generator count grows by at least one per
-    non-stationary cycle.  After each measurement the tableau tests every
+    non-stationary cycle.  After each measurement the tableau tests each
     generator of the previous cycle's snapshot at the same index for
-    membership, in one O(weight) pass each: the first one outside is
-    recorded in ``escapes``, and two snapshots hold the same group when
-    none escapes and they have as many generators.  ``encoded`` holds
-    (row, set bits) of each element of the sequence when known.
+    membership, in one O(weight) pass, unless it is literally one of the
+    current generators: the first one outside is recorded in ``escapes``,
+    and two snapshots hold the same group when none escapes and they have
+    as many generators.  ``encoded`` holds (row, set bits) of each element
+    of the sequence when known.
     """
     if max_cycles <= 0:
         max_cycles = n + 2
@@ -69,7 +72,6 @@ def iterate_cycles(
     tab = Tableau(n)
     if encoded is None:
         encoded = [(vec, bits(vec)) for vec in map(encode, sequence)]
-    row_bits: dict[int, list[int]] = {}
     for cycle in range(max_cycles):
         start_rank = len(tab)
         cycle_rows: list[list[int]] = []
@@ -79,9 +81,8 @@ def iterate_cycles(
             rows = tab.generators()
             if cycle > 0:
                 prev_rows = trace.snapshots[-1][i]
-                for row in prev_rows:
-                    vec_bits = row_bits.get(row) or row_bits.setdefault(row, bits(row))
-                    if not tab.member(vec_bits):
+                for row in filterfalse(set(rows).__contains__, prev_rows):
+                    if not tab.member(bits(row)):
                         trace.escapes.append((cycle - 1, i, row))
                         settled = False
                         break
@@ -336,10 +337,13 @@ def unmask_cycle_count(
     Treats ``code.rounds`` as one cycle.  The ISG reached after
     ``isg_round`` rounds is classified against 1, 2, ... repetitions of
     the (rotated) cycle; returns the smallest count after which no
-    stabilizer is left temporarily masked.
+    stabilizer is left temporarily masked.  An empty ISG has no
+    stabilizer to mask, so its count is 1 once the first derived code
+    passes validation, with no classification run.
 
     Raises:
-        ValidationError: if the schedule has no rounds.
+        ValidationError: if the schedule has no rounds, or the derived
+            code fails validation.
         CapExceededError: if the cap is hit before T empties.
     """
     period = len(code.rounds)
@@ -348,6 +352,11 @@ def unmask_cycle_count(
     isg = isg_rows(code, isg_round)
     shift = isg_round % period
     cycle = [(shift + i) % period for i in range(period)]
+    if not isg:
+        diagnostics = validate_code(code.derive(isg, cycle))
+        if diagnostics:
+            raise ValidationError(diagnostics)
+        return 1
     if max_cycles <= 0:
         max_cycles = len(isg) + 2
     for count in range(1, max_cycles + 1):

@@ -56,7 +56,7 @@ class Combination:
     size: int
 
     def indices(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.size) if (self.mask >> i) & 1)
+        return tuple(bits(self.mask & ((1 << self.size) - 1)))
 
     def evaluate(self, rows: list[int]) -> int:
         """XOR together the selected rows; reproduces the combined vector."""

@@ -77,6 +77,8 @@ def parse_pauli(text: str, n: int) -> PauliOperator:
         ValueError: on malformed characters, out-of-range indices,
             duplicate sparse indices, or a sign prefix.
     """
+    if text and len(text) == n and not text.translate(_DENSE_LETTERS):
+        return _parse_dense(text, n)  # exactly n letters, as saved codes hold
     stripped = text.strip()
     if stripped.startswith(("+", "-")):
         raise ValueError(f"sign prefixes are not permitted: {text!r}")
@@ -94,10 +96,7 @@ def parse_pauli(text: str, n: int) -> PauliOperator:
             )
         if invalid:
             raise ValueError(f"invalid Pauli character {invalid[0]!r} in {text!r}")
-        rev = dense[::-1]  # qubit i is bit i
-        return PauliOperator(
-            n, int(rev.translate(_X_DIGITS), 2), int(rev.translate(_Z_DIGITS), 2)
-        )
+        return _parse_dense(dense, n)
 
     x_mask = z_mask = 0
     seen: set[int] = set()
@@ -115,6 +114,12 @@ def parse_pauli(text: str, n: int) -> PauliOperator:
         x_mask |= xb << (index - 1)
         z_mask |= zb << (index - 1)
     return PauliOperator(n, x_mask, z_mask)
+
+
+def _parse_dense(dense: str, n: int) -> PauliOperator:
+    """The operator of ``n`` letters from ``IXYZ``."""
+    rev = dense[::-1]  # qubit i is bit i
+    return PauliOperator(n, int(rev.translate(_X_DIGITS), 2), int(rev.translate(_Z_DIGITS), 2))
 
 
 def format_pauli(op: PauliOperator) -> str:
@@ -292,3 +297,10 @@ def symplectic_partner(vec: int, n: int) -> int:
     """
     mask = (1 << n) - 1
     return ((vec & mask) << n) | (vec >> n)
+
+
+def swap_halves(vec_bits: list[int], n: int) -> list[int]:
+    """Swap the x and z halves of a row's set bits ``vec_bits``: the set
+    bits of :func:`symplectic_partner` of the row, in the same order (not
+    sorted).  The swap is its own inverse."""
+    return [b + n if b < n else b - n for b in vec_bits]

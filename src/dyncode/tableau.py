@@ -41,7 +41,7 @@ that simulation, logical traces and Floquet cycles share.
 from __future__ import annotations
 
 from .gf2 import bits, lowest
-from .pauli import symplectic_partner
+from .pauli import swap_halves, symplectic_partner
 
 
 class Rows:
@@ -231,17 +231,8 @@ class Tableau:
         return s & stab.live, l & logical.live
 
     def member(self, vec_bits: list[int]) -> bool:
-        """Membership of any operator: both :meth:`masks` are zero.  The
-        pass is written out, as the snapshot sweep of
-        :func:`~dyncode.floquet.iterate_cycles` calls it for every
-        generator."""
-        stab, logical = self.stab, self.logical
-        s_planes, l_planes = stab.planes, logical.planes
-        s = l = 0
-        for b in vec_bits:
-            s ^= s_planes[b]
-            l ^= l_planes[b]
-        return not (s & stab.live or l & logical.live)
+        """Membership of any operator: both :meth:`masks` are zero."""
+        return self.masks(vec_bits) == (0, 0)
 
     def combination(self, vec_bits: list[int]) -> list[int]:
         """Stabilizer slots whose product is the operator, a member of the
@@ -266,7 +257,7 @@ class Tableau:
         stabilizer slots, a fresh replacement compacts the stabilizer
         slots once fewer than half are occupied, so the planes stay as
         wide as the group rather than the run.  Returns the pivot's (row,
-        assoc, expr).
+        assoc, expr, partner bits).
         """
         stab, destab = self.stab, self.destab
         p = lowest(anti)
@@ -287,8 +278,7 @@ class Tableau:
             if mask:
                 destab.mul(mask, old, old_bits)
         slot = p
-        n = self.n
-        row_bits = [b + n if b < n else b - n for b in vec_bits]
+        row_bits = swap_halves(vec_bits, self.n)
         if fresh:
             stab.free(p)
             slot = stab.append(vec, assoc, expr, row_bits)
@@ -299,7 +289,7 @@ class Tableau:
         if destab is not None:
             destab.free(self._destab_of.pop(p))
             self._add_destab(slot, old, old_bits)
-        return old, old_assoc, old_expr
+        return old, old_assoc, old_expr, old_bits
 
     def append(self, vec: int, vec_bits: list[int], assoc: int = 0, expr=None) -> int:
         """Add ``vec``, which commutes with every stabilizer and lies
@@ -324,9 +314,7 @@ class Tableau:
             logical.mul(rest, x_row, x_bits)
         logical.free(x)
         logical.free(x ^ 1)
-        n = self.n
-        row_bits = [b + n if b < n else b - n for b in vec_bits]
-        slot = self.stab.append(vec, assoc, expr, row_bits)
+        slot = self.stab.append(vec, assoc, expr, swap_halves(vec_bits, self.n))
         if self.destab is not None:
             mask = self.destab.anti(vec_bits)
             if mask:

@@ -8,7 +8,9 @@ package; they use only its data types and ``gf2`` spans.
 :func:`reference_measure` and :func:`reference_forward` are the
 stabilizer update and the classification's forward pass written as scans
 over generator lists with a fresh span per membership test, the way the
-package computed them before its stabilizer tableau; :func:`forward_oracle`
+package computed them before its stabilizer tableau, and
+:func:`reference_cycles` traces a repeated sequence with them, testing
+every generator of each earlier snapshot; :func:`forward_oracle`
 reads its outcome expressions from :func:`reference_measure`, and
 :func:`apply_error` flips them past an error by the same scan.
 :func:`reference_min_weight_outside` is the distance search as it was
@@ -361,6 +363,36 @@ def reference_forward(
             ))
             V.append(TrackedPauli(m, None, outcome))
     return C, V, removals
+
+
+def reference_cycles(
+    sequence: list[PauliOperator], n: int, max_cycles: int = 0, skip=frozenset()
+) -> tuple[list[list[list[int]]], list[tuple[int, int, int]], int | None]:
+    """``floquet.iterate_cycles`` as a scan: (snapshots, escapes, fixpoint)
+    from :func:`reference_measure`, with every generator of the previous
+    cycle's snapshot tested against a fresh span of the current one.  The
+    measurements whose running numbers are in ``skip`` are left out."""
+    state, count = ISGState(n), 0
+    snapshots: list[list[list[int]]] = []
+    escapes: list[tuple[int, int, int]] = []
+    for cycle in range(max_cycles if max_cycles > 0 else n + 2):
+        cycle_rows, settled = [], cycle > 0
+        for i, m in enumerate(sequence):
+            if count not in skip:
+                state, _ = reference_measure(state, m)
+            count += 1
+            rows = [encode(g) for g in state.generators]
+            if cycle:
+                prev = snapshots[-1][i]
+                span = Echelon(2 * n, rows)
+                outside = [row for row in prev if span.reduce(row)[0]]
+                escapes += [(cycle - 1, i, row) for row in outside[:1]]
+                settled = settled and not outside and len(rows) == len(prev)
+            cycle_rows.append(rows)
+        snapshots.append(cycle_rows)
+        if settled:
+            return snapshots, escapes, cycle - 1
+    return snapshots, escapes, None
 
 
 def reference_record(code: DynamicalCode, window: int | None = None):

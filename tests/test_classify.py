@@ -13,9 +13,9 @@ from dyncode import (
     unmasked_distance,
 )
 from dyncode import classify, pauli
-from dyncode.classify import DistanceResult, RemovalEvent
+from dyncode.classify import DistanceResult
 from dyncode.engine import ONE, InternalInvariantError, ValidationError
-from dyncode.gf2 import Echelon, in_span, rank
+from dyncode.gf2 import Echelon, bits, in_span, rank
 from dyncode.library import shor_code
 from dyncode.pauli import (
     PauliOperator,
@@ -24,6 +24,7 @@ from dyncode.pauli import (
     format_pauli,
     parse_pauli,
     product,
+    symplectic_partner,
     symplectic_product,
 )
 
@@ -280,8 +281,8 @@ class TestReplayCommutingBranch:
             return [encode(parse_pauli(t, n)) for t in texts]
 
         removals = [
-            RemovalEvent(r, kind, parse_pauli(text, n), None, ONE, row)
-            for (r, kind, text), row in zip(events, rows(t for _, _, t in events))
+            (r, kind, row, 0, ONE, bits(symplectic_partner(row, n)))
+            for (r, kind, _), row in zip(events, rows(t for _, _, t in events))
         ]
         replayed = []
         strip = classify._strip_pairs
@@ -309,6 +310,34 @@ class TestReplayCommutingBranch:
             self.replay(
                 monkeypatch, 2, ["ZI"], [(1, "V", "XI"), (2, "C", "XI")], ["XI"]
             )
+
+    def test_only_v_removals_replay_to_nothing(self, monkeypatch):
+        # Pairs form only at C removals, so a list without one returns
+        # ([], []) before the loop, as the loop itself does: shadowing the
+        # builtin ``all`` of the guard in the module makes the loop run.
+        events = [(1, "V", "XI"), (2, "V", "IZ"), (3, "V", "ZZ")]
+        case = (monkeypatch, 2, ["ZI", "IX"], events, ["XI"])
+        assert self.replay(*case) == ([], [], [])
+        monkeypatch.setattr(classify, "all", lambda _: False, raising=False)
+        R, P, K = self.replay(*case)
+        assert R and (P, K) == ([], [])
+
+    def test_only_v_removals_of_random_schedules(self, monkeypatch):
+        rng = random.Random(520)
+        checked = 0
+        while checked < 20:
+            code = random_instance(rng)
+            report = run_classification(code)
+            if any(kind == "C" for _, kind, *_ in report._removals):
+                continue
+            checked += 1
+            s0_rows = [encode(op) for op in code.s0]
+            isg = [encode(t.op) for t in report.C_final + report.V_final]
+            args = (code.n, isg, report._removals, s0_rows)
+            assert classify._extract_permanently_masked(*args) == ([], [])
+            with monkeypatch.context() as patch:
+                patch.setattr(classify, "all", lambda _: False, raising=False)
+                assert classify._extract_permanently_masked(*args) == ([], [])
 
     def test_independent_element_joins_the_group_once(self, monkeypatch):
         # IZ commutes with R and the pair: round 2 appends it to R, and

@@ -15,11 +15,14 @@ from dyncode import (
     round_isg_history,
     unmask_cycle_count,
 )
+from dyncode import floquet
+from dyncode.classify import run_classification
 from dyncode.engine import CapExceededError, ValidationError, simulate_measurements
 from dyncode.floquet import isg_after
 from dyncode.gf2 import rank
 from dyncode.library import bacon_shor, honeycomb, honeycomb_cycle
 from dyncode.pauli import decode, format_pauli, parse_pauli
+from dyncode.tableau import Tableau
 
 from dyncode import ISGState
 
@@ -27,9 +30,38 @@ from oracles import (
     group_elements,
     random_instance,
     random_round,
+    reference_cycles,
     reference_measure,
     spans_equal,
 )
+
+
+def flat(code):
+    return [m for rnd in code.rounds for m in rnd]
+
+
+CYCLE_SEQUENCES = {
+    **{f"worst-case-{n}": (flat(build_worst_case_sequence(n)), n) for n in range(3, 17)},
+    **{f"chain-{n}": (flat(build_1d_chain(n)), n) for n in (5, 8, 13, 16)},
+    "honeycomb-3x3": (flat(honeycomb(3, 3)), 18),
+}
+
+
+class SkippingTableau(Tableau):
+    """A tableau that leaves out the measurements whose running numbers
+    are in ``skip``, so that a later snapshot can lose generators of an
+    earlier one: a trace with escapes, which no schedule measured in full
+    has."""
+
+    def __init__(self, n, skip):
+        super().__init__(n)
+        self.skip, self.count = skip, 0
+
+    def measure(self, vec, vec_bits):
+        self.count += 1
+        if self.count - 1 in self.skip:
+            return None, 0
+        return super().measure(vec, vec_bits)
 
 
 class TestIterateCycles:
@@ -74,6 +106,44 @@ class TestIterateCycles:
             ]
             assert trace.fixpoint == (last - 1 if equal and equal[-1] else None)
             assert not any(equal[:-1])
+
+    @pytest.mark.parametrize("name", CYCLE_SEQUENCES)
+    def test_trace_matches_the_scan_reference(self, name):
+        # Most snapshot generators are literally generators of the next
+        # cycle's snapshot, and only the others are tested for membership.
+        sequence, n = CYCLE_SEQUENCES[name]
+        trace = iterate_cycles(sequence, n)
+        assert (trace.snapshots, trace.escapes, trace.fixpoint) == reference_cycles(sequence, n)
+        assert not trace.escapes and trace.fixpoint is not None
+
+    def trace_skipping(self, monkeypatch, sequence, n, skip, max_cycles=0):
+        monkeypatch.setattr(floquet, "Tableau", lambda n: SkippingTableau(n, skip))
+        trace = iterate_cycles(sequence, n, max_cycles=max_cycles)
+        assert (trace.snapshots, trace.escapes, trace.fixpoint) == reference_cycles(
+            sequence, n, max_cycles, skip
+        )
+        return trace
+
+    def test_escapes_of_a_hand_made_trace(self, monkeypatch):
+        # Z1 X1 with the second Z1 left out: the snapshot after Z1 is X1 in
+        # cycle 1, so Z1 (row 2) escapes; in cycle 2 X1 (row 1) does.
+        sequence = [parse_pauli("Z", 1), parse_pauli("X", 1)]
+        trace = self.trace_skipping(monkeypatch, sequence, 1, {2}, max_cycles=5)
+        assert trace.escapes == [(0, 0, 2), (1, 0, 1)]
+        assert trace.fixpoint == 2
+
+    def test_escapes_match_the_scan_reference(self, monkeypatch):
+        rng = random.Random(6023)
+        escaping = 0
+        for _ in range(60):
+            n = rng.randint(2, 5)
+            sequence = []
+            for _ in range(rng.randint(1, 3)):
+                sequence.extend(random_round(rng, n, rng.randint(1, 3)))
+            count = len(sequence) * (n + 2)
+            skip = {c for c in range(len(sequence), count) if rng.random() < 0.2}
+            escaping += bool(self.trace_skipping(monkeypatch, sequence, n, skip).escapes)
+        assert escaping >= 20
 
     def test_fuzzed_schedules_obey_the_growth_laws(self):
         rng = random.Random(6021)
@@ -192,6 +262,41 @@ class TestUnmaskCycles:
         )
         with pytest.raises(CapExceededError):
             unmask_cycle_count(code, max_cycles=3)
+
+    @pytest.mark.parametrize("name", CYCLE_SEQUENCES)
+    def test_empty_isg_takes_one_cycle(self, name):
+        # The classification of the first derived code, which an empty ISG
+        # skips, finds nothing temporarily masked.
+        sequence, n = CYCLE_SEQUENCES[name]
+        code = DynamicalCode.make(n, [], [[m] for m in sequence])
+        assert unmask_cycle_count(code) == 1
+        assert not run_classification(code.derive([], range(len(sequence)))).T
+
+    def test_empty_isg_of_random_schedules(self):
+        rng = random.Random(6024)
+        for _ in range(40):
+            code = random_instance(rng)
+            code = DynamicalCode.make(code.n, [], code.rounds)
+            assert unmask_cycle_count(code) == 1
+            assert not run_classification(code.derive([], range(len(code.rounds)))).T
+
+    @pytest.mark.parametrize("empty, isg_round, where", [
+        (1, 0, "round 2"), (1, 1, "round 1"), (2, 1, "round 2"), (2, 2, "round 1"),
+    ])
+    def test_empty_isg_reports_the_derived_codes_diagnostics(self, empty, isg_round, where):
+        # The last round anticommutes, and the ISG after the empty rounds
+        # is empty: the rotated cycle names the faulty round as the
+        # classification of the first derived code does.
+        bad = [parse_pauli("X", 1), parse_pauli("Z", 1)]
+        code = DynamicalCode.make(1, [], [[]] * empty + [bad])
+        period = empty + 1
+        cycle = [(isg_round + i) % period for i in range(period)]
+        with pytest.raises(ValidationError) as expected:
+            run_classification(code.derive([], cycle))
+        with pytest.raises(ValidationError) as caught:
+            unmask_cycle_count(code, isg_round=isg_round)
+        assert caught.value.diagnostics == expected.value.diagnostics
+        assert [d["where"] for d in caught.value.diagnostics] == [where]
 
     @pytest.mark.parametrize(
         "isg_round, kind", [(-1, "window-out-of-range"), (2, "window-too-large")]

@@ -32,6 +32,12 @@ def matrices(max_rows=6, max_cols=8):
     ).map(lambda t: BitMatrix(*t))
 
 
+@given(st.integers(0, 1 << 40), st.integers(0, 40))
+def test_combination_indices_are_the_set_bits_below_size(mask, size):
+    combo = Combination(mask, size)
+    assert combo.indices() == tuple(i for i in range(size) if (mask >> i) & 1)
+
+
 def brute_span(rows):
     elements = {0}
     for row in rows:

@@ -74,6 +74,26 @@ class TestParseFormat:
         with pytest.raises(ValueError):
             parse_pauli("X5", 4)
 
+    @given(st.text("IXYZxz1 -", max_size=7), st.integers(0, 6))
+    def test_dense_fast_path_matches_the_general_path(self, text, n):
+        # Surrounding spaces keep a string off the fast path, and change
+        # nothing else but its quoting in error messages.
+        def outcome(text):
+            try:
+                return parse_pauli(text, n)
+            except ValueError as exc:
+                return str(exc)
+
+        padded = f" {text} "
+        expected = outcome(padded)
+        if isinstance(expected, str):
+            expected = expected.replace(repr(padded), repr(text))
+        assert outcome(text) == expected
+
+    @pytest.mark.parametrize("text, n", [("", 0), ("", 2), ("I", 1), ("I", 3), ("IXYZ", 4)])
+    def test_dense_fast_path_edge_cases(self, text, n):
+        assert parse_pauli(text, n) == parse_pauli(f" {text}\t", n)
+
     @given(paulis(max_n=130, min_n=0))
     def test_round_trip_everything(self, op):
         assert parse_pauli(format_pauli(op), op.n) == op

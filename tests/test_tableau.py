@@ -23,7 +23,13 @@ from dyncode import (
 )
 from dyncode.engine import ONE, Evolution
 from dyncode.gf2 import Echelon, bits, in_span
-from dyncode.pauli import PauliOperator, decode, encode, symplectic_product
+from dyncode.pauli import (
+    PauliOperator,
+    decode,
+    encode,
+    symplectic_partner,
+    symplectic_product,
+)
 from dyncode.tableau import Tableau
 
 from oracles import random_instance, reference_forward, reference_measure
@@ -135,7 +141,12 @@ def test_forward_pass_matches_the_reference(code):
     report = run_classification(code)
     C, V, removals = reference_forward(code)
     assert report.removals == removals
+    assert report.removals is report.removals  # built once, on first read
     assert [event.row for event in report.removals] == [encode(e.op) for e in removals]
+    # The raw records carry the partner bits of each removed row, in any order.
+    assert [sorted(record[-1]) for record in report._removals] == [
+        bits(symplectic_partner(encode(e.op), code.n)) for e in removals
+    ]
     assert report.C_final == C
     assert report.V_final == V
 
