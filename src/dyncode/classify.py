@@ -11,7 +11,10 @@ the measurements themselves, each with a known outcome.  Together they
 generate the current ISG.
 
 Both sets live in one :class:`~dyncode.tableau.Tableau`: V is its
-stabilizer set and C its tracked rows, each with its provenance.  Every
+stabilizer set and C its tracked rows.  Each row's provenance is one int,
+its full outcome expression packed at the width of s0
+(:meth:`~dyncode.engine.OutcomeExpr.pack`): the initial symbols are the
+``assoc`` combination and the rest is the carry.  Every
 measurement m applies one pivot rule (the Aaronson-Gottesman stabilizer
 update): the first element anticommuting with m is the pivot, searching
 V before C in list order (the lowest set bit of the tableau's
@@ -38,7 +41,8 @@ import itertools
 from dataclasses import dataclass, field
 
 from .engine import (
-    ONE,
+    INITIAL_STABILIZER,
+    RANDOM_BIT,
     CapExceededError,
     DynamicalCode,
     InternalInvariantError,
@@ -46,6 +50,7 @@ from .engine import (
     ValidationError,
     canonical_logicals,
     resolve_window,
+    symbol_expr,
     validate_code,
 )
 from .gf2 import (
@@ -119,8 +124,10 @@ class ClassificationReport:
     rows of U, T and P in that order, tagged by position; rows it rejected
     as dependent took a tag bit too, so ``_ends`` records its size when U
     and when T were complete.  ``_removals`` holds the forward pass's raw
-    removal records, (round, kind, row, assoc mask, carry, partner bits),
-    from which :attr:`removals` is built on first read.
+    removal records, (round, kind, row, packed provenance, partner bits),
+    and ``_final`` the (row, packed provenance) pairs of the final C and V,
+    from which :attr:`removals`, :attr:`C_final` and :attr:`V_final` are
+    built on first read.
     """
 
     n: int
@@ -131,9 +138,8 @@ class ClassificationReport:
     P: list[PauliOperator]
     K: list[PauliOperator]
     tags: list[str]
-    C_final: list[TrackedPauli] = field(default_factory=list)
-    V_final: list[TrackedPauli] = field(default_factory=list)
     _removals: list[tuple] = field(default_factory=list, repr=False)
+    _final: tuple = field(default=((), ()), repr=False)
     _basis: Echelon | None = field(default=None, repr=False, compare=False)
     _ends: tuple[int, int] = (0, 0)
 
@@ -159,11 +165,31 @@ class ClassificationReport:
     def removals(self) -> list[RemovalEvent]:
         """The removal events of the forward pass, in schedule order."""
         n, k = self.n, len(self.s0)
-        return [
-            RemovalEvent(r, kind, decode(row, n),
-                         Combination(assoc, k) if kind == "C" else None, carry, row)
-            for r, kind, row, assoc, carry, _ in self._removals
-        ]
+        events = []
+        for r, kind, row, prov, _ in self._removals:
+            combination, carry = _provenance(prov, k)
+            events.append(RemovalEvent(r, kind, decode(row, n),
+                                       combination if kind == "C" else None, carry, row))
+        return events
+
+    @functools.cached_property
+    def C_final(self) -> list[TrackedPauli]:
+        """The elements of C at the end of the window."""
+        n, k = self.n, len(self.s0)
+        return [TrackedPauli(decode(row, n), *_provenance(prov, k))
+                for row, prov in self._final[0]]
+
+    @functools.cached_property
+    def V_final(self) -> list[TrackedPauli]:
+        """The elements of V at the end of the window."""
+        return [TrackedPauli(decode(row, self.n), None, _provenance(prov, len(self.s0))[1])
+                for row, prov in self._final[1]]
+
+
+def _provenance(prov: int, k: int) -> tuple[Combination, OutcomeExpr]:
+    """The ``assoc`` combination and the carry of a packed provenance."""
+    expr = OutcomeExpr.unpack(prov, k)
+    return Combination(expr.initial, k), OutcomeExpr(expr.sign, expr.random)
 
 
 def run_classification(code: DynamicalCode, window: int | None = None) -> ClassificationReport:
@@ -187,54 +213,54 @@ def run_classification(code: DynamicalCode, window: int | None = None) -> Classi
         raise ValidationError(diagnostics)
     window = resolve_window(code, window)
     n, k = code.n, len(code.s0)
-    s0_rows = [vec for vec, _ in code.encoded_s0]
+    s0_rows = [vec for vec, _, _ in code.encoded_s0]
     # V is the stabilizer set of the tableau, C its tracked rows.
     tab = Tableau(n)
-    for i, row in enumerate(s0_rows):
-        tab.tracked.append(row, 1 << i, ONE)
+    c = tab.tracked
+    for i, (vec, _, partner_bits) in enumerate(code.encoded_s0):
+        c.append(vec, symbol_expr(INITIAL_STABILIZER, i).pack(k), partner_bits)
     removals: list[tuple] = []
-    t = 0
+    # Random bit t, packed, for measurement t: random bits are packed in order.
+    outcome = symbol_expr(RANDOM_BIT, 0).pack(k)
     for round_index, rnd in enumerate(code.encoded_rounds[:window], start=1):
-        for vec, vec_bits in rnd:
-            outcome = OutcomeExpr(0, 1 << t)  # random bit t
-            t += 1
-            anti = tab.stab.anti(vec_bits)
+        for vec, vec_bits, partner_bits in rnd:
+            masks = anti, logical, hit, _ = tab.masks(vec_bits)
             if anti:
                 # Cases 3-4: the V pivot is removed and m joins V.
-                pivot = tab.replace(anti, vec, vec_bits, expr=outcome, fresh=True)
+                pivot = tab.pivot(masks, vec, partner_bits, outcome, fresh=True)
                 removals.append((round_index, "V", *pivot))
-                continue
-            q = tab.tracked_pivot(vec_bits)
-            if q is not None:
+            elif hit:
                 # Case 2: the C pivot is removed; m commutes with V and is
                 # independent of it, as it anticommutes with the pivot.
-                c = tab.tracked
-                removals.append((round_index, "C", c.rows[q], c.assoc[q], c.exprs[q],
-                                 c.row_bits(q)))
+                q = lowest(hit)
+                row, prov, row_bits = c.rows[q], c.prov[q], c.row_bits(q)
+                if hit ^ (1 << q):
+                    c.mul(hit ^ (1 << q), row, row_bits, prov)
+                removals.append((round_index, "C", row, prov, row_bits))
                 c.free(q)
-                tab.append(vec, vec_bits, expr=outcome)
-            elif not tab.contains(vec_bits):
+                tab.append(vec, partner_bits, masks, outcome)
+            elif logical:
                 # Case 1: add to V only if independent of it.
-                tab.append(vec, vec_bits, expr=outcome)
-    v, c = tab.stab, tab.tracked
-    v_slots, c_slots = v.slots(), c.slots()
-    V = [TrackedPauli(decode(v.rows[s], n), None, v.exprs[s]) for s in v_slots]
-    C = [
-        TrackedPauli(decode(c.rows[s], n), Combination(c.assoc[s], k), c.exprs[s])
-        for s in c_slots
-    ]
-    isg_rows = [c.rows[s] for s in c_slots] + [v.rows[s] for s in v_slots]
+                tab.append(vec, partner_bits, masks, outcome)
+            outcome <<= 1
+    v = tab.stab
+    c_slots, v_slots = c.slots(), v.slots()
+    C = [(c.rows[s], c.prov[s]) for s in c_slots]
+    V = [(v.rows[s], v.prov[s]) for s in v_slots]
+    # The replay takes the ISG with the partner bits the tableau still holds.
+    isg = [(c.rows[s], c.known_bits[s]) for s in c_slots]
+    isg += [(v.rows[s], v.known_bits[s]) for s in v_slots]
 
     basis = Echelon(2 * n)
-    U = _extract_unmasked(n, C, V, isg_rows, s0_rows, basis)
+    U = _extract_unmasked(n, C, V, s0_rows, basis)
     u_end = basis.size
-    P, K = _extract_permanently_masked(n, isg_rows, removals, s0_rows)
+    P, K = _extract_permanently_masked(n, isg, removals, s0_rows)
     T = _extract_temporarily_masked(n, C, s0_rows, basis)
     t_end = basis.size
     _check_partition(n, U, T, P, K, s0_rows, basis)
     report = ClassificationReport(
         n=code.n, window=window, s0=code.s0, U=U, T=T, P=P, K=K,
-        tags=[], C_final=C, V_final=V, _removals=removals,
+        tags=[], _removals=removals, _final=(C, V),
         _basis=basis, _ends=(u_end, t_end),
     )
     report.tags = [report.element_class(op) for op in code.s0]
@@ -242,7 +268,7 @@ def run_classification(code: DynamicalCode, window: int | None = None) -> Classi
 
 
 def _extract_unmasked(
-    n: int, C: list[TrackedPauli], V: list[TrackedPauli], isg_rows: list[int],
+    n: int, C: list[tuple[int, int]], V: list[tuple[int, int]],
     s0_rows: list[int], basis: Echelon,
 ) -> list[UnmaskedStabilizer]:
     """Read the revealed syndromes off the intersection of the two spans,
@@ -253,30 +279,30 @@ def _extract_unmasked(
     carries an associated initial stabilizer s with known outcome of
     u*s); the product of the two outcomes is the syndrome of s.  Zero
     rows of the block matrix are dependencies among C and contribute
-    their associated stabilizers with the carry alone.  ``isg_rows`` are
-    the rows of C and then V.
+    their associated stabilizers with the carry alone.  ``C`` and ``V``
+    hold (row, packed provenance) pairs, so the XOR of an entry's
+    provenances holds both the associated combination and the syndrome.
     """
-    c_rows = BitMatrix(isg_rows[:len(C)], 2 * n)
-    v_rows = BitMatrix(isg_rows[len(C):], 2 * n)
+    c_rows = BitMatrix([row for row, _ in C], 2 * n)
+    v_rows = BitMatrix([row for row, _ in V], 2 * n)
     elements, redundancies = span_intersection(c_rows, v_rows)
     unmasked: list[UnmaskedStabilizer] = []
     for entry in itertools.chain(elements, redundancies):
-        assoc, syndrome = 0, ONE
+        prov = 0
         for i in entry.left_combo.indices():
-            assoc ^= C[i].assoc.mask
-            syndrome = syndrome * C[i].carry
+            prov ^= C[i][1]
         for i in entry.right_combo.indices():
-            syndrome = syndrome * V[i].carry
-        combination = Combination(assoc, len(s0_rows))
+            prov ^= V[i][1]
+        combination, syndrome = _provenance(prov, len(s0_rows))
         s_vec = combination.evaluate(s0_rows)
-        if assoc and basis.add(s_vec):
+        if combination.mask and basis.add(s_vec):
             unmasked.append(UnmaskedStabilizer(decode(s_vec, n), combination, syndrome))
     return unmasked
 
 
 def _extract_permanently_masked(
     n: int,
-    isg_rows: list[int],
+    isg: list[tuple[int, list[int] | None]],
     removals: list[tuple],
     s0_rows: list[int],
 ) -> tuple[list[PauliOperator], list[PauliOperator]]:
@@ -291,44 +317,45 @@ def _extract_permanently_masked(
     only at C removals, and neither invariant check can fail without one,
     so with none there is nothing to replay.
 
-    ``isg_rows`` are the rows of C and then V at the end of the window;
-    one incremental basis selects the independent ones as R.  The replay
+    ``isg`` holds the rows of C and then V at the end of the window, each
+    with its partner bits where the forward pass still knew them; one
+    incremental basis selects the independent ones as R.  The replay
     tableau holds R as its stabilizers and the pairs, flattened, as its
     tracked rows, and no logical rows: no replayed element reads them.
     An element commuting with R and the pairs is tested for membership
     in R by elimination.
     """
-    if all(kind != "C" for _, kind, *_ in removals):
+    if all(record[1] != "C" for record in removals):
         return [], []
     tab = Tableau(n, logicals=False)
+    stab, tracked = tab.stab, tab.tracked
     independent = Echelon(2 * n)
-    for row in isg_rows:
+    for row, row_bits in isg:
         if independent.add(row):
-            tab.stab.append(row)
+            stab.append(row, 0, row_bits)
     # The removals are in schedule order: replay the most recent first.
-    for _, kind, vec, _, _, partner in reversed(removals):
-        vec_bits = swap_halves(partner, n)
-        anti = tab.stab.anti(vec_bits)
+    for _, kind, vec, _, partner in reversed(removals):
+        masks = anti, _, hit, _ = tab.masks(swap_halves(partner, n))
         if anti:
             p = lowest(anti)
-            row, _, _, row_bits = tab.replace(anti, vec, vec_bits)
+            row, _, row_bits = tab.pivot(masks, vec, partner)
             if kind == "C":
                 tab.remove(p, row)
-                tab.tracked.append(vec, row_bits=partner)
-                tab.tracked.append(row, row_bits=row_bits)
+                tracked.append(vec, 0, partner)
+                tracked.append(row, 0, row_bits)
             continue
-        hit = tab.tracked_pivot(vec_bits)
         if kind == "C":
             raise InternalInvariantError(
                 "staged removal has no anticommuting partner in replay"
             )
+        # R commutes with every pair row, so an element of R hits none.
         if Echelon(2 * n, tab.generators()).reduce(vec)[0]:
-            if hit is not None:
+            if hit:
                 raise InternalInvariantError(
                     "replay measurement acts as a gauge logical"
                 )
-            tab.stab.append(vec)
-    return _strip_pairs(n, tab.generators(), tab.tracked.rows, s0_rows)
+            stab.append(vec, 0, partner)
+    return _strip_pairs(n, tab.generators(), tracked.rows, s0_rows)
 
 
 def _strip_pairs(
@@ -360,13 +387,14 @@ def _strip_pairs(
 
 
 def _extract_temporarily_masked(
-    n: int, C: list[TrackedPauli], s0_rows: list[int], basis: Echelon
+    n: int, C: list[tuple[int, int]], s0_rows: list[int], basis: Echelon
 ) -> list[PauliOperator]:
     """Surviving associated stabilizers whose syndromes were not revealed:
-    those independent of ``basis`` (U so far), added to it."""
+    those independent of ``basis`` (U so far), added to it.  ``C`` holds
+    (row, packed provenance) pairs."""
     T: list[PauliOperator] = []
-    for tracked in C:
-        s_vec = tracked.assoc.evaluate(s0_rows)
+    for _, prov in C:
+        s_vec = _provenance(prov, len(s0_rows))[0].evaluate(s0_rows)
         if s_vec and basis.add(s_vec):
             T.append(decode(s_vec, n))
     return T

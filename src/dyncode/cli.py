@@ -214,6 +214,8 @@ def distance(file, window, cap, t_destab, fmt):
 
     def body():
         code = load_code(file)
+        if cap < 0:  # before the gauge group, whose enumeration has a cap of its own
+            raise ValidationError([{"kind": "cap-out-of-range", "cap": cap}])
         result = run_classification(code, window=window)
         gauge = build_gauge_group(result, t_destab_policy=t_destab)
         report = _report_shell("distance", file)
@@ -244,7 +246,7 @@ def floquet(file, max_cycles, fmt):
     def body():
         code = load_code(file)
         sequence = [m for rnd in code.rounds for m in rnd]
-        encoded = [pair for rnd in code.encoded_rounds for pair in rnd]
+        encoded = [entry for rnd in code.encoded_rounds for entry in rnd]
         trace = iterate_cycles(sequence, code.n, max_cycles=max_cycles, encoded=encoded)
         accounting = growth_accounting(trace)
         report = _report_shell("floquet", file)

@@ -14,14 +14,13 @@ measurement outcomes are deterministic) and sign-exact outcome formulas.
 from __future__ import annotations
 
 import functools
-import itertools
 import operator
 from dataclasses import dataclass, field
 
 # in_span stays importable from this module, as from gf2 and floquet.
 from .gf2 import BitMatrix, Echelon, bits, in_span as in_span, kernel_under_form, rank
 from .pauli import PauliOperator, decode, encode
-from .tableau import Tableau, anticommutation_masks
+from .tableau import Tableau, anticommutation_masks, encoding
 
 INITIAL_STABILIZER = "initial-stabilizer"
 RANDOM_BIT = "random-bit"
@@ -76,6 +75,17 @@ class OutcomeExpr:
         return OutcomeExpr(self.sign ^ other.sign, self.random ^ other.random,
                            self.initial ^ other.initial)
 
+    def pack(self, width: int) -> int:
+        """The expression as one int, for products by XOR: the sign in bit
+        0, the initial mask (indices below ``width``) in the next ``width``
+        bits and the random mask above them."""
+        return self.sign | self.initial << 1 | self.random << (width + 1)
+
+    @staticmethod
+    def unpack(packed: int, width: int) -> "OutcomeExpr":
+        """Inverse of :meth:`pack`."""
+        return OutcomeExpr(packed & 1, packed >> (width + 1), packed >> 1 & ((1 << width) - 1))
+
     @property
     def symbols(self) -> frozenset[OutcomeSymbol]:
         """The symbols of the product, as :class:`OutcomeSymbol` values."""
@@ -115,9 +125,9 @@ class DynamicalCode:
     """A code defined by an initial ISG and rounds of commuting measurements.
 
     A code caches on itself its encoded operators, each with its set bits
-    (:func:`gf2.bits`), its structural diagnostics and its canonical
-    logicals.  :meth:`derive` builds a code from its rounds that reuses
-    their encodings.
+    and partner bits (:func:`tableau.encoding`), its structural
+    diagnostics and its canonical logicals.  :meth:`derive` builds a code
+    from its rounds that reuses their encodings.
     """
 
     n: int
@@ -139,13 +149,13 @@ class DynamicalCode:
                 yield i, m
 
     @functools.cached_property
-    def encoded_s0(self) -> tuple[tuple[int, list[int]], ...]:
-        """(encoded row, its set bits) of each initial generator."""
+    def encoded_s0(self) -> tuple[tuple[int, list[int], list[int]], ...]:
+        """(encoded row, set bits, partner bits) of each initial generator."""
         return self._encode(map(encode, self.s0))
 
     @functools.cached_property
-    def encoded_rounds(self) -> tuple[tuple[tuple[int, list[int]], ...], ...]:
-        """Per round, (encoded row, its set bits) of each measurement.
+    def encoded_rounds(self) -> tuple[tuple[tuple[int, list[int], list[int]], ...], ...]:
+        """Per round, (encoded row, set bits, partner bits) of each measurement.
 
         The bits of each distinct operator are split once, and equal
         rounds share one tuple."""
@@ -156,19 +166,19 @@ class DynamicalCode:
         )
 
     @functools.cached_property
-    def _encodings(self) -> dict[int, tuple[int, list[int]]]:
+    def _encodings(self) -> dict[int, tuple[int, list[int], list[int]]]:
         return {}
 
-    def _encode(self, rows) -> tuple[tuple[int, list[int]], ...]:
-        """(row, set bits) of each row; the bits of each distinct row are
-        split once per code."""
-        known = self._encodings
+    def _encode(self, rows) -> tuple[tuple[int, list[int], list[int]], ...]:
+        """(row, set bits, partner bits) of each row; the bits of each
+        distinct row are split once per code."""
+        known, n = self._encodings, self.n
         out = []
         for vec in rows:
-            pair = known.get(vec)
-            if pair is None:
-                pair = known[vec] = (vec, bits(vec))
-            out.append(pair)
+            entry = known.get(vec)
+            if entry is None:
+                entry = known[vec] = encoding(vec, n)
+            out.append(entry)
         return tuple(out)
 
     @functools.cached_property
@@ -185,7 +195,7 @@ class DynamicalCode:
             n, [decode(row, n) for row in s0_rows], [rounds[i] for i in round_indices],
             self.labels,
         )
-        code.__dict__["encoded_s0"] = tuple((row, bits(row)) for row in s0_rows)
+        code.__dict__["encoded_s0"] = tuple(encoding(row, n) for row in s0_rows)
         code.__dict__["encoded_rounds"] = tuple(encoded[i] for i in round_indices)
         return code
 
@@ -226,7 +236,7 @@ def _validate(code: DynamicalCode) -> list[dict]:
             {"kind": "commutation-violation", "where": where, "pair": pair}
             for pair in pairs
         ]
-    s0_rows = [vec for vec, _ in code.encoded_s0]
+    s0_rows = [vec for vec, _, _ in code.encoded_s0]
     if s0_rows and rank(s0_rows, 2 * code.n) < len(s0_rows):
         diagnostics.append({"kind": "dependent-generators", "where": "s0"})
     return diagnostics
@@ -238,7 +248,7 @@ def _anticommuting_pairs(n: int, ops, encoded) -> list[tuple[int, int]]:
     union = functools.reduce(operator.or_, supports, 0)
     if sum(map(int.bit_count, supports)) == union.bit_count():
         return []  # pairwise disjoint supports: every pair commutes
-    vecs, vec_bits = zip(*encoded)
+    vecs, vec_bits, _ = zip(*encoded)
     return [
         (a, a + 1 + b)
         for a, mask in enumerate(anticommutation_masks(n, vecs, vec_bits)) if mask
@@ -306,74 +316,83 @@ class Evolution:
 
     The generators are the tableau's stabilizer rows, in slot order, with
     their outcomes as provenance; tracked logicals are its tracked rows.
+    Outcomes stay packed (:meth:`OutcomeExpr.pack`, at the width of the
+    state's initial symbols) until they are returned.
     """
 
     def __init__(self, state: ISGState, encoded=None) -> None:
-        """``encoded`` holds (row, set bits) of each generator when known."""
-        self.n = state.n
-        self.tableau = Tableau(state.n, destabilizers=True)
+        """``encoded`` holds (row, set bits, partner bits) of each generator
+        when known."""
+        n = self.n = state.n
+        tab = self.tableau = Tableau(n, destabilizers=True)
+        logicals = state.logicals or []
+        self.width = max(
+            (expr.initial.bit_length() for expr in state.outcomes + [e for _, e in logicals]),
+            default=0,
+        )
         if encoded is None:
-            encoded = [(vec, bits(vec)) for vec in map(encode, state.generators)]
-        for (vec, vec_bits), expr in zip(encoded, state.outcomes):
-            self.tableau.append(vec, vec_bits, expr=expr)
+            encoded = [encoding(encode(g), n) for g in state.generators]
+        for (vec, vec_bits, partner_bits), expr in zip(encoded, state.outcomes):
+            tab.append(vec, partner_bits, tab.masks(vec_bits), expr.pack(self.width))
         self.track_logicals = state.logicals is not None
-        for op, expr in state.logicals or ():
-            self.tableau.tracked.append(encode(op), expr=expr)
+        for op, expr in logicals:
+            tab.tracked.append(encode(op), expr.pack(self.width))
         self.rand_counter = state.rand_counter
         self.events = state.events
 
-    def _fresh(self) -> OutcomeExpr:
-        self.rand_counter += 1
-        return symbol_expr(RANDOM_BIT, self.rand_counter - 1)
-
-    def measure(self, m: PauliOperator, vec: int | None = None,
-                vec_bits: list[int] | None = None) -> OutcomeExpr:
+    def measure(self, m: PauliOperator, encoded=None) -> OutcomeExpr:
         """Apply :func:`measure`'s rules in place and return the outcome;
-        ``vec`` and ``vec_bits`` are the encoding of ``m`` when known."""
+        ``encoded`` is (row, set bits, partner bits) of ``m`` when known."""
         tab = self.tableau
-        if vec is None:
-            vec = encode(m)
-            vec_bits = bits(vec)
+        vec, vec_bits, partner_bits = encoded or encoding(encode(m), self.n)
         rank = len(tab)
-        slot, read_out = tab.measure(vec, vec_bits)
-        exprs = tab.stab.exprs
+        slot, read_out = tab.measure(vec, vec_bits, partner_bits)
+        prov = tab.stab.prov
         if slot is None:
-            outcome = ONE
+            packed = 0
             for s in tab.combination(vec_bits):
-                outcome = outcome * exprs[s]
-            return outcome
+                packed ^= prov[s]
+            return OutcomeExpr.unpack(packed, self.width)
         tracked = tab.tracked
         # Reading out a tracked logical representative directly, as m joins
         # the group: the outcome is its tracked value, not fresh randomness.
         joined = len(tab) > rank
         matching = [s for s in tracked.slots() if tracked.rows[s] == vec] if joined else []
-        exprs[slot] = outcome = tracked.exprs[matching[0]] if matching else self._fresh()
+        if matching:
+            prov[slot] = tracked.prov[matching[0]]
+        else:
+            prov[slot] = symbol_expr(RANDOM_BIT, self.rand_counter).pack(self.width)
+            self.rand_counter += 1
         if read_out:
             self.events = self.events + ({"kind": "logical-measurement", "measurement": m},)
             # m is now a stabilizer: the representatives it read out and
             # m itself leave the logical basis (k-reduction).
             for s in matching:
                 tracked.free(s)
-        return outcome
+        return OutcomeExpr.unpack(prov[slot], self.width)
 
     def apply_error(self, e: PauliOperator) -> None:
         """Flip the outcome of every generator and tracked logical that
         anticommutes with the error."""
-        e_bits = bits(encode(e))
-        for group in (self.tableau.stab, self.tableau.tracked):
-            for slot in bits(group.anti(e_bits)):
-                group.exprs[slot] = group.exprs[slot].negate()
+        tab = self.tableau
+        s, _, t, _ = tab.masks(bits(encode(e)))
+        for group, mask in ((tab.stab, s), (tab.tracked, t)):
+            for slot in bits(mask):
+                group.prov[slot] ^= 1  # the sign bit
 
     def state(self) -> ISGState:
         n, stab, tracked = self.n, self.tableau.stab, self.tableau.tracked
+        unpack, width = OutcomeExpr.unpack, self.width
         logicals = None
         if self.track_logicals:
             logicals = [
-                (decode(tracked.rows[s], n), tracked.exprs[s]) for s in tracked.slots()
+                (decode(tracked.rows[s], n), unpack(tracked.prov[s], width))
+                for s in tracked.slots()
             ]
         live = stab.slots()
         return ISGState(
-            n, [decode(stab.rows[s], n) for s in live], [stab.exprs[s] for s in live],
+            n, [decode(stab.rows[s], n) for s in live],
+            [unpack(stab.prov[s], width) for s in live],
             logicals, self.rand_counter, self.events,
         )
 
@@ -445,8 +464,8 @@ def simulate_measurements(
     for round_index, (rnd, encoded) in enumerate(
         zip(code.rounds[:window], code.encoded_rounds), start=1
     ):
-        for m, (vec, vec_bits) in zip(rnd, encoded):
-            record.append((len(record), m, evolution.measure(m, vec, vec_bits)))
+        for m, entry in zip(rnd, encoded):
+            record.append((len(record), m, evolution.measure(m, entry)))
         if round_index in errors:
             evolution.apply_error(errors[round_index])
     return evolution.state(), record

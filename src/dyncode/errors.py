@@ -15,10 +15,11 @@ from dataclasses import dataclass, field
 
 from .classify import ClassificationReport, GaugeGroup
 from .engine import (
-    ONE,
+    INITIAL_STABILIZER,
     RANDOM_BIT,
     CapExceededError,
     DynamicalCode,
+    OutcomeExpr,
     ValidationError,
     symbol_expr,
 )
@@ -33,7 +34,7 @@ from .pauli import (
     symplectic_partner,
     symplectic_product,
 )
-from .tableau import Tableau
+from .tableau import Tableau, encoding
 
 
 @dataclass(frozen=True)
@@ -132,8 +133,9 @@ def build_logical_trace(
 
     The ISG generators are the stabilizer rows of a :class:`Tableau`,
     whose provenance is their combination over the initial generators
-    (``assoc``) and one random-bit symbol per measurement occurrence they
-    were built from; each logical is a tracked row of the same tableau.
+    and one random-bit symbol per measurement occurrence they were built
+    from, packed in one int; each logical is a tracked row of the same
+    tableau.
     Whenever a measurement anticommutes with a generator, the pivot
     generator is multiplied into every anticommuting logical, folding in
     its provenance.  The occurrence set records whose measured outcomes
@@ -157,28 +159,30 @@ def build_logical_trace(
     if window is None:
         window = len(code.rounds)
     n, k = code.n, len(code.s0)
+    # Provenance is an outcome expression packed at width k: initial symbol
+    # i marks generator i in the combination, random bit t occurrence t.
     tab = Tableau(n)
-    for i, (vec, vec_bits) in enumerate(code.encoded_s0):
-        tab.append(vec, vec_bits, 1 << i, ONE)
+    for i, (vec, vec_bits, partner_bits) in enumerate(code.encoded_s0):
+        prov = symbol_expr(INITIAL_STABILIZER, i).pack(k)
+        tab.append(vec, partner_bits, tab.masks(vec_bits), prov)
     for op in logicals:
-        vec = encode(op)
-        vec_bits = bits(vec)
-        anti, logical_anti = tab.masks(vec_bits)
+        vec, vec_bits, partner_bits = encoding(encode(op), n)
+        anti, logical_anti, _, _ = tab.masks(vec_bits)
         if anti or not logical_anti:
             raise ValidationError([{"kind": "not-a-logical", "operator": str(op)}])
-        tab.tracked.append(vec, 0, ONE)
+        tab.tracked.append(vec, 0, partner_bits)
 
+    first_random = symbol_expr(RANDOM_BIT, 0).pack(k)  # random bits pack in order
     read_out: dict[int, int] = {}  # tracked slot -> round reading it out
     measured: list[tuple[int, PauliOperator]] = []  # (round, operator) per occurrence
     for round_index, (rnd, encoded) in enumerate(
         zip(code.rounds[:window], code.encoded_rounds), start=1
     ):
-        for m, (vec, vec_bits) in zip(rnd, encoded):
-            expr = symbol_expr(RANDOM_BIT, len(measured))
-            measured.append((round_index, m))
-            slot, freed = tab.measure(vec, vec_bits)
+        for m, (vec, vec_bits, partner_bits) in zip(rnd, encoded):
+            slot, freed = tab.measure(vec, vec_bits, partner_bits)
             if slot is not None:
-                tab.stab.exprs[slot] = expr
+                tab.stab.prov[slot] = first_random << len(measured)
+            measured.append((round_index, m))
             for tracked_slot in bits(freed):
                 read_out[tracked_slot] = round_index
 
@@ -192,14 +196,15 @@ def build_logical_trace(
         if slot in read_out:
             traces.append(None)
             continue
+        expr = OutcomeExpr.unpack(tracked.prov[slot], k)
         factors: dict[int, tuple[PauliOperator, tuple[int, ...]]] = {}
-        for occ in bits(tracked.exprs[slot].random):
+        for occ in bits(expr.random):
             r, m = measured[occ]
             f_op, occs = factors.get(r, (identity(n), ()))
             factors[r] = (product(f_op, m), occs + (occ,))
         traces.append(LogicalTrace(
             code, op, decode(tracked.rows[slot], n),
-            Combination(tracked.assoc[slot], k), factors, window,
+            Combination(expr.initial, k), factors, window,
         ))
     return traces[0] if single else traces
 

@@ -25,7 +25,7 @@ from .engine import (
 # in_span stays importable from this module, as from gf2 and engine.
 from .gf2 import bits, in_span as in_span, minimize_over_span, solve_linear
 from .pauli import PauliOperator, decode, encode, product, symplectic_partner
-from .tableau import Tableau
+from .tableau import Tableau, encoding
 
 
 @dataclass
@@ -63,21 +63,21 @@ def iterate_cycles(
     membership, in one O(weight) pass, unless it is literally one of the
     current generators: the first one outside is recorded in ``escapes``,
     and two snapshots hold the same group when none escapes and they have
-    as many generators.  ``encoded`` holds (row, set bits) of each element
-    of the sequence when known.
+    as many generators.  ``encoded`` holds (row, set bits, partner bits)
+    of each element of the sequence when known.
     """
     if max_cycles <= 0:
         max_cycles = n + 2
     trace = CycleTrace(n, tuple(sequence))
     tab = Tableau(n)
     if encoded is None:
-        encoded = [(vec, bits(vec)) for vec in map(encode, sequence)]
+        encoded = [encoding(encode(op), n) for op in sequence]
     for cycle in range(max_cycles):
         start_rank = len(tab)
         cycle_rows: list[list[int]] = []
         settled = cycle > 0
-        for i, (vec, vec_bits) in enumerate(encoded):
-            tab.measure(vec, vec_bits)
+        for i, entry in enumerate(encoded):
+            tab.measure(*entry)
             rows = tab.generators()
             if cycle > 0:
                 prev_rows = trace.snapshots[-1][i]
@@ -301,12 +301,12 @@ def _evolve(code: DynamicalCode, window: int):
     """Yield one tableau holding the ISG from s0, then again after each of
     the first ``window`` rounds (plain stabilizer update, no outcomes)."""
     tab = Tableau(code.n)
-    for vec, vec_bits in code.encoded_s0:
-        tab.append(vec, vec_bits)
+    for vec, vec_bits, partner_bits in code.encoded_s0:
+        tab.append(vec, partner_bits, tab.masks(vec_bits))
     yield tab
     for rnd in code.encoded_rounds[:window]:
-        for vec, vec_bits in rnd:
-            tab.measure(vec, vec_bits)
+        for entry in rnd:
+            tab.measure(*entry)
         yield tab
 
 

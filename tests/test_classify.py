@@ -14,7 +14,7 @@ from dyncode import (
 )
 from dyncode import classify, pauli
 from dyncode.classify import DistanceResult
-from dyncode.engine import ONE, InternalInvariantError, ValidationError
+from dyncode.engine import InternalInvariantError, ValidationError
 from dyncode.gf2 import Echelon, bits, in_span, rank
 from dyncode.library import shor_code
 from dyncode.pauli import (
@@ -281,7 +281,7 @@ class TestReplayCommutingBranch:
             return [encode(parse_pauli(t, n)) for t in texts]
 
         removals = [
-            (r, kind, row, 0, ONE, bits(symplectic_partner(row, n)))
+            (r, kind, row, 0, bits(symplectic_partner(row, n)))
             for (r, kind, _), row in zip(events, rows(t for _, _, t in events))
         ]
         replayed = []
@@ -292,7 +292,8 @@ class TestReplayCommutingBranch:
             return strip(n, R, flat, s0_rows)
 
         monkeypatch.setattr(classify, "_strip_pairs", recording)
-        P, K = classify._extract_permanently_masked(n, rows(isg), removals, rows(s0))
+        final = [(row, None) for row in rows(isg)]
+        P, K = classify._extract_permanently_masked(n, final, removals, rows(s0))
         return (
             [format_pauli(decode(row, n)) for row in replayed],
             [format_pauli(p) for p in P], [format_pauli(k) for k in K],
@@ -332,7 +333,7 @@ class TestReplayCommutingBranch:
                 continue
             checked += 1
             s0_rows = [encode(op) for op in code.s0]
-            isg = [encode(t.op) for t in report.C_final + report.V_final]
+            isg = [(encode(t.op), None) for t in report.C_final + report.V_final]
             args = (code.n, isg, report._removals, s0_rows)
             assert classify._extract_permanently_masked(*args) == ([], [])
             with monkeypatch.context() as patch:

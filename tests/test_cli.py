@@ -213,6 +213,19 @@ def test_distance_ends_in_a_verdict_or_a_diagnostic(seed, data):
     _check_witnesses(code, json.loads(result.output), cap)
 
 
+@pytest.mark.parametrize("policy", ["canonical", "exhaustive"])
+def test_negative_cap_is_rejected_before_the_coset_enumeration(policy):
+    # This code's gauge group has more destabilizer cosets than the
+    # exhaustive policy enumerates, which once ended the run with
+    # cap-exceeded (exit 2) before the cap itself was checked.
+    code = random_instance(random.Random(874), max_n=6, max_s0=4)
+    result = invoke_without_traceback(code, "distance", ["--cap", "-1", "--t-destab", policy])
+    assert result.exit_code == 1
+    assert json.loads(result.stderr) == {
+        "error": "validation", "diagnostics": [{"kind": "cap-out-of-range", "cap": -1}],
+    }
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.data())
 def test_every_command_ends_in_a_report_or_a_diagnostic(seed, data):

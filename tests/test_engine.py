@@ -27,7 +27,8 @@ from dyncode.engine import (
 )
 from dyncode.gf2 import bits, rank
 from dyncode.library import load_code, save_code, shor_code
-from dyncode.pauli import encode, parse_pauli, symplectic_product
+from dyncode.pauli import encode, parse_pauli, symplectic_partner, symplectic_product
+from dyncode.tableau import encoding
 
 from oracles import (
     apply_error,
@@ -273,6 +274,27 @@ class TestOutcomeExprOracle:
             assert hash(a) == hash(b)
         assert hash(from_reference(a_ref)) == hash(a)
 
+    @settings(max_examples=200, deadline=None)
+    @given(reference_exprs, reference_exprs, st.integers(0, 40))
+    def test_packed_expressions_round_trip_and_multiply_by_xor(self, a_ref, b_ref, extra):
+        # Initial indices reach 200, so the packed random masks start past
+        # bit 200 and run to bit 400 or more: several 64-bit words.
+        a, b = from_reference(a_ref), from_reference(b_ref)
+        width = max(a.initial.bit_length(), b.initial.bit_length()) + extra
+        for expr in (a, b, a * b, a.negate(), ONE):
+            assert OutcomeExpr.unpack(expr.pack(width), width) == expr
+        assert (a * b).pack(width) == a.pack(width) ^ b.pack(width)
+        assert a.negate().pack(width) == a.pack(width) ^ 1
+        assert ONE.pack(width) == 0
+
+    def test_packed_layout(self):
+        wide = OutcomeExpr(1, 1 << 70 | 1, 0b101)
+        assert wide.pack(3) == 1 | 0b101 << 1 | (1 << 70 | 1) << 4
+        assert OutcomeExpr.unpack(wide.pack(3), 3) == wide
+        assert symbol_expr(INITIAL_STABILIZER, 2).pack(3) == 1 << 3
+        assert symbol_expr(RANDOM_BIT, 0).pack(3) == 1 << 4
+        assert symbol_expr(RANDOM_BIT, 0).pack(0) == 1 << 1
+
     def test_symbol_kinds_and_empty_expression(self):
         assert ONE == OutcomeExpr() and ONE.symbols == frozenset()
         assert ONE.is_deterministic() and ONE.evaluate({}) == 1
@@ -362,16 +384,17 @@ class TestCodeCache:
             assert all(
                 a is b for a, b in zip(shifted.encoded_rounds, code.encoded_rounds[isg_round:])
             )
-            assert shifted.encoded_s0 == tuple(
-                (encode(op), bits(encode(op))) for op in shifted.s0
-            )
+            assert shifted.encoded_s0 == tuple(encoding(encode(op), 12) for op in shifted.s0)
             assert shifted.rounds == code.rounds[isg_round:]
 
     def test_cached_encoding_matches_encode(self):
         rng = random.Random(5)
         for _ in range(40):
             code = random_instance(rng)
-            assert code.encoded_s0 == tuple((encode(op), bits(encode(op))) for op in code.s0)
+            n = code.n
+            assert code.encoded_s0 == tuple(encoding(encode(op), n) for op in code.s0)
             assert code.encoded_rounds == tuple(
-                tuple((encode(m), bits(encode(m))) for m in rnd) for rnd in code.rounds
+                tuple(encoding(encode(m), n) for m in rnd) for rnd in code.rounds
             )
+            for vec, vec_bits, partner_bits in code._encodings.values():
+                assert sorted(partner_bits) == bits(symplectic_partner(vec, n))

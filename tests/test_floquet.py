@@ -57,11 +57,11 @@ class SkippingTableau(Tableau):
         super().__init__(n)
         self.skip, self.count = skip, 0
 
-    def measure(self, vec, vec_bits):
+    def measure(self, vec, vec_bits, partner_bits):
         self.count += 1
         if self.count - 1 in self.skip:
             return None, 0
-        return super().measure(vec, vec_bits)
+        return super().measure(vec, vec_bits, partner_bits)
 
 
 class TestIterateCycles:

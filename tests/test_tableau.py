@@ -2,8 +2,10 @@
 
 ``tests/oracles.py`` keeps the stabilizer update and the classification's
 forward pass as scans over generator lists (``reference_measure``,
-``reference_forward``); every evolution built on the tableau must match
-them exactly, pivot choices and outcome expressions included.
+``reference_forward``, ``apply_error``); every evolution built on the
+tableau must match them exactly, pivot choices, carries and outcome
+expressions included.  The codes are seeded random ones, the worst-case
+schedules for n = 3..16, chains, ``honeycomb(3, 3)`` and ``bacon_shor(3, 3)``.
 """
 
 import random
@@ -30,13 +32,28 @@ from dyncode.pauli import (
     symplectic_partner,
     symplectic_product,
 )
-from dyncode.tableau import Tableau
+from dyncode.tableau import Tableau, encoding
 
-from oracles import random_instance, reference_forward, reference_measure
+from oracles import (
+    apply_error,
+    random_instance,
+    random_pauli,
+    reference_forward,
+    reference_measure,
+)
 
 
 def anticommute(a: int, b: int, n: int) -> int:
     return symplectic_product(decode(a, n), decode(b, n))
+
+
+def brute_masks(tab: Tableau, vec: int) -> tuple[int, ...]:
+    """The slot masks of the rows of each group anticommuting with ``vec``,
+    in the order of :meth:`Tableau.masks`."""
+    return tuple(
+        sum(1 << s for s in group.slots() if anticommute(group.rows[s], vec, tab.n))
+        for group in (tab.stab, tab.logical, tab.tracked, tab.destab)
+    )
 
 
 def check_invariants(tab: Tableau) -> None:
@@ -60,13 +77,11 @@ def check_invariants(tab: Tableau) -> None:
     for s, lrow in logical:
         for t, other in logical:
             assert anticommute(lrow, other, n) == (t == s ^ 1)
+    for q in range(2 * n):
+        assert tab.masks([q]) == brute_masks(tab, 1 << q)
     for group in (tab.stab, tab.destab, tab.logical, tab.tracked):
-        for q in range(2 * n):
-            single = 1 << q
-            expected = sum(
-                1 << s for s in group.slots() if anticommute(group.rows[s], single, n)
-            )
-            assert group.anti([q]) == expected
+        for s in group.slots():
+            assert sorted(group.row_bits(s)) == bits(symplectic_partner(group.rows[s], n))
 
 
 @st.composite
@@ -84,10 +99,10 @@ class TestInvariants:
         n, vecs = run
         tab = Tableau(n, destabilizers=True)
         for vec in vecs:
-            vec_bits = bits(vec)
-            tab.measure(vec, vec_bits)
+            vec, vec_bits, partner_bits = encoding(vec, n)
+            tab.measure(vec, vec_bits, partner_bits)
             check_invariants(tab)
-            assert not tab.stab.anti(vec_bits) and tab.contains(vec_bits)
+            assert tab.member(vec_bits)
             combo = 0
             for slot in tab.combination(vec_bits):
                 combo ^= tab.stab.rows[slot]
@@ -99,7 +114,7 @@ class TestInvariants:
         n, vecs = run
         tab = Tableau(n, destabilizers=True)
         for vec in vecs:
-            tab.measure(vec, bits(vec))
+            tab.measure(*encoding(vec, n))
         slots = tab.stab.slots()
         if not slots:
             return
@@ -115,22 +130,25 @@ class TestInvariants:
         n, vecs = run
         tab = Tableau(n)
         for vec in vecs:
-            tab.measure(vec, bits(vec))
+            tab.measure(*encoding(vec, n))
         group = Echelon(2 * n, tab.generators())
         for vec in range(1 << (2 * n)):
             vec_bits = bits(vec)
-            anti = tab.stab.anti(vec_bits)
-            assert tab.masks(vec_bits) == (anti, tab.logical.anti(vec_bits))
-            assert tab.member(vec_bits) == (not anti and tab.contains(vec_bits))
+            assert tab.masks(vec_bits) == brute_masks(tab, vec)
             assert tab.member(vec_bits) == (group.reduce(vec)[0] == 0)
 
 
 def fixture_codes():
+    """60 seeded random codes and the fixtures, numbered as they were when
+    the list held the first 40 random codes and four fixtures."""
     rng = random.Random(4242)
     codes = [random_instance(rng) for _ in range(40)]
-    return codes + [
+    codes += [
         build_1d_chain(16), honeycomb(3, 3), bacon_shor(3, 3), build_worst_case_sequence(6),
     ]
+    codes += [random_instance(rng) for _ in range(20)]
+    codes += [build_worst_case_sequence(n) for n in range(3, 17) if n != 6]
+    return codes + [build_1d_chain(n) for n in (5, 8, 13)]
 
 
 CODES = fixture_codes()
@@ -160,8 +178,8 @@ def test_measure_returns_the_slot_and_the_read_out_rows(code):
     n = code.n
     state = ISGState.initial(code, track_logicals=True)
     tab = Tableau(n)
-    for vec, vec_bits in code.encoded_s0:
-        tab.append(vec, vec_bits)
+    for vec, vec_bits, partner_bits in code.encoded_s0:
+        tab.append(vec, partner_bits, tab.masks(vec_bits))
     for op, _ in state.logicals:
         tab.tracked.append(encode(op))
     for _, m in code.measurements():
@@ -171,7 +189,7 @@ def test_measure_returns_the_slot_and_the_read_out_rows(code):
         state, _ = reference_measure(state, m)
         after = [op for op, _ in state.logicals]
         dropped = [i for i, op in enumerate(before) if len(after) < len(before) and op not in after]
-        slot, read_out = tab.measure(vec, bits(vec))
+        slot, read_out = tab.measure(*encoding(vec, n))
         assert (slot is None) == (member is not None)
         assert slot is None or tab.stab.rows[slot] == vec
         assert read_out == sum(1 << live[i] for i in dropped if before[i] != m)
@@ -194,6 +212,28 @@ def test_every_state_matches_the_reference(code, track_logicals):
         assert evolution.measure(m) == outcome
         assert evolution.state() == state
     assert simulate_measurements(code, track_logicals=track_logicals) == (state, expected)
+
+
+@pytest.mark.parametrize("code", CODES, ids=range(len(CODES)))
+def test_placed_errors_and_read_out_logicals_match_the_reference(code):
+    """``simulate_measurements`` with seeded errors after some rounds and
+    the logicals tracked, against the scan update and ``apply_error``:
+    every outcome, the tracked logicals that survive and their values."""
+    rng = random.Random(len(code.rounds) * 1000 + code.n)
+    errors = {r: random_pauli(rng, code.n)
+              for r in range(len(code.rounds) + 1) if rng.random() < 0.4}
+    state = ISGState.initial(code, track_logicals=True)
+    expected = []
+    if 0 in errors:
+        state = apply_error(state, errors[0])
+    for r, rnd in enumerate(code.rounds, start=1):
+        for m in rnd:
+            state, outcome = reference_measure(state, m)
+            expected.append((len(expected), m, outcome))
+        if r in errors:
+            state = apply_error(state, errors[r])
+    got = simulate_measurements(code, errors=errors, track_logicals=True)
+    assert got == (state, expected)
 
 
 @pytest.mark.parametrize("second", [PauliOperator(2, 0, 1), PauliOperator(2, 1, 0)])
