@@ -509,6 +509,8 @@ class DistanceResult:
     ``value`` is None when the search hit the cap (``exceeded_cap``) or
     when the constrained set is empty (``no_logicals``: every operator
     commuting with the constraints already lies in the excluded group).
+    ``candidates`` counts the commuting operators tested against the
+    excluded group; it is work done, not part of the answer.
     """
 
     value: int | None
@@ -516,6 +518,7 @@ class DistanceResult:
     exceeded_cap: bool = False
     no_logicals: bool = False
     witness: PauliOperator | None = None
+    candidates: int = field(default=0, compare=False)
 
     def __str__(self) -> str:
         if self.no_logicals:
@@ -531,9 +534,10 @@ def _min_weight_outside(
     """Minimum weight over operators commuting with all constraint rows
     but outside the excluded span, up to ``cap``.
 
-    The commuting operators come lightest first, in
-    :func:`~dyncode.pauli.paulis_up_to_weight` order, from a syndrome
-    join (:func:`commuting_paulis_up_to_weight`: the 3n letters at small
+    The commuting operators come lightest first (by weight, then by
+    support in lexicographic order, then by letters with X < Z < Y, the
+    last qubit fastest) from a syndrome join
+    (:func:`commuting_paulis_up_to_weight`: the 3n letters at small
     sizes, halves of the weight at large ones), so only they are tested
     against the excluded span; the first one outside it is the witness.
     Every weight below the answer is searched in full, and at the answer
@@ -545,11 +549,12 @@ def _min_weight_outside(
     kernel = kernel_under_form(BitMatrix(commute_rows, 2 * n))
     if all(exclude.reduce(vec)[0] == 0 for vec in kernel.rows):
         return DistanceResult(None, cap, no_logicals=True)
-    for vec in commuting_paulis_up_to_weight(n, cap, commute_rows):
+    tested = 0
+    for tested, vec in enumerate(commuting_paulis_up_to_weight(n, cap, commute_rows), 1):
         if exclude.reduce(vec)[0]:
             witness = decode(vec, n)
-            return DistanceResult(weight(witness), cap, witness=witness)
-    return DistanceResult(None, cap, exceeded_cap=True)
+            return DistanceResult(weight(witness), cap, witness=witness, candidates=tested)
+    return DistanceResult(None, cap, exceeded_cap=True, candidates=tested)
 
 
 def isg_distance(generators: list[PauliOperator], n: int, cap: int = 6) -> DistanceResult:

@@ -322,10 +322,7 @@ def simulate(file, error_spec, seed, max_weight, fmt):
                 {"stabilizer": format_pauli(u.op), "flip": _computed(bit)}
             )
         report["syndromes"] = syndromes
-        verdict = verify_round0_decoding(
-            code, result, gauge, max_weight,
-            unmasked_d=None,
-        )
+        verdict = verify_round0_decoding(code, result, gauge, max_weight)
         report["decoding"] = {
             "ok": verdict.ok,
             "errors_checked": _computed(verdict.errors_checked),

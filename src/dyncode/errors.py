@@ -10,28 +10,24 @@ symbolic forward simulation in the measurement engine.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
-from .classify import ClassificationReport, GaugeGroup
+from .classify import ClassificationReport, GaugeGroup, _min_weight_outside
 from .engine import (
     INITIAL_STABILIZER,
     RANDOM_BIT,
-    CapExceededError,
     DynamicalCode,
     OutcomeExpr,
     ValidationError,
     symbol_expr,
 )
-from .gf2 import Combination, Echelon, bits
+from .gf2 import Combination, bits
 from .pauli import (
     PauliOperator,
     decode,
     encode,
     identity,
-    paulis_up_to_weight,
     product,
-    symplectic_partner,
     symplectic_product,
 )
 from .tableau import Tableau, encoding
@@ -254,10 +250,10 @@ def logical_outcome(
 
 @dataclass(frozen=True)
 class DecodingVerdict:
-    """Result of the round-0 pairwise distinguishability check."""
+    """Result of the round-0 pairwise distinguishability check;
+    ``errors_checked`` counts the candidates its search tested."""
 
     ok: bool
-    applicable: bool
     max_weight: int
     errors_checked: int
     violation: tuple[PauliOperator, PauliOperator] | None = None
@@ -268,45 +264,31 @@ def verify_round0_decoding(
     report: ClassificationReport,
     gauge: GaugeGroup,
     max_weight: int,
-    unmasked_d: int | None = None,
-    enumeration_cap: int = 200000,
 ) -> DecodingVerdict:
     """Check that round-0 errors up to a weight are decodable.
 
     Two errors sharing every unmasked-stabilizer syndrome must differ by
     an element of the gauge group; otherwise they corrupt the code
-    indistinguishably.  The check is the standard correctability
-    condition, required to hold whenever 2*max_weight + 1 <= d_u
-    (``applicable``); outside that regime a violation is reported rather
-    than asserted against.
-
-    Raises:
-        CapExceededError: if the error enumeration exceeds the cap.
+    indistinguishably.  This standard correctability condition fails
+    exactly when an operator f of weight <= 2*max_weight commutes with
+    every unmasked stabilizer and lies outside the gauge group: the
+    product of two such errors is one, and each one splits into two.  So
+    the check is the distance search of :func:`unmasked_distance` under
+    the canonical policy, capped at 2*max_weight.  Its witness f gives
+    the violating pair: f's letters on its lowest ceil(wt(f)/2) support
+    qubits, and the rest.
     """
     if max_weight < 0:
         raise ValidationError([{"kind": "max-weight-out-of-range", "max_weight": max_weight}])
-    n = code.n
-    count = sum(
-        math.comb(n, w) * 3 ** w for w in range(min(max_weight, n) + 1)
+    result = _min_weight_outside(
+        code.n,
+        [encode(u.op) for u in report.U],
+        [encode(g) for g in gauge.generators],
+        2 * max_weight,
     )
-    if count > enumeration_cap:
-        raise CapExceededError(f"{count} errors exceed cap {enumeration_cap}")
-    gauge_ech = Echelon(2 * n, [encode(g) for g in gauge.generators])
-    partners = [symplectic_partner(encode(u.op), n) for u in report.U]
-    buckets: dict[tuple[int, ...], tuple[int, int]] = {}
-    checked = 0
-    applicable = unmasked_d is not None and 2 * max_weight + 1 <= unmasked_d
-    for vec in paulis_up_to_weight(n, max_weight):
-        checked += 1
-        syndrome = tuple((vec & p).bit_count() & 1 for p in partners)
-        residue = gauge_ech.reduce(vec)[0]
-        if syndrome in buckets:
-            prev_residue, prev_vec = buckets[syndrome]
-            if residue != prev_residue:
-                return DecodingVerdict(
-                    False, applicable, max_weight, checked,
-                    (decode(prev_vec, n), decode(vec, n)),
-                )
-        else:
-            buckets[syndrome] = (residue, vec)
-    return DecodingVerdict(True, applicable, max_weight, checked)
+    f = result.witness
+    if f is None:
+        return DecodingVerdict(True, max_weight, result.candidates)
+    low = sum(1 << q for q in bits(f.x_mask | f.z_mask)[: (result.value + 1) // 2])
+    first = PauliOperator(code.n, f.x_mask & low, f.z_mask & low)
+    return DecodingVerdict(False, max_weight, result.candidates, (first, product(f, first)))

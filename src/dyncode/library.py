@@ -216,9 +216,10 @@ def load_code(path) -> DynamicalCode:
     """Read a code file, with structural diagnostics on failure.
 
     Raises:
-        ValidationError: on malformed JSON (with line number), missing or
-            mistyped fields, unparsable Pauli strings, or a code failing
-            structural validation.
+        ValidationError: on malformed JSON (with the line number where the
+            parser gives one, and also for nesting or integers past the
+            parser's limits), missing or mistyped fields, unparsable Pauli
+            strings, or a code failing structural validation.
     """
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
@@ -228,6 +229,8 @@ def load_code(path) -> DynamicalCode:
         raise ValidationError(
             [{"kind": "json-parse-error", "line": exc.lineno, "message": exc.msg}]
         ) from exc
+    except (RecursionError, ValueError) as exc:  # deep nesting, overlong integers
+        raise ValidationError([{"kind": "json-parse-error", "message": str(exc)}]) from exc
     diagnostics = []
     if not isinstance(document, dict):
         raise ValidationError([{"kind": "not-an-object"}])

@@ -164,19 +164,6 @@ def decode(vec: int, n: int) -> PauliOperator:
     return PauliOperator(n, vec & mask, (vec >> n) & mask)
 
 
-def paulis_up_to_weight(n: int, max_weight: int):
-    """Yield the encoded vector of every operator of weight <= max_weight.
-
-    The order is fixed: by weight (identity first), then by support in
-    lexicographic order, then by the per-qubit letters with X < Z < Y,
-    the last qubit of the support varying fastest.
-    """
-    letters = [(1 << q, 1 << (q + n), (1 << q) | (1 << (q + n))) for q in range(n)]
-    for w in range(min(max_weight, n) + 1):
-        for support in itertools.combinations(letters, w):
-            yield from map(sum, itertools.product(*support))
-
-
 # The last qubit of each operator comes from the 3n-letter table while a
 # weight's (w - 1)-qubit prefixes have at most this many letter assignments
 # in all; past it the weight is split in halves (meet in the middle).
@@ -213,9 +200,10 @@ def _assignments(syndromes, stop: int, size: int, start: int = 0, support=(), sy
 def _syndrome_table(n: int, syndromes, b: int):
     """The weight-b operators, each as ``syndrome << shift | k``, sorted.
 
-    k numbers the operators in :func:`paulis_up_to_weight` order, so k //
-    3**b is the rank of its support and k % 3**b its letters, and the
-    entries of one syndrome rise with their first qubit.
+    k numbers the operators by support in lexicographic order, then by
+    letters (the last qubit fastest, X < Z < Y), so k // 3**b is the rank
+    of its support and k % 3**b its letters, and the entries of one
+    syndrome rise with their first qubit.
     """
     shift = (math.comb(n, b) * 3 ** b).bit_length()
     syns = itertools.chain.from_iterable(s for _, s in _assignments(syndromes, n, b))
@@ -227,10 +215,13 @@ def _syndrome_table(n: int, syndromes, b: int):
 
 def commuting_paulis_up_to_weight(n: int, max_weight: int, rows: list[int]):
     """Yield the encoded operators of weight <= max_weight that commute
-    with every encoded row, in :func:`paulis_up_to_weight` order.
+    with every encoded row, lightest first.
 
-    The result is exactly the commuting subsequence of that order, found
-    by a syndrome join instead of a parity test per candidate.  A letter's
+    The order is fixed: by weight (identity first), then by support in
+    lexicographic order, then by the per-qubit letters with X < Z < Y,
+    the last qubit of the support varying fastest.  The result is exactly
+    the commuting subsequence of all operators in that order, found by a
+    syndrome join instead of a parity test per candidate.  A letter's
     syndrome has bit j set iff it anticommutes with ``rows[j]``; an
     operator's syndrome is the XOR over its letters and is zero iff it
     commutes with every row.  Weight w is joined as a + b qubits: the
@@ -247,14 +238,14 @@ def commuting_paulis_up_to_weight(n: int, max_weight: int, rows: list[int]):
     (honeycomb(6,6)) weight 6 is 1.6M lookups into 1.6M entries, where
     the letter table would take C(72, 5) * 3^5 = 3.4G lookups.
     """
-    syndromes = []
-    for q in range(n):
-        # X on q anticommutes with a row that has z on q, and Z with x.
-        sx = sz = 0
-        for j, row in enumerate(rows):
-            sx |= ((row >> (q + n)) & 1) << j
-            sz |= ((row >> q) & 1) << j
-        syndromes.append((sx, sz, sx ^ sz))
+    planes = [0] * (2 * n)  # bit j of planes[b] is bit b of rows[j]
+    for j, row in enumerate(rows):
+        while row:
+            low = row & -row
+            planes[low.bit_length() - 1] |= 1 << j
+            row ^= low
+    # X on q anticommutes with a row that has z on q, and Z with x.
+    syndromes = [(planes[q + n], planes[q], planes[q + n] ^ planes[q]) for q in range(n)]
     letters = [(1 << q, 1 << (q + n), (1 << q) | (1 << (q + n))) for q in range(n)]
     if max_weight >= 0:
         yield 0

@@ -15,10 +15,13 @@ reads its outcome expressions from :func:`reference_measure`, and
 :func:`apply_error` flips them past an error by the same scan.
 :func:`reference_min_weight_outside` is the distance search as it was
 before the syndrome join: the same result type, but every candidate of
-:func:`dyncode.pauli.paulis_up_to_weight` is parity-tested against every
-row, so it checks the join's values and witnesses.  :func:`forced_split`
-pins the join to one of its two splits (:data:`SPLITS`), so that both are
-compared at small sizes.  :class:`ReferenceOutcomeExpr`,
+:func:`paulis_up_to_weight` is parity-tested against every row, so it
+checks the join's values and witnesses.
+:func:`reference_round0_decoding` is the round-0 decodability check as
+the package computed it before the capped search: every error up to the
+weight, bucketed by its syndrome on the unmasked stabilizers.
+:func:`forced_split` pins the join to one of its two splits
+(:data:`SPLITS`), so that both are compared at small sizes.  :class:`ReferenceOutcomeExpr`,
 :func:`reference_rref` and :class:`ReferenceEchelon` are the outcome
 expression (a sign and a set of symbols), the row reduction (every
 column tested for a pivot) and the incremental span (every pivot
@@ -28,6 +31,7 @@ and pivot-indexed reduction.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from unittest import mock
@@ -51,7 +55,6 @@ from dyncode.pauli import (
     decode,
     encode,
     identity,
-    paulis_up_to_weight,
     product,
     symplectic_partner,
     symplectic_product,
@@ -187,6 +190,43 @@ def brute_force_min_weight(
         if best is None or w < best:
             best = w
     return best
+
+
+def paulis_up_to_weight(n: int, max_weight: int):
+    """Yield the encoded vector of every operator of weight <= max_weight.
+
+    The order is fixed: by weight (identity first), then by support in
+    lexicographic order, then by the per-qubit letters with X < Z < Y,
+    the last qubit of the support varying fastest.
+    """
+    letters = [(1 << q, 1 << (q + n), (1 << q) | (1 << (q + n))) for q in range(n)]
+    for w in range(min(max_weight, n) + 1):
+        for support in itertools.combinations(letters, w):
+            yield from map(sum, itertools.product(*support))
+
+
+def reference_round0_decoding(
+    n: int, unmasked: list[PauliOperator], gauge: list[PauliOperator], max_weight: int
+) -> tuple[bool, tuple[PauliOperator, PauliOperator] | None]:
+    """Round-0 decodability by enumeration: every error of weight <=
+    ``max_weight`` is bucketed by its syndrome on ``unmasked``, and two
+    errors in one bucket whose residues modulo the ``gauge`` span differ
+    are a violation.
+
+    Returns:
+        ``(ok, the first violating pair or None)``.
+    """
+    gauge_ech = Echelon(2 * n, [encode(g) for g in gauge])
+    partners = [symplectic_partner(encode(u), n) for u in unmasked]
+    buckets: dict[tuple[int, ...], tuple[int, int]] = {}
+    for vec in paulis_up_to_weight(n, max_weight):
+        syndrome = tuple((vec & p).bit_count() & 1 for p in partners)
+        residue = gauge_ech.reduce(vec)[0]
+        if syndrome not in buckets:
+            buckets[syndrome] = (residue, vec)
+        elif buckets[syndrome][0] != residue:
+            return False, (decode(buckets[syndrome][1], n), decode(vec, n))
+    return True, None
 
 
 def reference_min_weight_outside(

@@ -12,6 +12,7 @@ from dyncode import (
     DynamicalCode,
     build_1d_chain,
     build_gauge_group,
+    honeycomb,
     run_classification,
     save_code,
     shor_code,
@@ -319,14 +320,23 @@ class TestSimulate:
         result = runner.invoke(main, ["simulate", shor_file, "--errors", "X1"])
         assert result.exit_code == 1
 
-    def test_huge_max_weight_exceeds_the_cap(self, runner, shor_file):
-        result = runner.invoke(
-            main, ["simulate", shor_file, "--max-weight", "1000000"],
-            catch_exceptions=False,
-        )
-        assert result.exit_code == 2
-        assert "Traceback" not in result.output
-        assert json.loads(result.stderr)["error"] == "cap-exceeded"
+    def test_huge_max_weight_is_one_capped_search(self, runner, shor_file):
+        # The search stops at its witness of weight 3, whatever the cap.
+        report = run_json(runner, ["simulate", shor_file, "--max-weight", "1000000"])
+        decoding = report["decoding"]
+        assert decoding["ok"] is False
+        assert decoding["max_weight"]["value"] == 1000000
+        first, second = (parse_pauli(op, 9) for op in decoding["violation"])
+        assert weight(first) + weight(second) == 3
+
+    def test_weight_four_on_honeycomb_is_decided(self, runner, tmp_path):
+        # The 271,324 errors of weight <= 4 once ended this check with
+        # cap-exceeded (exit 2); the search finds a logical of weight 4.
+        path = tmp_path / "h.json"
+        save_code(honeycomb(3, 3), path)
+        report = run_json(runner, ["simulate", str(path), "--max-weight", "4"])
+        assert report["decoding"]["ok"] is False
+        assert len(report["decoding"]["violation"]) == 2
 
     def test_parse_error_spec(self):
         errors = parse_error_spec("0:X1,2:Z1 Z2", 3)
@@ -394,3 +404,19 @@ def test_bad_input_is_a_diagnostic(runner, tmp_path, command, document, options,
     error = json.loads(result.stderr)
     assert error["error"] == "validation"
     assert kind in [d["kind"] for d in error["diagnostics"]]
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["[" * 100_000, '{"version": 1, "n": ' + "9" * 5000 + ', "s0": [], "rounds": []}'],
+    ids=["deep-nesting", "long-integer"],
+)
+@pytest.mark.parametrize("command", ["validate", "classify", "distance", "floquet", "simulate"])
+def test_json_the_parser_refuses_is_a_parse_error(runner, tmp_path, command, text):
+    path = tmp_path / "code.json"
+    path.write_text(text)
+    result = runner.invoke(main, [command, str(path)], catch_exceptions=False)
+    assert result.exit_code == 1
+    assert "Traceback" not in result.output
+    error = json.loads(result.stderr)
+    assert [d["kind"] for d in error["diagnostics"]] == ["json-parse-error"]

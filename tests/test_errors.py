@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dyncode import (
     DynamicalCode,
@@ -13,12 +15,23 @@ from dyncode import (
     syndrome_of_spacetime_error,
     verify_round0_decoding,
 )
+from dyncode.classify import _min_weight_outside
 from dyncode.cli import _syndrome_decomposition
-from dyncode.engine import CapExceededError, ValidationError
+from dyncode.engine import ValidationError
+from dyncode.gf2 import Echelon, in_span
 from dyncode.library import shor_code
-from dyncode.pauli import identity, parse_pauli, product
+from dyncode.pauli import (
+    commuting_paulis_up_to_weight,
+    encode,
+    identity,
+    parse_pauli,
+    product,
+    symplectic_product,
+    weight,
+)
 
-from oracles import random_instance, random_pauli
+from oracles import random_instance, random_pauli, reference_round0_decoding
+from test_golden import codes as golden_codes
 
 
 def code_of(n, s0, rounds):
@@ -209,29 +222,93 @@ class TestLogicalTrace:
             assert value == expr.evaluate(assignment)
 
 
+def check_violation(report, gauge, verdict):
+    """Both errors weigh at most the bound, share every unmasked
+    syndrome, and differ by an operator outside the gauge group."""
+    first, second = verdict.violation
+    assert weight(first) <= verdict.max_weight and weight(second) <= verdict.max_weight
+    for u in report.U:
+        assert symplectic_product(first, u.op) == symplectic_product(second, u.op)
+    gauge_span = Echelon(2 * first.n, [encode(g) for g in gauge.generators])
+    assert in_span(encode(product(first, second)), gauge_span) is None
+
+
+def check_against_enumeration(code, weights=range(4)):
+    report = run_classification(code)
+    gauge = build_gauge_group(report)
+    for max_weight in weights:
+        verdict = verify_round0_decoding(code, report, gauge, max_weight)
+        ok, _ = reference_round0_decoding(
+            code.n, [u.op for u in report.U], gauge.generators, max_weight
+        )
+        assert verdict.ok == ok, max_weight
+        assert verdict.max_weight == max_weight
+        assert (verdict.violation is None) == ok
+        if not ok:
+            check_violation(report, gauge, verdict)
+
+
 class TestDecoding:
     def test_shor_corrects_weight_one(self):
         code = shor_code()
         report = run_classification(code)
         gauge = build_gauge_group(report)
-        verdict = verify_round0_decoding(code, report, gauge, 1, unmasked_d=3)
-        assert verdict.ok and verdict.applicable
-        assert verdict.errors_checked == 1 + 3 * 9
+        verdict = verify_round0_decoding(code, report, gauge, 1)
+        assert verdict.ok and verdict.violation is None
+        # d_u is 3, so the search tests every commuting operator up to
+        # weight 2 and finds none outside the gauge group.
+        rows = [encode(u.op) for u in report.U]
+        assert verdict.errors_checked == len(list(commuting_paulis_up_to_weight(9, 2, rows)))
 
     def test_weak_gauge_choice_breaks_decoding(self):
         code = shor_code(mask_z1z2=True)
         report = run_classification(code)
         gauge = build_gauge_group(report, t_destabs=[parse_pauli("X2 X3", 9)])
-        verdict = verify_round0_decoding(code, report, gauge, 1, unmasked_d=1)
+        verdict = verify_round0_decoding(code, report, gauge, 1)
         assert not verdict.ok
-        assert not verdict.applicable
         assert verdict.violation is not None
+        check_violation(report, gauge, verdict)
 
-    def test_enumeration_cap(self):
+    def test_violation_splits_the_witness_at_its_lower_half(self):
+        # Shor's d_u is 3: at weight 2 the witness is the lightest logical
+        # of the search order, split into its lowest two qubits and the rest.
         code = shor_code()
         report = run_classification(code)
         gauge = build_gauge_group(report)
-        with pytest.raises(CapExceededError):
-            verify_round0_decoding(
-                code, report, gauge, 5, enumeration_cap=100
-            )
+        verdict = verify_round0_decoding(code, report, gauge, 2)
+        first, second = verdict.violation
+        witness = product(first, second)
+        assert weight(witness) == 3 and (weight(first), weight(second)) == (2, 1)
+        assert (first.x_mask | first.z_mask) < (second.x_mask | second.z_mask)
+        rows = [encode(u.op) for u in report.U]
+        search = _min_weight_outside(9, rows, [encode(g) for g in gauge.generators], 4)
+        assert search.witness == witness
+        assert verdict.errors_checked == search.candidates
+
+    def test_no_logicals_is_decodable_at_any_weight(self):
+        # Every qubit is fixed by a Z check, so each operator commuting with
+        # the unmasked stabilizers is in the gauge group: the search tests
+        # no candidate, however large the weight.
+        n = 40
+        code = DynamicalCode.make(
+            n, [parse_pauli(f"Z{q}", n) for q in range(1, n + 1)],
+            [[parse_pauli(f"Z{q}", n) for q in range(1, n + 1)]],
+        )
+        report = run_classification(code)
+        gauge = build_gauge_group(report)
+        verdict = verify_round0_decoding(code, report, gauge, 10**6)
+        assert verdict.ok and verdict.errors_checked == 0
+
+    @pytest.mark.parametrize("name", sorted(golden_codes()))
+    def test_matches_the_enumeration_on_the_golden_codes(self, name):
+        check_against_enumeration(golden_codes()[name])
+
+    def test_matches_the_enumeration_on_seeded_random_codes(self):
+        for seed in range(200):
+            check_against_enumeration(random_instance(random.Random(f"round0/{seed}")))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 7), st.integers(1, 5), st.integers(0, 3))
+    def test_matches_the_enumeration_on_drawn_codes(self, seed, max_n, max_s0, max_weight):
+        code = random_instance(random.Random(seed), max_n=max_n, max_s0=max_s0)
+        check_against_enumeration(code, [max_weight])

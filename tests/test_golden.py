@@ -77,55 +77,55 @@ GOLDEN = {
     "shor:distance-canonical": "d8bb48220aa7f65049ca92865194bb6bf980088e61a8b53a9153655e0f4bfd55",
     "shor:distance-exhaustive": "cdd747b1bdfb24112b6a36576171b5ca43fdbf544df40da7de03b31e846dd957",
     "shor:floquet": "71a74590b246776b46366bde56d5acf08959d5bece567a9ddd21d83342e136a2",
-    "shor:simulate": "865eaf3882ce2ed5f24e6b18ecf11231e96173e5d90a7ab9e43b8180bdda7034",
+    "shor:simulate": "58fb71f1d2c70afcf50e24fa033e5eca4ed1de92927e73d8385615beb92bbbf2",
     "shor-masked:classify": "59171e73ba43585b33de509cb7d6a9d997083984affe71534bff8e13e636f840",
     "shor-masked:classify-isg1": "8d8d022575bb1b7bbf15160f71965b4f47f5865adbad7e14610e7ba8663c9b38",
     "shor-masked:distance-canonical": "a5118cd620f9259083195099efd34145ed9b19488706e1a9ab3fdc9a2953c093",
     "shor-masked:distance-exhaustive": "515c566fe9a0555044e2c2f13eb7a11e0cfb0b36f46b7725e7a98b1565d566cf",
     "shor-masked:floquet": "a91a6fd36aac8b1a877b039141f3bdc0f71b7d2ba3674da3564ef3753dbb17cb",
-    "shor-masked:simulate": "71158b08b65495d6d2acd5c99659d9e0212a211fbb01e7987c14d740b3fd9be7",
+    "shor-masked:simulate": "5f67fe9dff4647a5b6877753bede8c33c118f2f764d6e78f6c46e7fb843c4651",
     "bacon-shor-3x3:classify": "d431e91dbf929ac6ab5e7fd89501c39cec435c7baa830cc410011b62e7e8e76b",
     "bacon-shor-3x3:classify-isg1": "00be709e2e4280f29e379bab044b38b932f6613dd472eaa0e138a7a86a3656ec",
     "bacon-shor-3x3:distance-canonical": "ee7be24f9a2a7a02121c52d9b58c57ad6a33c34decb232a3d241d023b7c6d03c",
     "bacon-shor-3x3:distance-exhaustive": "bcbc95164eba299bca37f11b485c55c4964fb40b64504da5bdca8f966d03728e",
     "bacon-shor-3x3:floquet": "bbaecd9cb3e8c5b74ba02dffe27c1fa1b3b85b8c370b4dd250b3c00c5e31b0ae",
-    "bacon-shor-3x3:simulate": "8007976b3538180cd756869bfa7a3c6e05b5c424a7d1fa8e8bff346e97ca135e",
+    "bacon-shor-3x3:simulate": "abc4435468208a286c638f9e2c83aa12b5d13b6193f2179528d3fb51516c2cb2",
     "honeycomb-3x3:classify": "fc3de326e3e81e7296121b378abccb8d5d21313b8d6bb64e43e32f22bde05d90",
     "honeycomb-3x3:classify-isg1": "d0fb98d8d0cf4e947cf91f54fff97d1cf1f52f49a2ea6bf1bc8c7b67b5c87c5a",
     "honeycomb-3x3:distance-canonical": "931f3a4226ad180b9e607850131c30fbb5e773bfb2aca9c3e1dacb32d4a4d6ff",
     "honeycomb-3x3:distance-exhaustive": "42a2c0c667223f456cd687d0feaada0e31f623c2dc1735cfdd4fb4a27e9c9a73",
     "honeycomb-3x3:floquet": "5ea548bacda984fbe705e6e76580724aef861396f2fe097ee3c00d13bc441802",
-    "honeycomb-3x3:simulate": "bc938853ab3fffddcaf73d1a6d0f370769cb25578aa472a8b34dc072b40d5168",
+    "honeycomb-3x3:simulate": "bbd51372f6a8591ea00b41931b7f576337bbbdc87371856c799ffae8fad46161",
     "1d-chain-10:classify": "1d26ce913d525e159d86445342920ff17cad1b9f23579dedcaa5244b4b3ac19b",
     "1d-chain-10:classify-isg1": "577f68b40affc672afdd57db178a41ff1ad44219985476ebb05161d8b1819fd9",
     "1d-chain-10:distance-canonical": "6eb33670618b5bef8d2d7555d97dc0c237f8d94c5f53cbd15771ce02c7f6e31f",
     "1d-chain-10:distance-exhaustive": "d3e0ecf11a9b6f7e0ebf7b2e73cb829c304ca98477d7071c582ff4d7d54877e2",
     "1d-chain-10:floquet": "6eb267756e6250f5cb5cd9094982713235454a00732f5925cf992fe0ec442be8",
-    "1d-chain-10:simulate": "e1bfcdd618b6d8e0532f32eac319b0fff813c4f36dada0494d066c9b5004cb5c",
+    "1d-chain-10:simulate": "a8dfde219d2a979f177817f42a413ceb0118feb9a7667153a90f532db5be3df2",
     "random-249:classify": "50ca496b440812dc276fc829576e0bfe0f2d04e8478b4d4db5363be56377f1c9",
     "random-249:classify-isg1": "b6788895084a5205f3e10911cdd013a988729d7dcbf00935c8f4f7793a8a4fe6",
     "random-249:distance-canonical": "2bd4ba6780358e5824983a40c3a3a562beadb626cc620b9ebb03cb694c91da51",
     "random-249:distance-exhaustive": "b9977b8b4406e1a728caad8032a9ffdc5818b532f74bf37c7bef793ca7cd564d",
     "random-249:floquet": "3a07ea8e687fd32e2eb05ebcb7378b464c428d92cce566e3131f4086448cd9b7",
-    "random-249:simulate": "7447a8799f6396a49b89e8ebc29859005fc8c9724334293ac082e8a67ee38bea",
+    "random-249:simulate": "3efbd965479dd1645e2cee55fb136e3bdec1799a66d3db174831f790eec0d304",
     "random-301:classify": "41c45229863f9b35463d56db1069aa256baf948a6994328b74e1f1e418aba3e8",
     "random-301:classify-isg1": "64d733f84dc50b848697cce3fd435ad186b2fcc5afd17c8b528e7068492a221d",
     "random-301:distance-canonical": "022bf4bc700e5ee6e40b838497e0972e1862fdc16e3e18417cf5a42c7062d9b0",
     "random-301:distance-exhaustive": "918a27f3db04da5b3eda280cce2309ecede89191bf56d32252f289a8f34741ed",
     "random-301:floquet": "eb8cab6628ecf97922b7751bf27750f3671fca21754221df2574a6d710656729",
-    "random-301:simulate": "10e80b4340e1d1734c72ca27a7ca83c901f32ff1bb52ca4417e791bb311aa63d",
+    "random-301:simulate": "87f1897e4c46af7b5fdc45568c16084f071212a244505a4019233942bd13b808",
     "random-38:classify": "b0eee2dcbf5ef354b0d2dfd426d8e26a18ab994dcfbe728d17428d028f6589bc",
     "random-38:classify-isg1": "5020df5057e9ee3f8a1c4ad88a52a152cbff368b1705397e6887605eb5fe00ff",
     "random-38:distance-canonical": "06535b14af7c97a62e31a7378647c585ca6690d03d5c1aa1b81a90c9cbc2c76d",
     "random-38:distance-exhaustive": "be753d11049193ac6234921f1ea1bc5072416f78d973a9f3523f3dd39f95c269",
     "random-38:floquet": "85ec6133a3402e6f1426140578d2d132b254f4fb6da2bdb4c7f6cacd0109a6b1",
-    "random-38:simulate": "5df9a545994859c58e1214a1eb64f86ba89fcedbe4b9a3b77741ad6c81418b1a",
+    "random-38:simulate": "7f7920e78e83906f1b66601433a27268a01bd514fa4ba85e8fae8a1108b7ad54",
     "random-142:classify": "44fc4e6a795405237ed49fd1e4fe01a2a881047764c78cff281eda94b0ae0212",
     "random-142:classify-isg1": "5fbfd8a976ae140318017693c661dde5bbd83df6e9ce005eb67d52400f5f70be",
     "random-142:distance-canonical": "f504356b4366bde7981ffc81dbf9685b3527f4d2b8022514c606e9fd155e6289",
     "random-142:distance-exhaustive": "cac323088f8303ae071effc1f790b453d5a7b8a3d3970d27f5f47cc14be24737",
     "random-142:floquet": "546d110581c66cc30c9ec9a0b178b2e0c3364d3e59d9ef5c9e002e8ebfae21ae",
-    "random-142:simulate": "1156b46db50d32ac03fbe1f5fb333d91f79778d0bec26e8868b7a2b43293ed38",
+    "random-142:simulate": "8b31b18f76e7f52b8d247939b9bdae3421d047cd03cbc0d961fa2bd16fddd751",
 }
 
 

@@ -96,6 +96,19 @@ class TestFileRoundTrip:
         assert diags[0]["kind"] == "json-parse-error"
         assert diags[0]["line"] == 3
 
+    def test_deep_nesting_is_a_parse_error(self, tmp_path):
+        # json.loads raises RecursionError here, not JSONDecodeError.
+        diags = self.diagnostics_of(tmp_path, "[" * 100_000)
+        assert [d["kind"] for d in diags] == ["json-parse-error"]
+        assert diags[0]["message"]
+
+    def test_overlong_integer_is_a_parse_error(self, tmp_path):
+        # Past 4,300 digits json.loads raises ValueError from the limit on
+        # int-string conversion; that error carries no line.
+        diags = self.diagnostics_of(tmp_path, '{"n": ' + "7" * 5000 + "}")
+        assert [d["kind"] for d in diags] == ["json-parse-error"]
+        assert "line" not in diags[0] and diags[0]["message"]
+
     def test_unsupported_version(self, tmp_path):
         document = {"version": 99, "n": 2, "s0": [], "rounds": []}
         diags = self.diagnostics_of(tmp_path, json.dumps(document))

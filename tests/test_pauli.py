@@ -14,14 +14,13 @@ from dyncode.pauli import (
     format_pauli,
     identity,
     parse_pauli,
-    paulis_up_to_weight,
     product,
     symplectic_partner,
     symplectic_product,
     weight,
 )
 
-from oracles import SPLITS, all_paulis, forced_split
+from oracles import SPLITS, all_paulis, forced_split, paulis_up_to_weight
 
 
 def paulis(max_n=8, min_n=1):
