@@ -12,7 +12,6 @@ from .classify import (
     ClassificationReport,
     DistanceResult,
     GaugeGroup,
-    TrackedPauli,
     UnmaskedStabilizer,
     build_gauge_group,
     isg_distance,
@@ -50,7 +49,6 @@ from .floquet import (
     growth_accounting,
     initialization_depth,
     iterate_cycles,
-    round_isg_history,
     unmask_cycle_count,
 )
 from .library import (

@@ -77,21 +77,6 @@ from .pauli import (
 from .tableau import Tableau, anticommutation_masks
 
 
-@dataclass
-class TrackedPauli:
-    """An element of C or V with its provenance.
-
-    For C elements, ``assoc`` is the combination over the initial
-    generators giving the associated stabilizer, and ``carry`` is the
-    outcome of (op * associated stabilizer).  For V elements ``assoc`` is
-    None and ``carry`` is the known outcome of ``op`` itself.
-    """
-
-    op: PauliOperator
-    assoc: Combination | None
-    carry: OutcomeExpr
-
-
 @dataclass(frozen=True)
 class RemovalEvent:
     """A generator dropped from C (kind "C") or V (kind "V") mid-schedule.
@@ -125,9 +110,8 @@ class ClassificationReport:
     as dependent took a tag bit too, so ``_ends`` records its size when U
     and when T were complete.  ``_removals`` holds the forward pass's raw
     removal records, (round, kind, row, packed provenance, partner bits),
-    and ``_final`` the (row, packed provenance) pairs of the final C and V,
-    from which :attr:`removals`, :attr:`C_final` and :attr:`V_final` are
-    built on first read.
+    from which :attr:`removals` is built on first read, and ``_final`` the
+    (row, packed provenance) pairs of the final C and V.
     """
 
     n: int
@@ -171,19 +155,6 @@ class ClassificationReport:
             events.append(RemovalEvent(r, kind, decode(row, n),
                                        combination if kind == "C" else None, carry, row))
         return events
-
-    @functools.cached_property
-    def C_final(self) -> list[TrackedPauli]:
-        """The elements of C at the end of the window."""
-        n, k = self.n, len(self.s0)
-        return [TrackedPauli(decode(row, n), *_provenance(prov, k))
-                for row, prov in self._final[0]]
-
-    @functools.cached_property
-    def V_final(self) -> list[TrackedPauli]:
-        """The elements of V at the end of the window."""
-        return [TrackedPauli(decode(row, self.n), None, _provenance(prov, len(self.s0))[1])
-                for row, prov in self._final[1]]
 
 
 def _provenance(prov: int, k: int) -> tuple[Combination, OutcomeExpr]:
@@ -417,6 +388,10 @@ def _check_partition(n, U, T, P, K, s0_rows, basis) -> None:
         raise InternalInvariantError("destabilizer commutation pattern violated")
 
 
+# The most destabilizer choices the exhaustive policy enumerates.
+_COSET_CHOICES = 4096
+
+
 @dataclass
 class GaugeGroup:
     """Gauge group: stabilizers plus destabilizers for the masked ones."""
@@ -434,7 +409,6 @@ def build_gauge_group(
     report: ClassificationReport,
     t_destab_policy: str = "canonical",
     t_destabs: list[PauliOperator] | None = None,
-    enumeration_cap: int = 4096,
 ) -> GaugeGroup:
     """Assemble the gauge group from a classification report.
 
@@ -481,7 +455,7 @@ def build_gauge_group(
     if t_destab_policy == "exhaustive" and report.T:
         logicals = [op for op, _ in canonical_logicals(n, generators)]
         per_t = 1 << len(logicals)
-        if per_t ** len(report.T) > enumeration_cap:
+        if per_t ** len(report.T) > _COSET_CHOICES:
             raise CapExceededError(
                 "too many destabilizer cosets to enumerate exhaustively"
             )

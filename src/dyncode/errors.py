@@ -51,12 +51,6 @@ class SpacetimeError:
                 )
         return SpacetimeError(n, tuple(sorted(errors.items())))
 
-    def at(self, round_index: int) -> PauliOperator:
-        for r, op in self.by_round:
-            if r == round_index:
-                return op
-        return identity(self.n)
-
     def net_after(self, round_index: int) -> PauliOperator:
         """Product of all errors acting after round ``round_index``'s
         measurements, i.e. e_j for j >= round_index."""
@@ -119,12 +113,11 @@ class LogicalTrace:
     round_factors: dict[int, tuple[PauliOperator, tuple[int, ...]]] = field(
         default_factory=dict
     )
-    window: int = 0
 
 
 def build_logical_trace(
-    code: DynamicalCode, l0, window: int | None = None
-):
+    code: DynamicalCode, logicals: list[PauliOperator]
+) -> list[LogicalTrace | None]:
     """Track logical representatives through the schedule, with provenance.
 
     The ISG generators are the stabilizer rows of a :class:`Tableau`,
@@ -135,29 +128,26 @@ def build_logical_trace(
     Whenever a measurement anticommutes with a generator, the pivot
     generator is multiplied into every anticommuting logical, folding in
     its provenance.  The occurrence set records whose measured outcomes
-    reproduce the logical's value in the error-free case.
-
-    ``l0`` is one logical, or a list of logicals traced together in one
-    pass.  The generators evolve the same way whichever logicals ride
-    along, so each trace equals the one traced alone.
+    reproduce the logical's value in the error-free case.  A measurement
+    joining the group reads out each logical that anticommutes with it
+    or equals it.  The generators evolve the same way whichever logicals
+    ride along, and the read-out rule looks at one logical at a time, so
+    each trace equals the one traced alone.
 
     Returns:
-        The :class:`LogicalTrace` of ``l0``; for a list, a list with None
-        for each logical that a measurement reads out.
+        One :class:`LogicalTrace` per logical, or None for a logical that
+        a measurement reads out.
 
     Raises:
         ValidationError: if a logical is not a logical of s0 (it must
             commute with every initial generator and lie outside their
-            span), or if a measurement reads out the one logical ``l0``.
+            span).
     """
-    single = isinstance(l0, PauliOperator)
-    logicals = [l0] if single else list(l0)
-    if window is None:
-        window = len(code.rounds)
     n, k = code.n, len(code.s0)
     # Provenance is an outcome expression packed at width k: initial symbol
     # i marks generator i in the combination, random bit t occurrence t.
     tab = Tableau(n)
+    tracked = tab.tracked
     for i, (vec, vec_bits, partner_bits) in enumerate(code.encoded_s0):
         prov = symbol_expr(INITIAL_STABILIZER, i).pack(k)
         tab.append(vec, partner_bits, tab.masks(vec_bits), prov)
@@ -166,30 +156,28 @@ def build_logical_trace(
         anti, logical_anti, _, _ = tab.masks(vec_bits)
         if anti or not logical_anti:
             raise ValidationError([{"kind": "not-a-logical", "operator": str(op)}])
-        tab.tracked.append(vec, 0, partner_bits)
+        tracked.append(vec, 0, partner_bits)
 
     first_random = symbol_expr(RANDOM_BIT, 0).pack(k)  # random bits pack in order
-    read_out: dict[int, int] = {}  # tracked slot -> round reading it out
     measured: list[tuple[int, PauliOperator]] = []  # (round, operator) per occurrence
     for round_index, (rnd, encoded) in enumerate(
-        zip(code.rounds[:window], code.encoded_rounds), start=1
+        zip(code.rounds, code.encoded_rounds), start=1
     ):
         for m, (vec, vec_bits, partner_bits) in zip(rnd, encoded):
-            slot, freed = tab.measure(vec, vec_bits, partner_bits)
+            rank = len(tab)
+            slot, _ = tab.measure(vec, vec_bits, partner_bits)
             if slot is not None:
                 tab.stab.prov[slot] = first_random << len(measured)
+            if len(tab) > rank:
+                # The measure step freed the anticommuting logicals.
+                for s in tracked.slots():
+                    if tracked.rows[s] == vec:
+                        tracked.free(s)
             measured.append((round_index, m))
-            for tracked_slot in bits(freed):
-                read_out[tracked_slot] = round_index
 
-    if single and read_out:
-        raise ValidationError(
-            [{"kind": "logical-measurement", "round": read_out[0]}]
-        )
     traces = []
-    tracked = tab.tracked
     for slot, op in enumerate(logicals):
-        if slot in read_out:
+        if tracked.rows[slot] is None:
             traces.append(None)
             continue
         expr = OutcomeExpr.unpack(tracked.prov[slot], k)
@@ -200,9 +188,9 @@ def build_logical_trace(
             factors[r] = (product(f_op, m), occs + (occ,))
         traces.append(LogicalTrace(
             code, op, decode(tracked.rows[slot], n),
-            Combination(expr.initial, k), factors, window,
+            Combination(expr.initial, k), factors,
         ))
-    return traces[0] if single else traces
+    return traces
 
 
 def logical_outcome(

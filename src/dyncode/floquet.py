@@ -223,7 +223,7 @@ def _extend_worst_case(
     # just before the final measurement.
     z = [PauliOperator(n, 0, 1 << i) for i in range(k - 1)]  # Z_1 .. Z_{k-1}
     steady = DynamicalCode.make(n, z, [[m] for m in seq[:-1]])
-    slots = isg_after(steady, len(steady.rounds))
+    slots = [decode(row, n) for row in isg_rows(steady, len(steady.rounds))]
     if len(slots) != k - 1:
         raise InternalInvariantError("steady-cycle tracking changed the rank")
 
@@ -297,36 +297,19 @@ def build_1d_chain(n: int) -> DynamicalCode:
     return DynamicalCode.make(n, [], rounds, labels={"name": "1d-chain", "n": n})
 
 
-def _evolve(code: DynamicalCode, window: int):
-    """Yield one tableau holding the ISG from s0, then again after each of
-    the first ``window`` rounds (plain stabilizer update, no outcomes)."""
+def isg_rows(code: DynamicalCode, rounds: int) -> list[int]:
+    """Encoded generators of the ISG reached from s0 after ``rounds``
+    rounds (plain stabilizer update, no outcomes), as
+    :func:`simulate_measurements` leaves them.  A count outside the
+    schedule raises :class:`ValidationError`."""
+    window = resolve_window(code, rounds)
     tab = Tableau(code.n)
     for vec, vec_bits, partner_bits in code.encoded_s0:
         tab.append(vec, partner_bits, tab.masks(vec_bits))
-    yield tab
     for rnd in code.encoded_rounds[:window]:
         for entry in rnd:
             tab.measure(*entry)
-        yield tab
-
-
-def round_isg_history(code: DynamicalCode) -> list[list[PauliOperator]]:
-    """Generator lists after each round, starting from the code's s0."""
-    states = _evolve(code, len(code.rounds))
-    return [[decode(row, code.n) for row in tab.generators()] for tab in states][1:]
-
-
-def isg_rows(code: DynamicalCode, rounds: int) -> list[int]:
-    """Encoded generators of the ISG reached from s0 after ``rounds``
-    rounds, as :func:`simulate_measurements` leaves them.  A count
-    outside the schedule raises :class:`ValidationError`."""
-    *_, tab = _evolve(code, resolve_window(code, rounds))
     return tab.generators()
-
-
-def isg_after(code: DynamicalCode, rounds: int) -> list[PauliOperator]:
-    """:func:`isg_rows` as operators."""
-    return [decode(row, code.n) for row in isg_rows(code, rounds)]
 
 
 def unmask_cycle_count(

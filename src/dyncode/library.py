@@ -174,12 +174,12 @@ def honeycomb_plaquettes(cells_x: int, cells_y: int) -> list[tuple[int, PauliOpe
     return [(color, _colored_pauli(n, color, sites)) for color, sites in plaquettes]
 
 
-def honeycomb(cells_x: int, cells_y: int, cycles: int = 2) -> DynamicalCode:
+def honeycomb(cells_x: int, cells_y: int) -> DynamicalCode:
     """Honeycomb Floquet code on a torus of cells_x x cells_y unit cells.
 
     The initial group is the steady-state ISG reached by repeating the
     3-round check cycle from scratch (snapshot at a cycle boundary); the
-    schedule then continues with ``cycles`` further cycles.
+    schedule then continues with two further cycles.
 
     Raises:
         ValueError: if the torus does not admit the three-coloring.
@@ -192,7 +192,7 @@ def honeycomb(cells_x: int, cells_y: int, cycles: int = 2) -> DynamicalCode:
     initialization_depth(trace)  # raises if no fixpoint
     s0 = [decode(row, n) for row in trace.snapshots[-1][-1]]
     return DynamicalCode.make(
-        n, s0, cycle * cycles,
+        n, s0, cycle * 2,
         labels={"name": "honeycomb", "cells_x": cells_x, "cells_y": cells_y},
     )
 
@@ -217,19 +217,19 @@ def load_code(path) -> DynamicalCode:
 
     Raises:
         ValidationError: on malformed JSON (with the line number where the
-            parser gives one, and also for nesting or integers past the
-            parser's limits), missing or mistyped fields, unparsable Pauli
-            strings, or a code failing structural validation.
+            parser gives one, and also for invalid UTF-8 and for nesting or
+            integers past the parser's limits), missing or mistyped
+            fields, unparsable Pauli strings, or a code failing structural
+            validation.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
     try:
-        document = json.loads(text)
+        with open(path, "r", encoding="utf-8") as handle:
+            document = json.loads(handle.read())
     except json.JSONDecodeError as exc:
         raise ValidationError(
             [{"kind": "json-parse-error", "line": exc.lineno, "message": exc.msg}]
         ) from exc
-    except (RecursionError, ValueError) as exc:  # deep nesting, overlong integers
+    except (RecursionError, ValueError) as exc:  # deep nesting, overlong integers, invalid UTF-8
         raise ValidationError([{"kind": "json-parse-error", "message": str(exc)}]) from exc
     diagnostics = []
     if not isinstance(document, dict):

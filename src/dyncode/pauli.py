@@ -172,6 +172,9 @@ _LETTER_JOIN_LEVEL = 1 << 20
 # assignments in C; a larger table is searched by bisection alone, which
 # keeps the half split's memory at the sorted table (~48 bytes an entry).
 _SCREENED_TABLE = 1 << 16
+# The most entries a table may hold (about 200 MB): honeycomb(6,6)'s
+# weight-3 table has 1.6M, its weight-4 table 83M.
+_MAX_TABLE = 1 << 22
 
 
 def _suffix_weight(n: int, w: int) -> int:
@@ -203,9 +206,18 @@ def _syndrome_table(n: int, syndromes, b: int):
     k numbers the operators by support in lexicographic order, then by
     letters (the last qubit fastest, X < Z < Y), so k // 3**b is the rank
     of its support and k % 3**b its letters, and the entries of one
-    syndrome rise with their first qubit.
+    syndrome rise with their first qubit.  A table of more than
+    ``_MAX_TABLE`` entries raises :class:`CapExceededError` instead.
     """
-    shift = (math.comb(n, b) * 3 ** b).bit_length()
+    size = math.comb(n, b) * 3 ** b
+    if size > _MAX_TABLE:
+        from .engine import CapExceededError  # engine imports this module
+
+        raise CapExceededError(
+            f"the weight-{b} syndrome table would hold {size} operators, "
+            f"more than {_MAX_TABLE}"
+        )
+    shift = size.bit_length()
     syns = itertools.chain.from_iterable(s for _, s in _assignments(syndromes, n, b))
     table = sorted(map(operator.or_, map(operator.lshift, syns, itertools.repeat(shift)),
                        itertools.count()))
@@ -236,7 +248,10 @@ def commuting_paulis_up_to_weight(n: int, max_weight: int, rows: list[int]):
     is at most 2^20, and b = floor(w/2) past it.  A weight costs
     C(n, a) * 3^a lookups into a table of C(n, b) * 3^b entries: at n=72
     (honeycomb(6,6)) weight 6 is 1.6M lookups into 1.6M entries, where
-    the letter table would take C(72, 5) * 3^5 = 3.4G lookups.
+    the letter table would take C(72, 5) * 3^5 = 3.4G lookups.  A
+    table is built when the first weight that needs it is reached, and
+    one past ``_MAX_TABLE`` entries raises :class:`CapExceededError`
+    there, after every lighter operator was yielded.
     """
     planes = [0] * (2 * n)  # bit j of planes[b] is bit b of rows[j]
     for j, row in enumerate(rows):

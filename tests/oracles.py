@@ -26,7 +26,9 @@ weight, bucketed by its syndrome on the unmasked stabilizers.
 expression (a sign and a set of symbols), the row reduction (every
 column tested for a pivot) and the incremental span (every pivot
 scanned in insertion order) as the package wrote them before bit masks
-and pivot-indexed reduction.
+and pivot-indexed reduction.  :func:`final_sets` and :func:`round_isgs`
+are no references: they read the final C and V of a classification and
+the ISG after each round in the form the tests compare.
 """
 
 from __future__ import annotations
@@ -49,7 +51,8 @@ from dyncode.engine import (
     resolve_window,
     symbol_expr,
 )
-from dyncode.classify import DistanceResult, RemovalEvent, TrackedPauli
+from dyncode.classify import DistanceResult, RemovalEvent
+from dyncode.floquet import isg_rows
 from dyncode.gf2 import BitMatrix, Combination, Echelon, in_span, kernel_under_form
 from dyncode.pauli import (
     decode,
@@ -350,6 +353,44 @@ def apply_error(state: ISGState, e: PauliOperator) -> ISGState:
     )
 
 
+@dataclass
+class TrackedPauli:
+    """An element of C or V with its provenance.
+
+    For C elements, ``assoc`` is the combination over the initial
+    generators giving the associated stabilizer, and ``carry`` is the
+    outcome of (op * associated stabilizer).  For V elements ``assoc`` is
+    None and ``carry`` is the known outcome of ``op`` itself.
+    """
+
+    op: PauliOperator
+    assoc: Combination | None
+    carry: OutcomeExpr
+
+
+def final_sets(report) -> tuple[list[TrackedPauli], list[TrackedPauli]]:
+    """The C and V of a classification at the end of its window, read
+    from the (row, packed provenance) pairs of ``report._final``, in the
+    form :func:`reference_forward` gives them."""
+    n, k = report.n, len(report.s0)
+
+    def element(row, prov, assoc):
+        expr = OutcomeExpr.unpack(prov, k)
+        combination = Combination(expr.initial, k) if assoc else None
+        return TrackedPauli(decode(row, n), combination, OutcomeExpr(expr.sign, expr.random))
+
+    C, V = report._final
+    return ([element(row, prov, True) for row, prov in C],
+            [element(row, prov, False) for row, prov in V])
+
+
+def round_isgs(code: DynamicalCode) -> list[list[PauliOperator]]:
+    """The generators of the ISG after each round, from
+    ``floquet.isg_rows``: entry r-1 after round r."""
+    return [[decode(row, code.n) for row in isg_rows(code, r)]
+            for r in range(1, len(code.rounds) + 1)]
+
+
 def _times(a: TrackedPauli, b: TrackedPauli) -> TrackedPauli:
     """Product of the operators, the associated combinations (a None
     ``assoc`` counts as empty) and the carried outcomes."""
@@ -378,7 +419,7 @@ def reference_forward(
     code: DynamicalCode, window: int | None = None
 ) -> tuple[list[TrackedPauli], list[TrackedPauli], list[RemovalEvent]]:
     """The classification's forward pass over lists: (C, V, removals) as
-    ``run_classification`` reports them in ``C_final``, ``V_final`` and
+    :func:`final_sets` reads them off a classification report, and as its
     ``removals``."""
     window = resolve_window(code, window)
     k = len(code.s0)

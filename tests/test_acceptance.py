@@ -26,7 +26,6 @@ from dyncode import (
     iterate_cycles,
     library_fixtures,
     logical_outcome,
-    round_isg_history,
     run_classification,
     simulate_measurements,
     subsystem_distance,
@@ -45,12 +44,14 @@ from dyncode.pauli import (
 )
 
 from oracles import (
+    final_sets,
     formula_reproduces_stabilizer,
     forward_oracle,
     group_elements,
     random_instance,
     random_pauli,
     random_round,
+    round_isgs,
     spans_equal,
 )
 
@@ -102,13 +103,14 @@ def test_criterion_1_ordering_examples():
             code_of(n, [" ".join(f"X{i}" for i in range(1, 7))], rounds),
             window=window,
         )
+        C, V = final_sets(report)
         assert spans_equal(
-            [t.op for t in report.C_final],
+            [t.op for t in C],
             [parse_pauli(s, n) for s in c_ops],
             n,
         )
         assert spans_equal(
-            [t.op for t in report.V_final],
+            [t.op for t in V],
             [parse_pauli(s, n) for s in v_ops],
             n,
         )
@@ -288,7 +290,7 @@ def test_criterion_6_floquet_theorems():
     # simulation can reach them; we verify that defect instead.
     n = 10
     code = build_1d_chain(n)
-    hist = round_isg_history(code)
+    hist = round_isgs(code)
     listing = {
         1: ["X1"],
         2: ["X1", "X2 X3", "X6 X7"],
@@ -404,7 +406,7 @@ def test_criterion_8_logical_outcomes_and_syndromes():
     # anticommuting with the measured s2 flips the reconstructed value
     # only when it precedes the s2 measurement.
     code = code_of(3, ["Z1 Z2"], [["Z2 Z3"], ["X3"]])
-    trace = build_logical_trace(code, parse_pauli("Z3", 3))
+    [trace] = build_logical_trace(code, [parse_pauli("Z3", 3)])
     e = parse_pauli("X1 X2", 3)
     for l0_value in (1, -1):
         for outcome in (1, -1):

@@ -31,6 +31,7 @@ from dyncode.pauli import (
 from oracles import (
     SPLITS,
     brute_force_min_weight,
+    final_sets,
     forced_split,
     formula_reproduces_stabilizer,
     forward_oracle,
@@ -90,11 +91,12 @@ class TestOrderingExamples:
         for window, (c_ops, v_ops) in enumerate(expected, start=1):
             report = run_classification(code_of(n, [" ".join(
                 f"X{i}" for i in range(1, 7))], rounds), window=window)
+            C, V = final_sets(report)
             assert spans_equal(
-                [t.op for t in report.C_final],
+                [t.op for t in C],
                 [parse_pauli(s, n) for s in c_ops], n)
             assert spans_equal(
-                [t.op for t in report.V_final],
+                [t.op for t in V],
                 [parse_pauli(s, n) for s in v_ops], n)
 
     def test_simplified_plaquette_example(self):
@@ -333,7 +335,7 @@ class TestReplayCommutingBranch:
                 continue
             checked += 1
             s0_rows = [encode(op) for op in code.s0]
-            isg = [(encode(t.op), None) for t in report.C_final + report.V_final]
+            isg = [(row, None) for row, _ in report._final[0] + report._final[1]]
             args = (code.n, isg, report._removals, s0_rows)
             assert classify._extract_permanently_masked(*args) == ([], [])
             with monkeypatch.context() as patch:

@@ -5,7 +5,7 @@ import tempfile
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dyncode import (
@@ -18,12 +18,12 @@ from dyncode import (
     shor_code,
     simulate_measurements,
 )
-from dyncode import engine
+from dyncode import engine, pauli
 from dyncode.cli import _expr_to_json, main, parse_error_spec
 from dyncode.engine import ValidationError
 from dyncode.pauli import format_pauli, parse_pauli, symplectic_product, weight
 
-from oracles import group_elements, random_instance
+from oracles import forced_split, group_elements, random_instance
 
 
 @pytest.fixture
@@ -144,6 +144,46 @@ class TestDistance:
     def test_cap_exceeded_status(self, runner, shor_file):
         report = run_json(runner, ["distance", shor_file, "--cap", "2"])
         assert report["d_isg"]["status"] == "exceeded-cap"
+
+
+class TestTableLimit:
+    """Under the half split with a limit of 100 entries, weights up to 3
+    need tables of at most 3n entries, and weight 4 needs a table of
+    C(n, 2) * 9 pairs (324 for n = 9, 1,080 for n = 16) and ends in
+    cap-exceeded."""
+
+    @pytest.fixture(autouse=True)
+    def small_limit(self, monkeypatch):
+        monkeypatch.setattr(pauli, "_MAX_TABLE", 100)
+        with forced_split("halves"):
+            yield
+
+    @pytest.fixture
+    def distance_four_file(self, tmp_path):
+        # Shor's construction on four blocks of four qubits: distance 4.
+        n = 16
+        checks = [f"Z{4 * b + i} Z{4 * b + i + 1}" for b in range(4) for i in (1, 2, 3)]
+        checks += [" ".join(f"X{q}" for q in range(4 * b + 1, 4 * b + 9)) for b in range(3)]
+        ops = [parse_pauli(check, n) for check in checks]
+        path = tmp_path / "shor-4x4.json"
+        save_code(DynamicalCode.make(n, ops, [ops]), path)
+        return str(path)
+
+    def test_a_search_ending_below_the_limit_answers(self, runner, shor_file, distance_four_file):
+        report = run_json(runner, ["distance", shor_file])
+        assert [report[key]["value"]["value"] for key in ("d_u", "d_subsystem", "d_isg")] == [3] * 3
+        report = run_json(runner, ["distance", distance_four_file, "--cap", "3"])
+        assert {report[key]["status"] for key in ("d_u", "d_subsystem", "d_isg")} == {"exceeded-cap"}
+        report = run_json(runner, ["simulate", distance_four_file, "--max-weight", "1"])
+        assert report["decoding"]["ok"] is True
+
+    @pytest.mark.parametrize("args", [["distance", "--cap", "4"], ["simulate", "--max-weight", "2"]])
+    def test_a_table_past_the_limit_is_cap_exceeded(self, runner, distance_four_file, args):
+        result = runner.invoke(main, [args[0], distance_four_file, *args[1:]])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        error = json.loads(result.stderr)
+        assert error["error"] == "cap-exceeded" and "1080" in error["message"]
 
 
 def _check_witnesses(code, report, cap):
@@ -338,6 +378,15 @@ class TestSimulate:
         assert report["decoding"]["ok"] is False
         assert len(report["decoding"]["violation"]) == 2
 
+    def test_a_logical_equal_to_a_measurement_is_measured_out(self, runner, tmp_path):
+        # Measuring IZ reads out the logical ZX and equals the logical IZ.
+        path = _write(tmp_path, {"version": 1, "n": 2, "s0": ["XZ"], "rounds": [["IZ"], ["IY"]]})
+        report = run_json(runner, ["simulate", path])
+        assert report["logical_outcomes"] == [
+            {"logical": "IZ", "status": "measured-out"},
+            {"logical": "ZX", "status": "measured-out"},
+        ]
+
     def test_parse_error_spec(self):
         errors = parse_error_spec("0:X1,2:Z1 Z2", 3)
         assert errors == {
@@ -406,17 +455,97 @@ def test_bad_input_is_a_diagnostic(runner, tmp_path, command, document, options,
     assert kind in [d["kind"] for d in error["diagnostics"]]
 
 
-@pytest.mark.parametrize(
-    "text",
-    ["[" * 100_000, '{"version": 1, "n": ' + "9" * 5000 + ', "s0": [], "rounds": []}'],
-    ids=["deep-nesting", "long-integer"],
-)
-@pytest.mark.parametrize("command", ["validate", "classify", "distance", "floquet", "simulate"])
+# Files the JSON parser refuses: deep nesting, an integer past the limit
+# on int-string conversion, and a byte that is not UTF-8.
+REFUSED = [
+    b"[" * 100_000,
+    b'{"version": 1, "n": ' + b"9" * 5000 + b', "s0": [], "rounds": []}',
+    b'{"n": "\xff"}',
+]
+COMMAND_NAMES = ["validate", "classify", "distance", "floquet", "simulate"]
+
+
+@pytest.mark.parametrize("text", REFUSED, ids=["deep-nesting", "long-integer", "invalid-utf-8"])
+@pytest.mark.parametrize("command", COMMAND_NAMES)
 def test_json_the_parser_refuses_is_a_parse_error(runner, tmp_path, command, text):
     path = tmp_path / "code.json"
-    path.write_text(text)
+    path.write_bytes(text)
     result = runner.invoke(main, [command, str(path)], catch_exceptions=False)
     assert result.exit_code == 1
     assert "Traceback" not in result.output
     error = json.loads(result.stderr)
     assert [d["kind"] for d in error["diagnostics"]] == ["json-parse-error"]
+
+
+# Replacement field values: other JSON types, and a negative integer.
+OTHER_TYPES = [None, True, 2.5, "2", [], {}, [[]], {"n": 2}, -1]
+FIELDS = ["version", "n", "s0", "rounds", "labels"]
+
+
+def _broken_pauli(draw, text: str, n: int):
+    return draw(st.sampled_from([
+        text[:-1], text + "X", "Q" + text[1:], "", " ", "-" + text, text.lower(),
+        "X0", f"X{n + 1}", "X1 X1", "X1Z2", "\u00e9" * n, "I", 7, None, [text],
+    ]))
+
+
+@st.composite
+def malformed_documents(draw):
+    """A valid code document with one to three structural mutations:
+    a dropped or retyped field, a wrong nesting, or a broken Pauli
+    string; sometimes wrapped in a list."""
+    code = random_instance(random.Random(draw(st.integers(0, 2**32 - 1))), max_n=5, max_s0=3)
+    document = {
+        "version": 1, "n": code.n, "labels": {"name": "drawn"},
+        "s0": [format_pauli(op) for op in code.s0],
+        "rounds": [[format_pauli(op) for op in rnd] for rnd in code.rounds],
+    }
+    for _ in range(draw(st.integers(1, 3))):
+        mutation = draw(st.sampled_from(["drop", "retype", "nest", "pauli"]))
+        field = draw(st.sampled_from(FIELDS))
+        if mutation == "drop":
+            document.pop(field, None)
+        elif mutation == "retype":
+            document[field] = draw(st.sampled_from(OTHER_TYPES))
+        elif mutation == "nest":
+            source, target = draw(st.sampled_from(
+                [("s0", "s0"), ("rounds", "rounds"), ("s0", "rounds"), ("rounds", "s0")]
+            ))
+            document[target] = [document.get(source)] if source == target else document.get(source)
+        else:
+            rounds = document.get("rounds")
+            lists = [document.get("s0"), *(rounds if isinstance(rounds, list) else [])]
+            lists = [entry for entry in lists if isinstance(entry, list) and entry]
+            if lists:
+                strings = draw(st.sampled_from(lists))
+                i = draw(st.integers(0, len(strings) - 1))
+                text = strings[i] if isinstance(strings[i], str) else "X"
+                strings[i] = _broken_pauli(draw, text, code.n)
+    if draw(st.booleans()) and draw(st.booleans()):
+        document = [document]
+    return json.dumps(document).encode()
+
+
+@settings(max_examples=40, deadline=None)
+@given(malformed_documents())
+@example(REFUSED[0])
+@example(REFUSED[1])
+@example(REFUSED[2])
+def test_malformed_documents_end_in_a_json_report_or_diagnostic(text):
+    """Every command on a mutated or refused file: exit 0 with a JSON
+    report, or 1-3 with a JSON error, and never a traceback."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "code.json")
+        with open(path, "wb") as handle:
+            handle.write(text)
+        for command in COMMAND_NAMES:
+            result = CliRunner().invoke(main, [command, path])
+            assert result.exception is None or isinstance(result.exception, SystemExit), (
+                command, result.exception,
+            )
+            assert result.exit_code in (0, 1, 2, 3), command
+            if result.exit_code:
+                expected = {1: "validation", 2: "cap-exceeded", 3: "internal-invariant"}
+                assert json.loads(result.stderr)["error"] == expected[result.exit_code]
+            else:
+                assert json.loads(result.output)["command"] == command

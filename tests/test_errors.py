@@ -55,8 +55,7 @@ class TestSpacetimeError:
         e = SpacetimeError.make(
             3, {0: parse_pauli("X1", 3), 2: parse_pauli("Z2", 3)}
         )
-        assert e.at(0) == parse_pauli("X1", 3)
-        assert e.at(1) == identity(3)
+        assert e.by_round == ((0, parse_pauli("X1", 3)), (2, parse_pauli("Z2", 3)))
         assert e.net_after(0) == parse_pauli("X1 Z2", 3)
         assert e.net_after(1) == parse_pauli("Z2", 3)
         assert e.net_after(3) == identity(3)
@@ -128,9 +127,9 @@ class TestLogicalTrace:
     def test_rejects_non_logicals(self):
         code = self.example_code()
         with pytest.raises(ValidationError):
-            build_logical_trace(code, parse_pauli("X1", 3))
+            build_logical_trace(code, [parse_pauli("X1", 3)])
         with pytest.raises(ValidationError):
-            build_logical_trace(code, parse_pauli("Z1 Z2", 3))
+            build_logical_trace(code, [parse_pauli("Z3", 3), parse_pauli("Z1 Z2", 3)])
 
     def test_one_pass_equals_separate_traces(self):
         from dyncode import canonical_logicals
@@ -139,22 +138,27 @@ class TestLogicalTrace:
         for _ in range(40):
             code = random_instance(rng)
             logicals = [op for op, _ in canonical_logicals(code.n, list(code.s0))]
-            expected = []
-            for op in logicals:
-                try:
-                    expected.append(build_logical_trace(code, op))
-                except ValidationError:
-                    expected.append(None)
+            expected = [build_logical_trace(code, [op])[0] for op in logicals]
             assert build_logical_trace(code, logicals) == expected
 
-    def test_rejects_schedules_that_measure_the_logical(self):
+    def test_schedules_that_measure_the_logical_read_it_out(self):
+        # Z2 joins the group: it reads out X2, which anticommutes with it,
+        # and Z2 itself, which it equals, whether traced alone or together.
         code = code_of(2, ["Z1"], [["Z2"]])
-        with pytest.raises(ValidationError):
-            build_logical_trace(code, parse_pauli("X2", 2))
+        x2, z2 = parse_pauli("X2", 2), parse_pauli("Z2", 2)
+        assert build_logical_trace(code, [x2]) == [None]
+        assert build_logical_trace(code, [z2]) == [None]
+        assert build_logical_trace(code, [x2, z2]) == [None, None]
+        # Measuring IZ reads out ZX and equals the logical IZ, so neither
+        # has a trace; IY then replaces IZ in the group.
+        code = code_of(2, ["X1 Z2"], [["Z2"], ["Y2"]])
+        logicals = [parse_pauli("Z1 X2", 2), parse_pauli("Z2", 2)]
+        assert build_logical_trace(code, logicals) == [None, None]
+        assert build_logical_trace(code, logicals[1:]) == [None]
 
     def test_final_representative_decomposition(self):
         code = self.example_code()
-        trace = build_logical_trace(code, parse_pauli("Z3", 3))
+        [trace] = build_logical_trace(code, [parse_pauli("Z3", 3)])
         assert trace.l_final == parse_pauli("Z2", 3)
         acc = trace.l0
         for i in trace.s0_combination.indices():
@@ -172,7 +176,7 @@ class TestLogicalTrace:
         # measured Z2Z3; only an error preceding that measurement flips
         # the reconstructed logical value.
         code = self.example_code()
-        trace = build_logical_trace(code, parse_pauli("Z3", 3))
+        [trace] = build_logical_trace(code, [parse_pauli("Z3", 3)])
         initial = {0: 1}
         measured = {0: outcome, 1: 1}
         e = parse_pauli("X1 X2", 3)
@@ -199,9 +203,8 @@ class TestLogicalTrace:
                 continue
             l0 = basis[0][0]
             expr = state.logicals[0][1]
-            try:
-                trace = build_logical_trace(code, l0)
-            except ValidationError:
+            [trace] = build_logical_trace(code, [l0])
+            if trace is None:
                 continue
             checked += 1
             symbols = {s for _, _, e in record for s in e.symbols}

@@ -12,13 +12,12 @@ from dyncode import (
     growth_accounting,
     initialization_depth,
     iterate_cycles,
-    round_isg_history,
     unmask_cycle_count,
 )
 from dyncode import floquet
 from dyncode.classify import run_classification
 from dyncode.engine import CapExceededError, ValidationError, simulate_measurements
-from dyncode.floquet import isg_after
+from dyncode.floquet import isg_rows
 from dyncode.gf2 import rank
 from dyncode.library import bacon_shor, honeycomb, honeycomb_cycle
 from dyncode.pauli import decode, format_pauli, parse_pauli
@@ -32,6 +31,7 @@ from oracles import (
     random_round,
     reference_cycles,
     reference_measure,
+    round_isgs,
     spans_equal,
 )
 
@@ -214,7 +214,7 @@ class TestChain:
 
     def test_known_early_history(self):
         code = build_1d_chain(10)
-        hist = round_isg_history(code)
+        hist = round_isgs(code)
         n = 10
 
         def ops(strings):
@@ -229,7 +229,7 @@ class TestChain:
     def test_x_chain_takes_linear_time(self):
         n = 10
         code = build_1d_chain(n)
-        hist = round_isg_history(code)
+        hist = round_isgs(code)
         full_chain = parse_pauli(" ".join(f"X{i}" for i in range(1, n)), n)
         first = next(
             r for r, snap in enumerate(hist, start=1) if full_chain in snap
@@ -245,7 +245,7 @@ class TestIsgAfter:
         for code in codes:
             for rounds in range(len(code.rounds) + 1):
                 state, _ = simulate_measurements(code, window=rounds)
-                assert isg_after(code, rounds) == state.generators
+                assert [decode(row, code.n) for row in isg_rows(code, rounds)] == state.generators
 
 
 class TestUnmaskCycles:

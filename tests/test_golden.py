@@ -101,7 +101,7 @@ GOLDEN = {
     "1d-chain-10:distance-canonical": "6eb33670618b5bef8d2d7555d97dc0c237f8d94c5f53cbd15771ce02c7f6e31f",
     "1d-chain-10:distance-exhaustive": "d3e0ecf11a9b6f7e0ebf7b2e73cb829c304ca98477d7071c582ff4d7d54877e2",
     "1d-chain-10:floquet": "6eb267756e6250f5cb5cd9094982713235454a00732f5925cf992fe0ec442be8",
-    "1d-chain-10:simulate": "a8dfde219d2a979f177817f42a413ceb0118feb9a7667153a90f532db5be3df2",
+    "1d-chain-10:simulate": "88e755c4a73fa2e3d3f63c9b26db8ef7b8cb6b69c0c3722efbf15f0c1ff40ecb",
     "random-249:classify": "50ca496b440812dc276fc829576e0bfe0f2d04e8478b4d4db5363be56377f1c9",
     "random-249:classify-isg1": "b6788895084a5205f3e10911cdd013a988729d7dcbf00935c8f4f7793a8a4fe6",
     "random-249:distance-canonical": "2bd4ba6780358e5824983a40c3a3a562beadb626cc620b9ebb03cb694c91da51",

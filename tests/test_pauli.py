@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dyncode import pauli
+from dyncode.engine import CapExceededError
 from dyncode.pauli import (
     PauliOperator,
     commuting_paulis_up_to_weight,
@@ -262,3 +263,15 @@ class TestEnumeration:
         # C(18, 5) * 3^5 = 2,082,024.
         assert [pauli._suffix_weight(18, w) for w in range(1, 8)] == [1] * 5 + [3, 3]
         assert [pauli._suffix_weight(72, w) for w in range(1, 7)] == [1, 1, 1, 2, 2, 3]
+
+    def test_a_table_past_the_limit_raises_at_the_weight_that_needs_it(self, monkeypatch):
+        # Under the half split, weights 2 and 3 join the 27-entry letter
+        # table and weight 4 needs the C(9, 2) * 9 = 324 pairs.
+        monkeypatch.setattr(pauli, "_MAX_TABLE", 100)
+        rows = [encode(parse_pauli("Z1 Z2", 9)), encode(parse_pauli("X1 X2 X3", 9))]
+        with forced_split("halves"):
+            lighter = list(commuting_paulis_up_to_weight(9, 3, rows))
+            search = commuting_paulis_up_to_weight(9, 4, rows)
+            assert [next(search) for _ in lighter] == lighter
+            with pytest.raises(CapExceededError):
+                next(search)

@@ -36,6 +36,7 @@ from dyncode.tableau import Tableau, encoding
 
 from oracles import (
     apply_error,
+    final_sets,
     random_instance,
     random_pauli,
     reference_forward,
@@ -165,8 +166,7 @@ def test_forward_pass_matches_the_reference(code):
     assert [sorted(record[-1]) for record in report._removals] == [
         bits(symplectic_partner(encode(e.op), code.n)) for e in removals
     ]
-    assert report.C_final == C
-    assert report.V_final == V
+    assert final_sets(report) == (C, V)
 
 
 @pytest.mark.parametrize("code", CODES, ids=range(len(CODES)))
