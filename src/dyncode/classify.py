@@ -61,7 +61,6 @@ from .gf2 import (
     kernel_under_form,
     lowest,
     minimize_over_span,
-    nullspace,
     solve_linear,
     span_intersection,
 )
@@ -394,15 +393,28 @@ _COSET_CHOICES = 4096
 
 @dataclass
 class GaugeGroup:
-    """Gauge group: stabilizers plus destabilizers for the masked ones."""
+    """Gauge group: stabilizers plus destabilizers for the masked ones.
+
+    ``center`` spans the group's center: the unmasked stabilizers, since
+    every other generator pairs with a partner alone (T with its chosen
+    destabilizer, P with K) and all of them commute with U.  In a
+    subsystem code the stabilizer is the gauge group's center (Poulin,
+    quant-ph/0508131).
+    """
 
     n: int
     generators: list[PauliOperator]
     policy: str
     t_destabs: list[PauliOperator]
+    center: list[PauliOperator]
     # Per temporarily-masked stabilizer, the logical-coset alternatives
     # available under the exhaustive policy (empty under canonical).
     alternatives: list[list[PauliOperator]] = field(default_factory=list)
+
+    def has_choices(self) -> bool:
+        """Whether some temporarily masked stabilizer has a destabilizer
+        besides the chosen one."""
+        return any(len(choices) > 1 for choices in self.alternatives)
 
 
 def build_gauge_group(
@@ -451,7 +463,7 @@ def build_gauge_group(
         partners.append(symplectic_partner(vec, n))
         chosen.append(kappa)
     generators = stab_ops + list(report.K) + chosen
-    gauge = GaugeGroup(n, generators, t_destab_policy, chosen)
+    gauge = GaugeGroup(n, generators, t_destab_policy, chosen, [u.op for u in report.U])
     if t_destab_policy == "exhaustive" and report.T:
         logicals = [op for op, _ in canonical_logicals(n, generators)]
         per_t = 1 << len(logicals)
@@ -541,22 +553,9 @@ def isg_distance(generators: list[PauliOperator], n: int, cap: int = 6) -> Dista
 def subsystem_distance(gauge: GaugeGroup, cap: int = 6) -> DistanceResult:
     """Lightest dressed logical: commutes with the gauge group's center
     but lies outside the gauge group."""
-    rows = [encode(g) for g in gauge.generators]
-    center = _group_center(gauge.n, rows)
-    return _min_weight_outside(gauge.n, center, rows, cap)
-
-
-def _group_center(n: int, rows: list[int]) -> list[int]:
-    """Basis of the elements of the row span commuting with every row."""
-    ech = Echelon(2 * n)
-    basis = [row for row in rows if ech.add(row)]
-    # Row j of the pairing matrix records which basis elements anticommute
-    # with generator j; combinations in its nullspace form the center.
-    pairing = [mask >> len(rows) for mask in anticommutation_masks(n, rows + basis)[:len(rows)]]
-    return [
-        Combination(combo, len(basis)).evaluate(basis)
-        for combo in nullspace(BitMatrix(pairing, len(basis)))
-    ]
+    return _min_weight_outside(
+        gauge.n, [encode(c) for c in gauge.center], [encode(g) for g in gauge.generators], cap
+    )
 
 
 def unmasked_distance(
@@ -569,14 +568,10 @@ def unmasked_distance(
     over all recorded destabilizer choices, matching the freedom the
     temporarily masked stabilizers leave open.
     """
+    if not gauge.has_choices():
+        return subsystem_distance(gauge, cap)  # U spans the center
     commute = [encode(u.op) for u in report.U]
-    if gauge.policy != "exhaustive" or not gauge.alternatives:
-        rows = [encode(g) for g in gauge.generators]
-        return _min_weight_outside(report.n, commute, rows, cap)
-    fixed = [
-        encode(g)
-        for g in gauge.generators[: len(gauge.generators) - len(gauge.t_destabs)]
-    ]
+    fixed = [encode(g) for g in gauge.generators[: len(gauge.generators) - len(gauge.t_destabs)]]
     best: DistanceResult | None = None
     for choice in itertools.product(*gauge.alternatives):
         rows = fixed + [encode(kappa) for kappa in choice]

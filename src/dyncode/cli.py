@@ -32,10 +32,15 @@ from .engine import (
     DynamicalCode,
     InternalInvariantError,
     ValidationError,
-    simulate_measurements,
     validate_code,
 )
-from .errors import SpacetimeError, syndrome_of_spacetime_error, verify_round0_decoding
+from .errors import (
+    SpacetimeError,
+    logical_outcome,
+    syndrome_of_spacetime_error,
+    traced_simulation,
+    verify_round0_decoding,
+)
 from .floquet import (
     growth_accounting,
     check_subset_monotonicity,
@@ -46,7 +51,7 @@ from .floquet import (
 )
 from .gf2 import bits
 from .library import load_code
-from .pauli import format_pauli, parse_pauli
+from .pauli import PauliOperator, format_pauli, parse_pauli
 
 SCHEMA_VERSION = 1
 
@@ -219,11 +224,12 @@ def distance(file, window, cap, t_destab, fmt):
         result = run_classification(code, window=window)
         gauge = build_gauge_group(result, t_destab_policy=t_destab)
         report = _report_shell("distance", file)
-        report["d_u"] = _distance_to_json(
-            unmasked_distance(result, gauge, cap=cap)
-        )
+        d_u = unmasked_distance(result, gauge, cap=cap)
+        report["d_u"] = _distance_to_json(d_u)
+        # The gauge group's center is span(U), so without destabilizer
+        # choices d_u's search is the subsystem search.
         report["d_subsystem"] = _distance_to_json(
-            subsystem_distance(gauge, cap=cap)
+            subsystem_distance(gauge, cap=cap) if gauge.has_choices() else d_u
         )
         report["d_isg"] = _distance_to_json(
             isg_distance(list(code.s0), code.n, cap=cap)
@@ -313,8 +319,8 @@ def simulate(file, error_spec, seed, max_weight, fmt):
         report["errors"] = {
             str(r): format_pauli(op) for r, op in error.by_round
         }
-        syndromes = []
         occurrences = list(code.measurements())
+        syndromes = []
         for u in result.U:
             decomposition = _syndrome_decomposition(code.n, occurrences, u)
             bit = syndrome_of_spacetime_error(error, decomposition, u.op)
@@ -345,13 +351,10 @@ def _logical_outcomes(code: DynamicalCode, error, rng) -> list[dict]:
     simulated value from evaluating the symbolic forward simulation under
     the same (seeded) assignment of all unknown bits.  They must agree.
     """
-    from .errors import build_logical_trace, logical_outcome
-
-    placed = dict(error.by_round)
-    state, record = simulate_measurements(
-        code, errors=placed, track_logicals=True
-    )
-    exprs = [expr for _, _, expr in record] + [expr for _, expr in state.logicals or ()]
+    logical_ops = list(code.logical_basis)
+    evolution, record, traces = traced_simulation(code, logical_ops, dict(error.by_round))
+    tracked = evolution.tableau.tracked.slots()
+    exprs = [expr for _, _, expr in record] + [evolution.outcome(s) for s in tracked]
     initial = random_bits = 0
     for expr in exprs:
         initial |= expr.initial
@@ -378,8 +381,6 @@ def _logical_outcomes(code: DynamicalCode, error, rng) -> list[dict]:
     initial_values = {i: -1 if minus_initial >> i & 1 else 1 for i in bits(initial)}
     measurement_values = {t: value(expr) for t, _, expr in record}
     results = []
-    logical_ops = list(code.logical_basis)
-    traces = build_logical_trace(code, logical_ops)
     for i, (op, trace) in enumerate(zip(logical_ops, traces)):
         entry = {"logical": format_pauli(op)}
         if trace is None:
@@ -390,14 +391,11 @@ def _logical_outcomes(code: DynamicalCode, error, rng) -> list[dict]:
         formula = logical_outcome(
             trace, error, l0_value, initial_values, measurement_values
         )
+        simulated = value(evolution.outcome(i))  # a traced logical keeps its slot
         entry["status"] = "ok"
         entry["formula_value"] = _computed(formula)
-        # Positional matching with the simulation only holds when no
-        # tracked logical was measured out along the way.
-        if state.logicals is not None and len(state.logicals) == len(logical_ops):
-            simulated = value(state.logicals[i][1])
-            entry["simulated_value"] = _computed(simulated)
-            entry["agree"] = formula == simulated
+        entry["simulated_value"] = _computed(simulated)
+        entry["agree"] = formula == simulated
         results.append(entry)
     return results
 
@@ -405,10 +403,9 @@ def _logical_outcomes(code: DynamicalCode, error, rng) -> list[dict]:
 def _syndrome_decomposition(n: int, occurrences: list, unmasked_entry) -> dict:
     """Per-round operator products entering an unmasked syndrome formula;
     ``occurrences[t]`` is the (round, operator) of measurement t."""
-    from .pauli import identity, product
-
-    decomposition: dict[int, object] = {}
+    masks: dict[int, tuple[int, int]] = {}
     for index in bits(unmasked_entry.syndrome.random):
         r, m = occurrences[index]
-        decomposition[r] = product(decomposition.get(r, identity(n)), m)
-    return decomposition
+        x, z = masks.get(r, (0, 0))
+        masks[r] = (x ^ m.x_mask, z ^ m.z_mask)
+    return {r: PauliOperator(n, x, z) for r, (x, z) in masks.items()}

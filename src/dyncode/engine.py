@@ -275,17 +275,17 @@ class ISGState:
     events: tuple[dict, ...] = ()
 
     @staticmethod
-    def initial(code: DynamicalCode, track_logicals: bool = False) -> "ISGState":
+    def initial(code: DynamicalCode, track_logicals: bool = False, logicals=None) -> "ISGState":
         """Starting state: each generator carries its own initial symbol.
 
-        With ``track_logicals`` a canonical basis of logical representatives
-        is attached, each valued at a fresh random-bit symbol (the encoded
-        state's unknown logical content).
+        With ``track_logicals`` the logical representatives ``logicals``
+        (by default a canonical basis) are attached, each valued at a fresh
+        random-bit symbol (the encoded state's unknown logical content).
         """
         outcomes = [symbol_expr(INITIAL_STABILIZER, i) for i in range(len(code.s0))]
         state = ISGState(code.n, list(code.s0), outcomes)
         if track_logicals:
-            ops = code.logical_basis
+            ops = code.logical_basis if logicals is None else logicals
             state.logicals = [(op, symbol_expr(RANDOM_BIT, i)) for i, op in enumerate(ops)]
             state.rand_counter = len(ops)
         return state
@@ -320,9 +320,10 @@ class Evolution:
     state's initial symbols) until they are returned.
     """
 
-    def __init__(self, state: ISGState, encoded=None) -> None:
+    def __init__(self, state: ISGState, encoded=None, trace_at: int | None = None) -> None:
         """``encoded`` holds (row, set bits, partner bits) of each generator
-        when known."""
+        when known; ``trace_at`` turns on trace provenance (:meth:`trace`)
+        from that bit up, above every outcome bit of the run."""
         n = self.n = state.n
         tab = self.tableau = Tableau(n, destabilizers=True)
         logicals = state.logicals or []
@@ -330,10 +331,17 @@ class Evolution:
             (expr.initial.bit_length() for expr in state.outcomes + [e for _, e in logicals]),
             default=0,
         )
+        self.trace_at = trace_at
+        self.outcome_bits = -1 if trace_at is None else (1 << trace_at) - 1
+        self.traced_out = 0  # the tracked slots read out for the trace only
+        self.occurrences = 0
         if encoded is None:
             encoded = [encoding(encode(g), n) for g in state.generators]
         for (vec, vec_bits, partner_bits), expr in zip(encoded, state.outcomes):
-            tab.append(vec, partner_bits, tab.masks(vec_bits), expr.pack(self.width))
+            packed = expr.pack(self.width)
+            if trace_at is not None:
+                packed |= expr.initial << (trace_at + 1)
+            tab.append(vec, partner_bits, tab.masks(vec_bits), packed)
         self.track_logicals = state.logicals is not None
         for op, expr in logicals:
             tab.tracked.append(encode(op), expr.pack(self.width))
@@ -347,29 +355,37 @@ class Evolution:
         vec, vec_bits, partner_bits = encoded or encoding(encode(m), self.n)
         rank = len(tab)
         slot, read_out = tab.measure(vec, vec_bits, partner_bits)
+        self.occurrences += 1
         prov = tab.stab.prov
         if slot is None:
             packed = 0
             for s in tab.combination(vec_bits):
                 packed ^= prov[s]
-            return OutcomeExpr.unpack(packed, self.width)
+            return OutcomeExpr.unpack(packed & self.outcome_bits, self.width)
         tracked = tab.tracked
         # Reading out a tracked logical representative directly, as m joins
         # the group: the outcome is its tracked value, not fresh randomness.
         joined = len(tab) > rank
         matching = [s for s in tracked.slots() if tracked.rows[s] == vec] if joined else []
         if matching:
-            prov[slot] = tracked.prov[matching[0]]
+            packed = tracked.prov[matching[0]] & self.outcome_bits
         else:
-            prov[slot] = symbol_expr(RANDOM_BIT, self.rand_counter).pack(self.width)
+            packed = symbol_expr(RANDOM_BIT, self.rand_counter).pack(self.width)
             self.rand_counter += 1
+        outcome = OutcomeExpr.unpack(packed, self.width)
+        if self.trace_at is not None:
+            # random bit t of the trace, past its sign bit, for measurement t
+            packed |= 1 << (self.trace_at + self.width + self.occurrences)
+            for s in matching:
+                self.traced_out |= 1 << s
+        prov[slot] = packed
         if read_out:
             self.events = self.events + ({"kind": "logical-measurement", "measurement": m},)
             # m is now a stabilizer: the representatives it read out and
             # m itself leave the logical basis (k-reduction).
             for s in matching:
                 tracked.free(s)
-        return OutcomeExpr.unpack(prov[slot], self.width)
+        return outcome
 
     def apply_error(self, e: PauliOperator) -> None:
         """Flip the outcome of every generator and tracked logical that
@@ -380,19 +396,46 @@ class Evolution:
             for slot in bits(mask):
                 group.prov[slot] ^= 1  # the sign bit
 
+    def outcome(self, slot: int) -> OutcomeExpr:
+        """The value of the tracked row in ``slot``."""
+        return OutcomeExpr.unpack(self.tableau.tracked.prov[slot] & self.outcome_bits, self.width)
+
+    def trace(self, slot: int) -> tuple[int, OutcomeExpr] | None:
+        """The tracked row in ``slot`` and its trace provenance: the initial
+        symbols of its combination, random bit t for each measurement t
+        multiplied in.  None once a joining measurement anticommutes with
+        it or equals it (which frees it only if it reads out another)."""
+        tracked = self.tableau.tracked
+        if tracked.rows[slot] is None or self.traced_out >> slot & 1:
+            return None
+        expr = OutcomeExpr.unpack(tracked.prov[slot] >> self.trace_at, self.width)
+        return tracked.rows[slot], expr
+
+    def run(self, code: DynamicalCode, window: int, errors: dict[int, PauliOperator]) -> list:
+        """Measure the first ``window`` rounds of ``code`` in place with
+        ``errors`` placed; the record of :func:`simulate_measurements`."""
+        if 0 in errors:
+            self.apply_error(errors[0])
+        record = []
+        for round_index, (rnd, encoded) in enumerate(
+            zip(code.rounds[:window], code.encoded_rounds), start=1
+        ):
+            for m, entry in zip(rnd, encoded):
+                record.append((len(record), m, self.measure(m, entry)))
+            if round_index in errors:
+                self.apply_error(errors[round_index])
+        return record
+
     def state(self) -> ISGState:
         n, stab, tracked = self.n, self.tableau.stab, self.tableau.tracked
-        unpack, width = OutcomeExpr.unpack, self.width
+        unpack, width, mask = OutcomeExpr.unpack, self.width, self.outcome_bits
         logicals = None
         if self.track_logicals:
-            logicals = [
-                (decode(tracked.rows[s], n), unpack(tracked.prov[s], width))
-                for s in tracked.slots()
-            ]
+            logicals = [(decode(tracked.rows[s], n), self.outcome(s)) for s in tracked.slots()]
         live = stab.slots()
         return ISGState(
             n, [decode(stab.rows[s], n) for s in live],
-            [unpack(stab.prov[s], width) for s in live],
+            [unpack(stab.prov[s] & mask, width) for s in live],
             logicals, self.rand_counter, self.events,
         )
 
@@ -457,15 +500,5 @@ def simulate_measurements(
     evolution = Evolution(
         ISGState.initial(code, track_logicals=track_logicals), code.encoded_s0
     )
-    errors = errors or {}
-    if 0 in errors:
-        evolution.apply_error(errors[0])
-    record = []
-    for round_index, (rnd, encoded) in enumerate(
-        zip(code.rounds[:window], code.encoded_rounds), start=1
-    ):
-        for m, entry in zip(rnd, encoded):
-            record.append((len(record), m, evolution.measure(m, entry)))
-        if round_index in errors:
-            evolution.apply_error(errors[round_index])
+    record = evolution.run(code, window, errors or {})
     return evolution.state(), record

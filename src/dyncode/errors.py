@@ -10,17 +10,12 @@ symbolic forward simulation in the measurement engine.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass, field
 
 from .classify import ClassificationReport, GaugeGroup, _min_weight_outside
-from .engine import (
-    INITIAL_STABILIZER,
-    RANDOM_BIT,
-    DynamicalCode,
-    OutcomeExpr,
-    ValidationError,
-    symbol_expr,
-)
+from .engine import DynamicalCode, Evolution, ISGState, ValidationError
 from .gf2 import Combination, bits
 from .pauli import (
     PauliOperator,
@@ -28,9 +23,9 @@ from .pauli import (
     encode,
     identity,
     product,
+    symplectic_partner,
     symplectic_product,
 )
-from .tableau import Tableau, encoding
 
 
 @dataclass(frozen=True)
@@ -78,20 +73,15 @@ def syndrome_of_spacetime_error(
         ValidationError: if the decomposition does not multiply to the
             stabilizer.
     """
-    acc = identity(stabilizer.n)
-    for op in decomposition.values():
-        acc = product(acc, op)
-    if acc != stabilizer:
+    vecs = {i: encode(m) for i, m in decomposition.items()}
+    if functools.reduce(operator.xor, vecs.values(), 0) != encode(stabilizer):
         raise ValidationError(
             [{"kind": "decomposition-mismatch", "stabilizer": str(stabilizer)}]
         )
     a = 0
     for j, e in error.by_round:
-        tail = identity(stabilizer.n)
-        for i, m in decomposition.items():
-            if i > j:
-                tail = product(tail, m)
-        a ^= symplectic_product(e, tail)
+        tail = functools.reduce(operator.xor, (v for i, v in vecs.items() if i > j), 0)
+        a ^= (encode(e) & symplectic_partner(tail, stabilizer.n)).bit_count() & 1
     return a
 
 
@@ -115,82 +105,67 @@ class LogicalTrace:
     )
 
 
+def traced_simulation(
+    code: DynamicalCode, logicals: list[PauliOperator],
+    errors: dict[int, PauliOperator] | None = None,
+) -> tuple[Evolution, list, list[LogicalTrace | None]]:
+    """One symbolic pass over the schedule that gives both the outcomes
+    and the logical traces.
+
+    The pass is :func:`~dyncode.engine.simulate_measurements` with
+    ``errors`` placed and ``logicals`` tracked in slots 0, 1, ...; each
+    row also carries its trace provenance above its outcome, where errors
+    never reach (:meth:`Evolution.trace`): the combination over the
+    initial generators and the measurement occurrences whose outcomes
+    reproduce the logical's value in the error-free case.  A measurement
+    joining the group reads out each logical that anticommutes with it or
+    equals it, one logical at a time, so each trace equals the one traced
+    alone.
+
+    Returns:
+        The evolution after the schedule, the record of
+        ``simulate_measurements``, and one :class:`LogicalTrace` per
+        logical (None for a logical that a measurement reads out).
+
+    Raises:
+        ValidationError: if a logical does not commute with s0 or lies in
+            its span.
+    """
+    n, k = code.n, len(code.s0)
+    measurements = list(code.measurements())
+    evolution = Evolution(
+        ISGState.initial(code, track_logicals=True, logicals=logicals), code.encoded_s0,
+        trace_at=k + 1 + len(logicals) + len(measurements),  # above every outcome bit
+    )
+    tab = evolution.tableau
+    for op in logicals:
+        anti, logical_anti, _, _ = tab.masks(bits(encode(op)))
+        if anti or not logical_anti:
+            raise ValidationError([{"kind": "not-a-logical", "operator": str(op)}])
+    record = evolution.run(code, len(code.rounds), errors or {})
+    traces = []
+    for slot, op in enumerate(logicals):
+        traced = evolution.trace(slot)
+        if traced is None:
+            traces.append(None)
+            continue
+        row, expr = traced
+        factors: dict[int, tuple[PauliOperator, tuple[int, ...]]] = {}
+        for occ in bits(expr.random):
+            r, m = measurements[occ]
+            f_op, occs = factors.get(r, (identity(n), ()))
+            factors[r] = (product(f_op, m), occs + (occ,))
+        traces.append(
+            LogicalTrace(code, op, decode(row, n), Combination(expr.initial, k), factors))
+    return evolution, record, traces
+
+
 def build_logical_trace(
     code: DynamicalCode, logicals: list[PauliOperator]
 ) -> list[LogicalTrace | None]:
-    """Track logical representatives through the schedule, with provenance.
-
-    The ISG generators are the stabilizer rows of a :class:`Tableau`,
-    whose provenance is their combination over the initial generators
-    and one random-bit symbol per measurement occurrence they were built
-    from, packed in one int; each logical is a tracked row of the same
-    tableau.
-    Whenever a measurement anticommutes with a generator, the pivot
-    generator is multiplied into every anticommuting logical, folding in
-    its provenance.  The occurrence set records whose measured outcomes
-    reproduce the logical's value in the error-free case.  A measurement
-    joining the group reads out each logical that anticommutes with it
-    or equals it.  The generators evolve the same way whichever logicals
-    ride along, and the read-out rule looks at one logical at a time, so
-    each trace equals the one traced alone.
-
-    Returns:
-        One :class:`LogicalTrace` per logical, or None for a logical that
-        a measurement reads out.
-
-    Raises:
-        ValidationError: if a logical is not a logical of s0 (it must
-            commute with every initial generator and lie outside their
-            span).
-    """
-    n, k = code.n, len(code.s0)
-    # Provenance is an outcome expression packed at width k: initial symbol
-    # i marks generator i in the combination, random bit t occurrence t.
-    tab = Tableau(n)
-    tracked = tab.tracked
-    for i, (vec, vec_bits, partner_bits) in enumerate(code.encoded_s0):
-        prov = symbol_expr(INITIAL_STABILIZER, i).pack(k)
-        tab.append(vec, partner_bits, tab.masks(vec_bits), prov)
-    for op in logicals:
-        vec, vec_bits, partner_bits = encoding(encode(op), n)
-        anti, logical_anti, _, _ = tab.masks(vec_bits)
-        if anti or not logical_anti:
-            raise ValidationError([{"kind": "not-a-logical", "operator": str(op)}])
-        tracked.append(vec, 0, partner_bits)
-
-    first_random = symbol_expr(RANDOM_BIT, 0).pack(k)  # random bits pack in order
-    measured: list[tuple[int, PauliOperator]] = []  # (round, operator) per occurrence
-    for round_index, (rnd, encoded) in enumerate(
-        zip(code.rounds, code.encoded_rounds), start=1
-    ):
-        for m, (vec, vec_bits, partner_bits) in zip(rnd, encoded):
-            rank = len(tab)
-            slot, _ = tab.measure(vec, vec_bits, partner_bits)
-            if slot is not None:
-                tab.stab.prov[slot] = first_random << len(measured)
-            if len(tab) > rank:
-                # The measure step freed the anticommuting logicals.
-                for s in tracked.slots():
-                    if tracked.rows[s] == vec:
-                        tracked.free(s)
-            measured.append((round_index, m))
-
-    traces = []
-    for slot, op in enumerate(logicals):
-        if tracked.rows[slot] is None:
-            traces.append(None)
-            continue
-        expr = OutcomeExpr.unpack(tracked.prov[slot], k)
-        factors: dict[int, tuple[PauliOperator, tuple[int, ...]]] = {}
-        for occ in bits(expr.random):
-            r, m = measured[occ]
-            f_op, occs = factors.get(r, (identity(n), ()))
-            factors[r] = (product(f_op, m), occs + (occ,))
-        traces.append(LogicalTrace(
-            code, op, decode(tracked.rows[slot], n),
-            Combination(expr.initial, k), factors,
-        ))
-    return traces
+    """Track logical representatives through the schedule, with
+    provenance: the traces of :func:`traced_simulation` without errors."""
+    return traced_simulation(code, logicals)[2]
 
 
 def logical_outcome(

@@ -20,6 +20,11 @@ checks the join's values and witnesses.
 :func:`reference_round0_decoding` is the round-0 decodability check as
 the package computed it before the capped search: every error up to the
 weight, bucketed by its syndrome on the unmasked stabilizers.
+:func:`reference_group_center` is the gauge group's center from the
+nullspace of its pairing matrix, as ``subsystem_distance`` computed it
+before the gauge group recorded U as its center, and
+:func:`reference_logical_trace` is ``build_logical_trace`` as its own
+pass, before it shared the simulation's, written as a scan.
 :func:`forced_split` pins the join to one of its two splits
 (:data:`SPLITS`), so that both are compared at small sizes.  :class:`ReferenceOutcomeExpr`,
 :func:`reference_rref` and :class:`ReferenceEchelon` are the outcome
@@ -52,8 +57,9 @@ from dyncode.engine import (
     symbol_expr,
 )
 from dyncode.classify import DistanceResult, RemovalEvent
+from dyncode.errors import LogicalTrace
 from dyncode.floquet import isg_rows
-from dyncode.gf2 import BitMatrix, Combination, Echelon, in_span, kernel_under_form
+from dyncode.gf2 import BitMatrix, Combination, Echelon, in_span, kernel_under_form, nullspace
 from dyncode.pauli import (
     decode,
     encode,
@@ -255,6 +261,25 @@ def reference_min_weight_outside(
     return DistanceResult(None, cap, exceeded_cap=True)
 
 
+def reference_group_center(n: int, rows: list[int]) -> list[int]:
+    """The gauge group's center as ``subsystem_distance`` computed it
+    before the gauge group recorded U as its center: a basis of the
+    elements of the row span commuting with every row, from the nullspace
+    of the pairing matrix."""
+    ech = Echelon(2 * n)
+    basis = [row for row in rows if ech.add(row)]
+    # Row j of the pairing matrix records which basis elements anticommute
+    # with generator j; combinations in its nullspace form the center.
+    partners = [symplectic_partner(row, n) for row in rows]
+    pairing = [
+        sum(((b & p).bit_count() & 1) << i for i, b in enumerate(basis)) for p in partners
+    ]
+    return [
+        Combination(combo, len(basis)).evaluate(basis)
+        for combo in nullspace(BitMatrix(pairing, len(basis)))
+    ]
+
+
 # The splits w = (w - b) + b of the syndrome join: the last qubit from the
 # 3n-letter table, and halves (b = 0 at w = 1, the identity as the table).
 SPLITS = {"letters": lambda n, w: 1, "halves": lambda n, w: w // 2}
@@ -351,6 +376,61 @@ def apply_error(state: ISGState, e: PauliOperator) -> ISGState:
         None if state.logicals is None else [(op, flip(op, expr)) for op, expr in state.logicals],
         state.rand_counter, state.events,
     )
+
+
+def reference_logical_trace(
+    code: DynamicalCode, logicals: list[PauliOperator]
+) -> list[LogicalTrace | None]:
+    """``errors.build_logical_trace`` as its own pass, before it shared the
+    simulation's, written as a scan over generator lists: every
+    generator's provenance is (its combination over s0, the measurement
+    occurrences it was built from), the lowest-index anticommuting
+    generator is the pivot, a fresh span answers membership, and a
+    measurement joining the group reads out each logical that
+    anticommutes with it or equals it."""
+    n = code.n
+    gens = [[encode(g), 1 << i, 0] for i, g in enumerate(code.s0)]  # row, combination, occurrences
+    for op in logicals:
+        vec = encode(op)
+        if any(symplectic_product(op, g) for g in code.s0) or in_span(
+            vec, Echelon(2 * n, [row for row, _, _ in gens])
+        ) is not None:
+            raise ValidationError([{"kind": "not-a-logical", "operator": str(op)}])
+    tracked: list[list[int] | None] = [[encode(op), 0, 0] for op in logicals]
+    measured = list(code.measurements())
+
+    def anti(vec: int, row: int) -> int:
+        return (vec & symplectic_partner(row, n)).bit_count() & 1
+
+    for t, (_, m) in enumerate(measured):
+        vec = encode(m)
+        hit = [g for g in gens if anti(vec, g[0])]
+        if hit:
+            pivot = hit[0]
+            for entry in hit[1:] + [e for e in tracked if e is not None and anti(vec, e[0])]:
+                for i in range(3):
+                    entry[i] ^= pivot[i]
+            pivot[:] = [vec, 0, 1 << t]
+        elif in_span(vec, Echelon(2 * n, [row for row, _, _ in gens])) is None:
+            tracked = [
+                None if e is None or anti(vec, e[0]) or e[0] == vec else e for e in tracked
+            ]
+            gens.append([vec, 0, 1 << t])
+    traces: list[LogicalTrace | None] = []
+    for op, entry in zip(logicals, tracked):
+        if entry is None:
+            traces.append(None)
+            continue
+        factors: dict[int, tuple[PauliOperator, tuple[int, ...]]] = {}
+        for occ in range(len(measured)):
+            if entry[2] >> occ & 1:
+                r, m = measured[occ]
+                f_op, occs = factors.get(r, (identity(n), ()))
+                factors[r] = (product(f_op, m), occs + (occ,))
+        traces.append(LogicalTrace(
+            code, op, decode(entry[0], n), Combination(entry[1], len(code.s0)), factors
+        ))
+    return traces
 
 
 @dataclass

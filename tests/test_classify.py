@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dyncode import (
     DynamicalCode,
@@ -14,7 +16,7 @@ from dyncode import (
 )
 from dyncode import classify, pauli
 from dyncode.classify import DistanceResult
-from dyncode.engine import InternalInvariantError, ValidationError
+from dyncode.engine import CapExceededError, InternalInvariantError, ValidationError
 from dyncode.gf2 import Echelon, bits, in_span, rank
 from dyncode.library import shor_code
 from dyncode.pauli import (
@@ -38,6 +40,7 @@ from oracles import (
     group_elements,
     random_instance,
     random_round,
+    reference_group_center,
     reference_min_weight_outside,
     spans_equal,
 )
@@ -426,6 +429,84 @@ class TestGaugeGroup:
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
             build_gauge_group(self.masked_shor(), t_destab_policy="other")
+
+
+def check_center(n: int, report, gauge, cap: int = 6) -> None:
+    """The gauge group records U as its center, the reference center spans
+    span(U), and the subsystem search equals the search against the
+    reference center in value, witness and candidates."""
+    rows = [encode(g) for g in gauge.generators]
+    reference = reference_group_center(n, rows)
+    assert gauge.center == [u.op for u in report.U]
+    assert spans_equal([decode(row, n) for row in reference], gauge.center, n)
+    got = subsystem_distance(gauge, cap=cap)
+    want = classify._min_weight_outside(n, reference, rows, cap)
+    assert got == want and got.candidates == want.candidates
+
+
+class TestCenter:
+    """The gauge group's center is span(U): T pairs with its chosen
+    destabilizers and P with K, non-degenerately, and all of them commute
+    with U.  So ``subsystem_distance`` searches against U, and under the
+    canonical policy it is the search of ``unmasked_distance``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.data())
+    def test_drawn_codes_policies_and_destabilizers(self, seed, data):
+        code = random_instance(random.Random(seed), max_n=7, max_s0=5)
+        report = run_classification(code)
+        policy = data.draw(st.sampled_from(["canonical", "exhaustive"]))
+        try:
+            gauge = build_gauge_group(report, t_destab_policy=policy)
+        except CapExceededError:
+            gauge = build_gauge_group(report)
+        if data.draw(st.booleans()) and report.T:
+            # Explicit destabilizers: the coset alternatives that pair with
+            # their target alone among U | T | P | K and the ones drawn
+            # before them (rarely none, as the alternatives are not all
+            # destabilizers; see CHANGES).
+            members = [u.op for u in report.U] + list(report.T) + list(report.P) + list(report.K)
+            t_destabs = []
+            choices = gauge.alternatives or [[kappa] for kappa in gauge.t_destabs]
+            for idx, alternatives in enumerate(choices):
+                pattern = [int(i == len(report.U) + idx) for i in range(len(members))]
+                valid = [
+                    k for k in alternatives
+                    if [symplectic_product(k, m) for m in members + t_destabs]
+                    == pattern + [0] * len(t_destabs)
+                ]
+                assume(valid)
+                t_destabs.append(data.draw(st.sampled_from(valid)))
+            try:
+                gauge = build_gauge_group(report, t_destab_policy=policy, t_destabs=t_destabs)
+            except CapExceededError:  # other destabilizers, another coset count
+                gauge = build_gauge_group(report, t_destabs=t_destabs)
+            assert gauge.t_destabs == t_destabs
+        check_center(code.n, report, gauge)
+
+    @pytest.mark.parametrize("block", range(4))
+    def test_seeded_codes_under_both_policies(self, block):
+        """Seeds 0-199 of ``random_instance(max_n=7, max_s0=5)``."""
+        for seed in range(50 * block, 50 * (block + 1)):
+            code = random_instance(random.Random(seed), max_n=7, max_s0=5)
+            report = run_classification(code)
+            canonical = build_gauge_group(report)
+            check_center(code.n, report, canonical)
+            d_u = unmasked_distance(report, canonical, cap=6)
+            d_sub = subsystem_distance(canonical, cap=6)
+            assert d_u == d_sub and d_u.candidates == d_sub.candidates
+            try:
+                exhaustive = build_gauge_group(report, t_destab_policy="exhaustive")
+            except CapExceededError:
+                continue
+            check_center(code.n, report, exhaustive)
+
+    def test_masked_shor_center_and_choices(self):
+        report = run_classification(shor_code(mask_z1z2=True))
+        assert not build_gauge_group(report).has_choices()
+        exhaustive = build_gauge_group(report, t_destab_policy="exhaustive")
+        assert exhaustive.has_choices()
+        check_center(9, report, exhaustive, cap=4)
 
 
 class TestDistances:

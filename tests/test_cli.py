@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from dyncode import (
     DynamicalCode,
+    bacon_shor,
     build_1d_chain,
     build_gauge_group,
     honeycomb,
@@ -18,7 +19,7 @@ from dyncode import (
     shor_code,
     simulate_measurements,
 )
-from dyncode import engine, pauli
+from dyncode import classify, engine, pauli
 from dyncode.cli import _expr_to_json, main, parse_error_spec
 from dyncode.engine import ValidationError
 from dyncode.pauli import format_pauli, parse_pauli, symplectic_product, weight
@@ -140,6 +141,30 @@ class TestDistance:
         assert report["d_u"]["value"]["value"] == 2
         assert report["d_isg"]["value"]["value"] == 3
         assert report["t_destab_policy"] == "canonical"
+
+    @pytest.mark.parametrize("policy", ["canonical", "exhaustive"])
+    def test_d_subsystem_shares_the_d_u_search(self, runner, masked_shor_file, policy,
+                                               monkeypatch):
+        """The gauge group's center is span(U): without coset alternatives
+        d_u's search is the subsystem search, so it runs once."""
+        calls = []
+        search = classify._min_weight_outside
+
+        def counting(*args):
+            calls.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(classify, "_min_weight_outside", counting)
+        args = ["distance", masked_shor_file, "--cap", "4", "--t-destab", policy]
+        report = run_json(runner, args)
+        if policy == "canonical":
+            assert len(calls) == 2  # d_u and d_subsystem, then d_isg
+            assert report["d_subsystem"] == report["d_u"]
+        else:
+            # one search per choice for d_u, then d_subsystem and d_isg
+            report = run_classification(shor_code(mask_z1z2=True))
+            [choices] = build_gauge_group(report, t_destab_policy=policy).alternatives
+            assert len(choices) > 1 and len(calls) == len(choices) + 2
 
     def test_cap_exceeded_status(self, runner, shor_file):
         report = run_json(runner, ["distance", shor_file, "--cap", "2"])
@@ -386,6 +411,22 @@ class TestSimulate:
             {"logical": "IZ", "status": "measured-out"},
             {"logical": "ZX", "status": "measured-out"},
         ]
+
+    @pytest.mark.parametrize("code", [bacon_shor(3, 3), build_1d_chain(10)], ids=["bs33", "c10"])
+    def test_traced_logicals_are_compared_when_others_are_measured_out(
+        self, runner, tmp_path, code
+    ):
+        """Each trace is paired with the simulated value of its own tracked
+        slot, so a logical measured out elsewhere drops no comparison."""
+        path = tmp_path / "code.json"
+        save_code(code, path)
+        report = run_json(runner, ["simulate", str(path), "--errors", "0:X1,1:Z2", "--seed", "5"])
+        statuses = [entry["status"] for entry in report["logical_outcomes"]]
+        assert "measured-out" in statuses and "ok" in statuses
+        for entry in report["logical_outcomes"]:
+            if entry["status"] == "ok":
+                assert entry["agree"] is True
+                assert entry["simulated_value"] == entry["formula_value"]
 
     def test_parse_error_spec(self):
         errors = parse_error_spec("0:X1,2:Z1 Z2", 3)

@@ -17,10 +17,12 @@ from dyncode import (
 )
 from dyncode.classify import _min_weight_outside
 from dyncode.cli import _syndrome_decomposition
-from dyncode.engine import ValidationError
-from dyncode.gf2 import Echelon, in_span
+from dyncode.engine import ISGState, ValidationError
+from dyncode.errors import traced_simulation
+from dyncode.gf2 import Echelon, bits, in_span
 from dyncode.library import shor_code
 from dyncode.pauli import (
+    PauliOperator,
     commuting_paulis_up_to_weight,
     encode,
     identity,
@@ -30,7 +32,14 @@ from dyncode.pauli import (
     weight,
 )
 
-from oracles import random_instance, random_pauli, reference_round0_decoding
+from oracles import (
+    apply_error,
+    random_instance,
+    random_pauli,
+    reference_logical_trace,
+    reference_measure,
+    reference_round0_decoding,
+)
 from test_golden import codes as golden_codes
 
 
@@ -118,6 +127,74 @@ class TestSyndromeFlip:
                     diff_sign ^= clean[s.index][2].sign ^ errored[s.index][2].sign
                     assert clean[s.index][2].symbols == errored[s.index][2].symbols
                 assert diff_sign == a
+
+
+# Seeds of random_instance(max_n=6, max_s0=4) among 0-1999 where a joining
+# measurement equals a tracked logical and reads out no other, so the
+# simulation keeps that logical live while its trace is read out.
+READ_OUT_RULES_DIFFER = (158, 217, 363, 434, 503, 719, 1276, 1575, 1764)
+
+
+def check_one_pass(code, logicals, errors):
+    """``traced_simulation`` gives the traces of the standalone reference
+    (None where it gives None), each trace still in its own tracked slot,
+    and the state and record of the scan update with ``apply_error``."""
+    evolution, record, traces = traced_simulation(code, logicals, errors)
+    assert traces == reference_logical_trace(code, logicals)
+    tracked = evolution.tableau.tracked
+    for slot, trace in enumerate(traces):
+        if trace is not None:
+            assert encode(trace.l_final) == tracked.rows[slot]
+    state = ISGState.initial(code, track_logicals=True, logicals=logicals)
+    expected = []
+    if 0 in errors:
+        state = apply_error(state, errors[0])
+    for r, rnd in enumerate(code.rounds, start=1):
+        for m in rnd:
+            state, outcome = reference_measure(state, m)
+            expected.append((len(expected), m, outcome))
+        if r in errors:
+            state = apply_error(state, errors[r])
+    assert (evolution.state(), record) == (state, expected)
+    return evolution, traces
+
+
+class TestOnePass:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.data())
+    def test_drawn_codes_logicals_and_errors(self, seed, data):
+        code = random_instance(random.Random(seed))
+        n, basis = code.n, code.logical_basis
+        logicals = []
+        for _ in range(data.draw(st.integers(0, 4)) if basis else 0):
+            # a nonzero combination of the basis times an element of s0
+            op = identity(n)
+            for i in bits(data.draw(st.integers(1, (1 << len(basis)) - 1))):
+                op = product(op, basis[i])
+            for i in bits(data.draw(st.integers(0, (1 << len(code.s0)) - 1))):
+                op = product(op, code.s0[i])
+            logicals.append(op)
+        rounds = data.draw(st.sets(st.integers(0, len(code.rounds))))
+        errors = {
+            r: PauliOperator(n, data.draw(st.integers(0, (1 << n) - 1)),
+                             data.draw(st.integers(0, (1 << n) - 1)))
+            for r in sorted(rounds)
+        }
+        check_one_pass(code, logicals, errors)
+
+    def test_two_qubit_code_reads_out_both_logicals(self):
+        code = code_of(2, ["XZ"], [["IZ"], ["IY"]])
+        _, traces = check_one_pass(code, list(code.logical_basis), {1: parse_pauli("X1", 2)})
+        assert traces == [None, None]
+
+    @pytest.mark.parametrize("seed", READ_OUT_RULES_DIFFER)
+    def test_codes_where_the_read_out_rules_differ(self, seed):
+        code = random_instance(random.Random(seed), max_n=6, max_s0=4)
+        logicals = list(code.logical_basis)
+        error = random_pauli(random.Random(seed), code.n)
+        evolution, traces = check_one_pass(code, logicals, {0: error})
+        live = evolution.tableau.tracked.slots()
+        assert len(live) > sum(trace is not None for trace in traces)
 
 
 class TestLogicalTrace:

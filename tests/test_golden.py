@@ -89,7 +89,7 @@ GOLDEN = {
     "bacon-shor-3x3:distance-canonical": "ee7be24f9a2a7a02121c52d9b58c57ad6a33c34decb232a3d241d023b7c6d03c",
     "bacon-shor-3x3:distance-exhaustive": "bcbc95164eba299bca37f11b485c55c4964fb40b64504da5bdca8f966d03728e",
     "bacon-shor-3x3:floquet": "bbaecd9cb3e8c5b74ba02dffe27c1fa1b3b85b8c370b4dd250b3c00c5e31b0ae",
-    "bacon-shor-3x3:simulate": "abc4435468208a286c638f9e2c83aa12b5d13b6193f2179528d3fb51516c2cb2",
+    "bacon-shor-3x3:simulate": "0661ac0abb91c73211165c287683b54b5a0ace3d6459a54b7de84a5cb6f2a2e3",
     "honeycomb-3x3:classify": "fc3de326e3e81e7296121b378abccb8d5d21313b8d6bb64e43e32f22bde05d90",
     "honeycomb-3x3:classify-isg1": "d0fb98d8d0cf4e947cf91f54fff97d1cf1f52f49a2ea6bf1bc8c7b67b5c87c5a",
     "honeycomb-3x3:distance-canonical": "931f3a4226ad180b9e607850131c30fbb5e773bfb2aca9c3e1dacb32d4a4d6ff",
@@ -101,7 +101,7 @@ GOLDEN = {
     "1d-chain-10:distance-canonical": "6eb33670618b5bef8d2d7555d97dc0c237f8d94c5f53cbd15771ce02c7f6e31f",
     "1d-chain-10:distance-exhaustive": "d3e0ecf11a9b6f7e0ebf7b2e73cb829c304ca98477d7071c582ff4d7d54877e2",
     "1d-chain-10:floquet": "6eb267756e6250f5cb5cd9094982713235454a00732f5925cf992fe0ec442be8",
-    "1d-chain-10:simulate": "88e755c4a73fa2e3d3f63c9b26db8ef7b8cb6b69c0c3722efbf15f0c1ff40ecb",
+    "1d-chain-10:simulate": "3e5768fc78b1f4d4bc62b32c8f66c6bc4f59f133f4195e0ffc715cfd5786fcd0",
     "random-249:classify": "50ca496b440812dc276fc829576e0bfe0f2d04e8478b4d4db5363be56377f1c9",
     "random-249:classify-isg1": "b6788895084a5205f3e10911cdd013a988729d7dcbf00935c8f4f7793a8a4fe6",
     "random-249:distance-canonical": "2bd4ba6780358e5824983a40c3a3a562beadb626cc620b9ebb03cb694c91da51",
@@ -119,7 +119,7 @@ GOLDEN = {
     "random-38:distance-canonical": "06535b14af7c97a62e31a7378647c585ca6690d03d5c1aa1b81a90c9cbc2c76d",
     "random-38:distance-exhaustive": "be753d11049193ac6234921f1ea1bc5072416f78d973a9f3523f3dd39f95c269",
     "random-38:floquet": "85ec6133a3402e6f1426140578d2d132b254f4fb6da2bdb4c7f6cacd0109a6b1",
-    "random-38:simulate": "7f7920e78e83906f1b66601433a27268a01bd514fa4ba85e8fae8a1108b7ad54",
+    "random-38:simulate": "dbf9221b9029baf2040bd336b8fc8918c459ecfab3f8b6751b13b867d5c8200b",
     "random-142:classify": "44fc4e6a795405237ed49fd1e4fe01a2a881047764c78cff281eda94b0ae0212",
     "random-142:classify-isg1": "5fbfd8a976ae140318017693c661dde5bbd83df6e9ce005eb67d52400f5f70be",
     "random-142:distance-canonical": "f504356b4366bde7981ffc81dbf9685b3527f4d2b8022514c606e9fd155e6289",
