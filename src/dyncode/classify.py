@@ -43,12 +43,10 @@ from dataclasses import dataclass, field
 from .engine import (
     INITIAL_STABILIZER,
     RANDOM_BIT,
-    CapExceededError,
     DynamicalCode,
     InternalInvariantError,
     OutcomeExpr,
     ValidationError,
-    canonical_logicals,
     resolve_window,
     symbol_expr,
     validate_code,
@@ -387,10 +385,6 @@ def _check_partition(n, U, T, P, K, s0_rows, basis) -> None:
         raise InternalInvariantError("destabilizer commutation pattern violated")
 
 
-# The most destabilizer choices the exhaustive policy enumerates.
-_COSET_CHOICES = 4096
-
-
 @dataclass
 class GaugeGroup:
     """Gauge group: stabilizers plus destabilizers for the masked ones.
@@ -399,7 +393,11 @@ class GaugeGroup:
     every other generator pairs with a partner alone (T with its chosen
     destabilizer, P with K) and all of them commute with U.  In a
     subsystem code the stabilizer is the gauge group's center (Poulin,
-    quant-ph/0508131).
+    quant-ph/0508131).  ``alternatives`` holds the bare logicals under the
+    exhaustive policy when T is non-empty: a basis of the group's
+    centralizer modulo its center.  Each of T's destabilizers may be
+    multiplied by any product of them, and by nothing else that changes
+    the group.
     """
 
     n: int
@@ -407,14 +405,11 @@ class GaugeGroup:
     policy: str
     t_destabs: list[PauliOperator]
     center: list[PauliOperator]
-    # Per temporarily-masked stabilizer, the logical-coset alternatives
-    # available under the exhaustive policy (empty under canonical).
-    alternatives: list[list[PauliOperator]] = field(default_factory=list)
+    alternatives: list[PauliOperator] = field(default_factory=list)
 
     def has_choices(self) -> bool:
-        """Whether some temporarily masked stabilizer has a destabilizer
-        besides the chosen one."""
-        return any(len(choices) > 1 for choices in self.alternatives)
+        """Whether T's destabilizers have a choice that changes the group."""
+        return bool(self.alternatives)
 
 
 def build_gauge_group(
@@ -427,9 +422,9 @@ def build_gauge_group(
     Destabilizers for the temporarily masked stabilizers are free; the
     canonical policy solves for the lexicographically least operator
     anticommuting with exactly its target, and the exhaustive policy
-    additionally records every coset alternative (target destabilizer
-    times any product of bare logicals) so the distance search can
-    optimize over them.  Explicit ``t_destabs`` override the solver.
+    additionally records the bare logicals, by which any of them may be
+    multiplied, so the distance search can maximize over every choice.
+    Explicit ``t_destabs`` override the solver.
     """
     if t_destab_policy not in ("canonical", "exhaustive"):
         raise ValueError(f"unknown policy {t_destab_policy!r}")
@@ -465,27 +460,11 @@ def build_gauge_group(
     generators = stab_ops + list(report.K) + chosen
     gauge = GaugeGroup(n, generators, t_destab_policy, chosen, [u.op for u in report.U])
     if t_destab_policy == "exhaustive" and report.T:
-        logicals = [op for op, _ in canonical_logicals(n, generators)]
-        per_t = 1 << len(logicals)
-        if per_t ** len(report.T) > _COSET_CHOICES:
-            raise CapExceededError(
-                "too many destabilizer cosets to enumerate exhaustively"
-            )
-        gauge.alternatives = [
-            [
-                decode(encode(kappa) ^ combo_vec, n)
-                for combo_vec in _span_elements([encode(l) for l in logicals])
-            ]
-            for kappa in chosen
-        ]
+        # The centralizer is span(U) plus the bare logicals (Poulin).
+        center = Echelon(width, [encode(u) for u in gauge.center])
+        kernel = kernel_under_form(BitMatrix([encode(g) for g in generators], width))
+        gauge.alternatives = [decode(vec, n) for vec in kernel.rows if center.add(vec)]
     return gauge
-
-
-def _span_elements(rows: list[int]) -> list[int]:
-    elements = [0]
-    for row in rows:
-        elements += [e ^ row for e in elements]
-    return elements
 
 
 @dataclass(frozen=True)
@@ -515,7 +494,8 @@ class DistanceResult:
 
 
 def _min_weight_outside(
-    n: int, commute_rows: list[int], exclude_rows: list[int], cap: int
+    n: int, commute_rows: list[int], exclude_rows: list[int], cap: int,
+    destabs: list[int] = (), bare: list[int] = (),
 ) -> DistanceResult:
     """Minimum weight over operators commuting with all constraint rows
     but outside the excluded span, up to ``cap``.
@@ -528,16 +508,39 @@ def _min_weight_outside(
     against the excluded span; the first one outside it is the witness.
     Every weight below the answer is searched in full, and at the answer
     weight the join stops at the witness.
+
+    With bare logicals ``bare``, the excluded span is a family: the rows
+    and ``destabs[i]`` times L_i, for every choice of the L_i in
+    span(bare), and the result is the maximum over the family.  With
+    ``destabs`` and ``bare`` independent modulo the rows, a candidate lies
+    in a choice's span exactly when it reduces to zero modulo all three
+    and its ``bare`` part is the sum of the L_i whose ``destabs[i]`` the
+    reduction used: linear conditions on the coordinates of the L_i.  So
+    the choices left by every candidate so far form an affine space, an
+    echelon with the right-hand side in its top bit, and the witness is
+    the first candidate that leaves it empty.  It lies outside the span
+    of each choice left until then, those of the largest distance.
     """
     if cap < 0:
         raise ValidationError([{"kind": "cap-out-of-range", "cap": cap}])
-    exclude = Echelon(2 * n, exclude_rows)
+    exclude = Echelon(2 * n, [*exclude_rows, *destabs])
     kernel = kernel_under_form(BitMatrix(commute_rows, 2 * n))
+    # Every choice's span has the same dimension, so one of them decides.
     if all(exclude.reduce(vec)[0] == 0 for vec in kernel.rows):
         return DistanceResult(None, cap, no_logicals=True)
+    offset, t, top = len(exclude_rows), len(destabs), len(destabs) * len(bare)
+    for row in bare:
+        exclude.add(row)
+    alive = Echelon(top + 1)  # coordinate j*t + i is bit j of L_i
     tested = 0
     for tested, vec in enumerate(commuting_paulis_up_to_weight(n, cap, commute_rows), 1):
-        if exclude.reduce(vec)[0]:
+        residue, combo = exclude.reduce(vec)
+        if bare and not residue:
+            used, part = combo >> offset & ((1 << t) - 1), combo >> (offset + t)
+            for j in range(len(bare)):
+                alive.add(used << (j * t) | (part >> j & 1) << top)
+            residue = alive.mask >> top
+        if residue:
             witness = decode(vec, n)
             return DistanceResult(weight(witness), cap, witness=witness, candidates=tested)
     return DistanceResult(None, cap, exceeded_cap=True, candidates=tested)
@@ -565,21 +568,14 @@ def unmasked_distance(
     outside the gauge group.
 
     Under the exhaustive destabilizer policy the result is the maximum
-    over all recorded destabilizer choices, matching the freedom the
-    temporarily masked stabilizers leave open.
+    over every choice of T's destabilizers, the freedom the temporarily
+    masked stabilizers leave open, found in one search.
     """
     if not gauge.has_choices():
         return subsystem_distance(gauge, cap)  # U spans the center
-    commute = [encode(u.op) for u in report.U]
-    fixed = [encode(g) for g in gauge.generators[: len(gauge.generators) - len(gauge.t_destabs)]]
-    best: DistanceResult | None = None
-    for choice in itertools.product(*gauge.alternatives):
-        rows = fixed + [encode(kappa) for kappa in choice]
-        result = _min_weight_outside(report.n, commute, rows, cap)
-        if result.no_logicals:
-            continue
-        if result.exceeded_cap:
-            return result
-        if best is None or (best.value is not None and result.value > best.value):
-            best = result
-    return best if best is not None else DistanceResult(None, cap, no_logicals=True)
+    rows = [encode(g) for g in gauge.generators]
+    fixed = len(rows) - len(gauge.t_destabs)
+    return _min_weight_outside(
+        gauge.n, [encode(c) for c in gauge.center], rows[:fixed], cap,
+        rows[fixed:], [encode(b) for b in gauge.alternatives],
+    )

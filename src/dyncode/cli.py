@@ -219,7 +219,7 @@ def distance(file, window, cap, t_destab, fmt):
 
     def body():
         code = load_code(file)
-        if cap < 0:  # before the gauge group, whose enumeration has a cap of its own
+        if cap < 0:  # before the classification, which it would waste
             raise ValidationError([{"kind": "cap-out-of-range", "cap": cap}])
         result = run_classification(code, window=window)
         gauge = build_gauge_group(result, t_destab_policy=t_destab)

@@ -16,7 +16,13 @@ reads its outcome expressions from :func:`reference_measure`, and
 :func:`reference_min_weight_outside` is the distance search as it was
 before the syndrome join: the same result type, but every candidate of
 :func:`paulis_up_to_weight` is parity-tested against every row, so it
-checks the join's values and witnesses.
+checks the join's values and witnesses; given a family of excluded spans
+it searches each member in turn, as ``unmasked_distance`` did before its
+single search over the destabilizer choices.
+:func:`reference_exhaustive_d_u` is that loop over every choice of the
+exhaustive policy, with the bare logicals computed here, and
+:func:`brute_force_exhaustive_d_u` enumerates every valid destabilizer
+instead.
 :func:`reference_round0_decoding` is the round-0 decodability check as
 the package computed it before the capped search: every error up to the
 weight, bucketed by its syndrome on the unmasked stabilizers.
@@ -39,6 +45,7 @@ the ISG after each round in the form the tests compare.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from unittest import mock
@@ -239,26 +246,112 @@ def reference_round0_decoding(
 
 
 def reference_min_weight_outside(
-    n: int, commute_rows: list[int], exclude_rows: list[int], cap: int
+    n: int, commute_rows: list[int], exclude_rows: list[int], cap: int,
+    destabs: list[int] = (), bare: list[int] = (),
 ) -> DistanceResult:
     """``classify._min_weight_outside`` by a parity test per candidate:
     every operator up to ``cap``, lightest first, is tested against every
     constraint row, and the first commuting one outside the excluded span
-    is the witness."""
+    is the witness.
+
+    With bare logicals the excluded span is a family: the rows plus
+    ``destabs[i]`` times any element L_i of span(``bare``).  Each choice of
+    the L_i is searched in turn, as ``unmasked_distance`` did before its
+    single search, skipping a choice with no logicals, and the choice whose
+    witness comes last in the candidate order gives the result: the
+    largest distance, past the cap if any choice's search is.
+    """
     if cap < 0:
         raise ValidationError([{"kind": "cap-out-of-range", "cap": cap}])
     constraints = [symplectic_partner(row, n) for row in commute_rows]
-    exclude = Echelon(2 * n, exclude_rows)
+    candidates = [
+        vec for vec in paulis_up_to_weight(n, cap)
+        if not any((vec & c).bit_count() & 1 for c in constraints)
+    ]
     kernel = kernel_under_form(BitMatrix(commute_rows, 2 * n))
-    if all(exclude.reduce(vec)[0] == 0 for vec in kernel.rows):
-        return DistanceResult(None, cap, no_logicals=True)
-    for vec in paulis_up_to_weight(n, cap):
-        if any((vec & c).bit_count() & 1 for c in constraints):
+    last = None
+    for choice in itertools.product(span_elements(bare), repeat=len(destabs)):
+        exclude = Echelon(2 * n, [*exclude_rows, *(d ^ l for d, l in zip(destabs, choice))])
+        if all(exclude.reduce(vec)[0] == 0 for vec in kernel.rows):
             continue
-        if exclude.reduce(vec)[0]:
-            witness = decode(vec, n)
-            return DistanceResult(weight(witness), cap, witness=witness)
-    return DistanceResult(None, cap, exceeded_cap=True)
+        first = next(
+            (i for i, vec in enumerate(candidates) if exclude.reduce(vec)[0]), len(candidates)
+        )
+        last = first if last is None else max(last, first)
+    if last is None:
+        return DistanceResult(None, cap, no_logicals=True)
+    if last == len(candidates):
+        return DistanceResult(None, cap, exceeded_cap=True)
+    witness = decode(candidates[last], n)
+    return DistanceResult(weight(witness), cap, witness=witness)
+
+
+def span_elements(rows: list[int]) -> list[int]:
+    """Every element of the span of ``rows``, by doubling."""
+    elements = [0]
+    for row in rows:
+        elements += [e ^ row for e in elements]
+    return elements
+
+
+def reference_exhaustive_d_u(report, gauge, cap: int) -> DistanceResult:
+    """``d_u`` under the exhaustive policy as one search per choice: each
+    destabilizer of T times any element of the span of the bare logicals,
+    computed here as the operators commuting with every gauge generator,
+    modulo U."""
+    n = report.n
+    rows = [encode(g) for g in gauge.generators]
+    fixed = len(rows) - len(report.T)
+    u_rows = [encode(u.op) for u in report.U]
+    modulo = Echelon(2 * n, u_rows)
+    bare = [vec for vec in kernel_under_form(BitMatrix(rows, 2 * n)).rows if modulo.add(vec)]
+    return reference_min_weight_outside(n, u_rows, rows[:fixed], cap, rows[fixed:], bare)
+
+
+def brute_force_exhaustive_d_u(report, max_tuples: int) -> tuple[bool, int | None]:
+    """The largest unmasked distance over every valid choice of T's
+    destabilizers, by enumeration and with no cap: each operator that
+    anticommutes with exactly its target among U | T | P | K, every tuple
+    of them that commutes pairwise, grouped by the span (its RREF) that it
+    gives with U | T | P | K, and each span's distance by scanning every
+    operator that commutes with U, lightest first.
+
+    Returns (False, None) past ``max_tuples`` tuples, else (True, the
+    distance, or None when no span leaves a logical).
+    """
+    n = report.n
+    members = [encode(u.op) for u in report.U] + [encode(t) for t in report.T]
+    members += [encode(p) for p in report.P] + [encode(k) for k in report.K]
+    partners = [symplectic_partner(row, n) for row in members]
+    valid = [
+        [vec for vec in range(1, 1 << 2 * n)
+         if all(((vec & p).bit_count() & 1) == (i == len(report.U) + idx)
+                for i, p in enumerate(partners))]
+        for idx in range(len(report.T))
+    ]
+    if math.prod(map(len, valid)) > max_tuples:
+        return False, None
+    spans = set()
+    for choice in itertools.product(*valid):
+        if any((a & symplectic_partner(b, n)).bit_count() & 1
+               for a, b in itertools.combinations(choice, 2)):
+            continue
+        echelon, _, r = reference_rref(BitMatrix(members + list(choice), 2 * n))
+        spans.add(tuple(echelon.rows[:r]))
+    u_partners = partners[:len(report.U)]
+    candidates = sorted(
+        (vec for vec in range(1, 1 << 2 * n)
+         if not any((vec & p).bit_count() & 1 for p in u_partners)),
+        key=lambda vec: weight(decode(vec, n)),
+    )
+    best = None
+    for span in spans:
+        excluded = Echelon(2 * n, span)
+        first = next((vec for vec in candidates if excluded.reduce(vec)[0]), None)
+        if first is not None:
+            d = weight(decode(first, n))
+            best = d if best is None else max(best, d)
+    return True, best
 
 
 def reference_group_center(n: int, rows: list[int]) -> list[int]:

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyncode import (
@@ -16,7 +16,7 @@ from dyncode import (
 )
 from dyncode import classify, pauli
 from dyncode.classify import DistanceResult
-from dyncode.engine import CapExceededError, InternalInvariantError, ValidationError
+from dyncode.engine import InternalInvariantError, ValidationError
 from dyncode.gf2 import Echelon, bits, in_span, rank
 from dyncode.library import shor_code
 from dyncode.pauli import (
@@ -32,6 +32,7 @@ from dyncode.pauli import (
 
 from oracles import (
     SPLITS,
+    brute_force_exhaustive_d_u,
     brute_force_min_weight,
     final_sets,
     forced_split,
@@ -41,7 +42,9 @@ from oracles import (
     random_instance,
     random_round,
     reference_group_center,
+    reference_exhaustive_d_u,
     reference_min_weight_outside,
+    span_elements,
     spans_equal,
 )
 
@@ -421,10 +424,17 @@ class TestGaugeGroup:
             build_gauge_group(report, t_destabs=[canonical[0], wide, canonical[2]])
 
     def test_exhaustive_policy_records_alternatives(self):
+        """The bare logicals of masked Shor's one logical qubit: two, each
+        commuting with every gauge generator, independent modulo U."""
         report = self.masked_shor()
         gauge = build_gauge_group(report, t_destab_policy="exhaustive")
-        assert gauge.alternatives and len(gauge.alternatives) == 1
-        assert parse_pauli("X1", 9) in gauge.alternatives[0]
+        assert len(gauge.alternatives) == 2 * (9 - len(report.s0))
+        assert not any(
+            symplectic_product(b, g) for b in gauge.alternatives for g in gauge.generators
+        )
+        rows = [encode(u.op) for u in report.U] + [encode(b) for b in gauge.alternatives]
+        assert rank(rows, 18) == len(rows)
+        assert not build_gauge_group(report).alternatives
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
@@ -444,6 +454,19 @@ def check_center(n: int, report, gauge, cap: int = 6) -> None:
     assert got == want and got.candidates == want.candidates
 
 
+def check_exhaustive_d_u(report, gauge, cap: int, max_choices: int = 1 << 16) -> None:
+    """The exhaustive ``d_u`` equals one search per destabilizer choice in
+    value, status and witness, when there are at most ``max_choices``
+    choices, and its witness commutes with U and lies outside U | T | P | K."""
+    got = unmasked_distance(report, gauge, cap=cap)
+    if (1 << len(gauge.alternatives)) ** len(report.T) <= max_choices:
+        assert got == reference_exhaustive_d_u(report, gauge, cap)
+    if got.witness is not None:
+        assert not any(symplectic_product(got.witness, u.op) for u in report.U)
+        shared = gauge.generators[: len(gauge.generators) - len(report.T)]
+        assert Echelon(2 * report.n, [encode(g) for g in shared]).reduce(encode(got.witness))[0]
+
+
 class TestCenter:
     """The gauge group's center is span(U): T pairs with its chosen
     destabilizers and P with K, non-degenerately, and all of them commute
@@ -456,31 +479,23 @@ class TestCenter:
         code = random_instance(random.Random(seed), max_n=7, max_s0=5)
         report = run_classification(code)
         policy = data.draw(st.sampled_from(["canonical", "exhaustive"]))
-        try:
-            gauge = build_gauge_group(report, t_destab_policy=policy)
-        except CapExceededError:
-            gauge = build_gauge_group(report)
+        gauge = build_gauge_group(report, t_destab_policy=policy)
         if data.draw(st.booleans()) and report.T:
-            # Explicit destabilizers: the coset alternatives that pair with
-            # their target alone among U | T | P | K and the ones drawn
-            # before them (rarely none, as the alternatives are not all
-            # destabilizers; see CHANGES).
-            members = [u.op for u in report.U] + list(report.T) + list(report.P) + list(report.K)
+            # Explicit destabilizers: each canonical one times an element of
+            # the span of the bare logicals, commuting with the ones drawn
+            # before it (times 0 always does).
+            bare = span_elements(
+                [encode(b) for b in build_gauge_group(report, "exhaustive").alternatives]
+            )
             t_destabs = []
-            choices = gauge.alternatives or [[kappa] for kappa in gauge.t_destabs]
-            for idx, alternatives in enumerate(choices):
-                pattern = [int(i == len(report.U) + idx) for i in range(len(members))]
+            for kappa in gauge.t_destabs:
                 valid = [
-                    k for k in alternatives
-                    if [symplectic_product(k, m) for m in members + t_destabs]
-                    == pattern + [0] * len(t_destabs)
+                    k for k in (decode(encode(kappa) ^ b, code.n) for b in bare)
+                    if not any(symplectic_product(k, other) for other in t_destabs)
                 ]
-                assume(valid)
+                assert valid
                 t_destabs.append(data.draw(st.sampled_from(valid)))
-            try:
-                gauge = build_gauge_group(report, t_destab_policy=policy, t_destabs=t_destabs)
-            except CapExceededError:  # other destabilizers, another coset count
-                gauge = build_gauge_group(report, t_destabs=t_destabs)
+            gauge = build_gauge_group(report, t_destab_policy=policy, t_destabs=t_destabs)
             assert gauge.t_destabs == t_destabs
         check_center(code.n, report, gauge)
 
@@ -495,11 +510,9 @@ class TestCenter:
             d_u = unmasked_distance(report, canonical, cap=6)
             d_sub = subsystem_distance(canonical, cap=6)
             assert d_u == d_sub and d_u.candidates == d_sub.candidates
-            try:
-                exhaustive = build_gauge_group(report, t_destab_policy="exhaustive")
-            except CapExceededError:
-                continue
+            exhaustive = build_gauge_group(report, t_destab_policy="exhaustive")
             check_center(code.n, report, exhaustive)
+            check_exhaustive_d_u(report, exhaustive, cap=6)
 
     def test_masked_shor_center_and_choices(self):
         report = run_classification(shor_code(mask_z1z2=True))
@@ -507,6 +520,61 @@ class TestCenter:
         exhaustive = build_gauge_group(report, t_destab_policy="exhaustive")
         assert exhaustive.has_choices()
         check_center(9, report, exhaustive, cap=4)
+
+
+class TestExhaustiveUnmaskedDistance:
+    """Under the exhaustive policy ``d_u`` is the maximum over every choice
+    of T's destabilizers, each canonical one times any product of the bare
+    logicals, found by one search."""
+
+    @staticmethod
+    def shor_2x3_report():
+        """Shor's code on two blocks of three qubits, with Z5 Z6 left out of
+        its one round, so that it stays temporarily masked."""
+        n = 6
+        checks = [parse_pauli(s, n) for s in ["Z1 Z2", "Z2 Z3", "Z4 Z5", "X1 X2 X3 X4 X5 X6"]]
+        return run_classification(DynamicalCode.make(n, checks + [parse_pauli("Z5 Z6", n)], [checks]))
+
+    def test_shor_2x3_with_z5z6_withheld(self):
+        """Its destabilizer choices give spans of distance 1, 1, 1 and 2:
+        the reports of a search over non-destabilizers read 1."""
+        report = self.shor_2x3_report()
+        assert report.T == [parse_pauli("Z5 Z6", 6)]
+        gauge = build_gauge_group(report, t_destab_policy="exhaustive")
+        result = unmasked_distance(report, gauge, cap=6)
+        assert result.value == 2
+        assert brute_force_exhaustive_d_u(report, 1 << 12) == (True, 2)
+        check_exhaustive_d_u(report, gauge, cap=6)
+        assert unmasked_distance(report, build_gauge_group(report), cap=6).value == 1
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.data())
+    def test_drawn_codes_match_one_search_per_choice(self, seed, data):
+        code = random_instance(random.Random(seed), max_n=7, max_s0=5)
+        report = run_classification(code)
+        gauge = build_gauge_group(report, t_destab_policy="exhaustive")
+        cap = data.draw(st.integers(0, code.n + 1), label="cap")
+        check_exhaustive_d_u(report, gauge, cap, max_choices=1 << 12)
+
+    def test_brute_force_over_every_valid_destabilizer(self):
+        """Seeds 0-199 of ``random_instance(max_n=7, max_s0=5)`` with n <= 6
+        and at most 4,096 tuples of valid destabilizers: the maximum over
+        the pairwise commuting tuples, grouped by span, is the exhaustive
+        ``d_u`` over every product with the bare logicals."""
+        compared = 0
+        for seed in range(200):
+            code = random_instance(random.Random(seed), max_n=7, max_s0=5)
+            if code.n > 6:
+                continue
+            report = run_classification(code)
+            done, want = brute_force_exhaustive_d_u(report, 1 << 12)
+            if not done:
+                continue
+            gauge = build_gauge_group(report, t_destab_policy="exhaustive")
+            result = unmasked_distance(report, gauge, cap=code.n)
+            assert (None if result.no_logicals else result.value) == want, seed
+            compared += bool(gauge.has_choices())
+        assert compared >= 40
 
 
 class TestDistances:

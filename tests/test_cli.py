@@ -24,7 +24,7 @@ from dyncode.cli import _expr_to_json, main, parse_error_spec
 from dyncode.engine import ValidationError
 from dyncode.pauli import format_pauli, parse_pauli, symplectic_product, weight
 
-from oracles import forced_split, group_elements, random_instance
+from oracles import forced_split, group_elements, random_instance, reference_exhaustive_d_u
 
 
 @pytest.fixture
@@ -145,8 +145,9 @@ class TestDistance:
     @pytest.mark.parametrize("policy", ["canonical", "exhaustive"])
     def test_d_subsystem_shares_the_d_u_search(self, runner, masked_shor_file, policy,
                                                monkeypatch):
-        """The gauge group's center is span(U): without coset alternatives
-        d_u's search is the subsystem search, so it runs once."""
+        """The gauge group's center is span(U): without destabilizer choices
+        d_u's search is the subsystem search, so it runs once, and with
+        them d_u is one search over every choice."""
         calls = []
         search = classify._min_weight_outside
 
@@ -161,10 +162,10 @@ class TestDistance:
             assert len(calls) == 2  # d_u and d_subsystem, then d_isg
             assert report["d_subsystem"] == report["d_u"]
         else:
-            # one search per choice for d_u, then d_subsystem and d_isg
+            # one search for d_u over every choice, then d_subsystem and d_isg
             report = run_classification(shor_code(mask_z1z2=True))
-            [choices] = build_gauge_group(report, t_destab_policy=policy).alternatives
-            assert len(choices) > 1 and len(calls) == len(choices) + 2
+            assert build_gauge_group(report, t_destab_policy=policy).has_choices()
+            assert len(calls) == 3
 
     def test_cap_exceeded_status(self, runner, shor_file):
         report = run_json(runner, ["distance", shor_file, "--cap", "2"])
@@ -281,8 +282,8 @@ def test_distance_ends_in_a_verdict_or_a_diagnostic(seed, data):
 
 @pytest.mark.parametrize("policy", ["canonical", "exhaustive"])
 def test_negative_cap_is_rejected_before_the_coset_enumeration(policy):
-    # This code's gauge group has more destabilizer cosets than the
-    # exhaustive policy enumerates, which once ended the run with
+    # This code's destabilizers have 2^16 choices; when the exhaustive
+    # policy enumerated at most 4,096 of them, the run ended with
     # cap-exceeded (exit 2) before the cap itself was checked.
     code = random_instance(random.Random(874), max_n=6, max_s0=4)
     result = invoke_without_traceback(code, "distance", ["--cap", "-1", "--t-destab", policy])
@@ -290,6 +291,20 @@ def test_negative_cap_is_rejected_before_the_coset_enumeration(policy):
     assert json.loads(result.stderr) == {
         "error": "validation", "diagnostics": [{"kind": "cap-out-of-range", "cap": -1}],
     }
+
+
+def test_exhaustive_distance_has_no_coset_cap():
+    """The code above, with its 2^16 destabilizer choices: ``d_u`` equals
+    one search per choice, where the run once exited 2."""
+    code = random_instance(random.Random(874), max_n=6, max_s0=4)
+    result = invoke_without_traceback(code, "distance", ["--t-destab", "exhaustive"])
+    assert result.exit_code == 0, result.stderr
+    report = run_classification(code)
+    gauge = build_gauge_group(report, t_destab_policy="exhaustive")
+    want = reference_exhaustive_d_u(report, gauge, cap=6)
+    d_u = json.loads(result.output)["d_u"]
+    assert d_u["status"] == "ok" and d_u["value"]["value"] == want.value
+    assert d_u["witness"] == format_pauli(want.witness)
 
 
 @settings(max_examples=60, deadline=None)
