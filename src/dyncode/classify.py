@@ -561,9 +561,7 @@ def subsystem_distance(gauge: GaugeGroup, cap: int = 6) -> DistanceResult:
     )
 
 
-def unmasked_distance(
-    report: ClassificationReport, gauge: GaugeGroup, cap: int = 6
-) -> DistanceResult:
+def unmasked_distance(gauge: GaugeGroup, cap: int = 6) -> DistanceResult:
     """Lightest operator commuting with every unmasked stabilizer but
     outside the gauge group.
 

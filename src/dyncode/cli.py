@@ -17,6 +17,7 @@ import sys
 from importlib import metadata
 
 import click
+import orjson
 
 from .classify import (
     build_gauge_group,
@@ -73,25 +74,36 @@ def _digest(path: str) -> str:
         return hashlib.sha256(handle.read()).hexdigest()
 
 
+def _dumps(report: dict) -> str:
+    """The bytes of ``json.dumps(report, indent=2, sort_keys=True)``: orjson's,
+    except where they would differ (an int past 64 bits, which orjson refuses;
+    a non-ASCII or DEL character, which it writes unescaped)."""
+    try:
+        out = orjson.dumps(report, option=orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS)
+        if out.isascii() and b"\x7f" not in out:
+            return out.decode()
+    except orjson.JSONEncodeError:
+        pass
+    return json.dumps(report, indent=2, sort_keys=True)
+
+
 def _emit(report: dict, fmt: str) -> None:
     if fmt == "json":
-        click.echo(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        _emit_text(report)
+        click.echo(_dumps(report))
+    elif lines := _text_lines(report, "", []):
+        click.echo("\n".join(lines))
 
 
-def _emit_text(node, prefix: str = "") -> None:
-    if isinstance(node, dict):
-        if set(node) == {"value", "provenance"}:
-            click.echo(f"{prefix}: {node['value']}")
-            return
+def _text_lines(node, prefix: str, lines: list[str]) -> list[str]:
+    if isinstance(node, dict) and set(node) != {"value", "provenance"}:
         for key in sorted(node):
-            _emit_text(node[key], f"{prefix}.{key}" if prefix else key)
+            _text_lines(node[key], f"{prefix}.{key}" if prefix else key, lines)
     elif isinstance(node, list):
         for i, item in enumerate(node):
-            _emit_text(item, f"{prefix}[{i}]")
+            _text_lines(item, f"{prefix}[{i}]", lines)
     else:
-        click.echo(f"{prefix}: {node}")
+        lines.append(f"{prefix}: {node['value'] if isinstance(node, dict) else node}")
+    return lines
 
 
 def _report_shell(command: str, path: str) -> dict:
@@ -224,7 +236,7 @@ def distance(file, window, cap, t_destab, fmt):
         result = run_classification(code, window=window)
         gauge = build_gauge_group(result, t_destab_policy=t_destab)
         report = _report_shell("distance", file)
-        d_u = unmasked_distance(result, gauge, cap=cap)
+        d_u = unmasked_distance(gauge, cap=cap)
         report["d_u"] = _distance_to_json(d_u)
         # The gauge group's center is span(U), so without destabilizer
         # choices d_u's search is the subsystem search.

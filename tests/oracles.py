@@ -40,6 +40,8 @@ scanned in insertion order) as the package wrote them before bit masks
 and pivot-indexed reduction.  :func:`final_sets` and :func:`round_isgs`
 are no references: they read the final C and V of a classification and
 the ISG after each round in the form the tests compare.
+:func:`reference_emit_text` is the ``--format text`` writer as it was
+before it collected its lines: one ``click.echo`` per leaf.
 """
 
 from __future__ import annotations
@@ -49,6 +51,8 @@ import math
 import random
 from dataclasses import dataclass
 from unittest import mock
+
+import click
 
 from dyncode import DynamicalCode, OutcomeExpr, PauliOperator, pauli
 from dyncode.engine import (
@@ -817,3 +821,19 @@ def forward_oracle(
         else:
             entries.append(OracleEntry(combo, op, False, None))
     return entries
+
+
+def reference_emit_text(node, prefix: str = "", file=None) -> None:
+    """Write a report as "path: value" lines, one echo per leaf, to ``file``
+    (standard output if None); a provenance-wrapped number is one leaf."""
+    if isinstance(node, dict):
+        if set(node) == {"value", "provenance"}:
+            click.echo(f"{prefix}: {node['value']}", file=file)
+            return
+        for key in sorted(node):
+            reference_emit_text(node[key], f"{prefix}.{key}" if prefix else key, file)
+    elif isinstance(node, list):
+        for i, item in enumerate(node):
+            reference_emit_text(item, f"{prefix}[{i}]", file)
+    else:
+        click.echo(f"{prefix}: {node}", file=file)

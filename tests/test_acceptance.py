@@ -123,9 +123,9 @@ def test_criterion_2_shor_masking_distances():
     start = time.perf_counter()
     report = run_classification(shor_code(mask_z1z2=True))
     with_x1 = build_gauge_group(report, t_destabs=[parse_pauli("X1", 9)])
-    assert unmasked_distance(report, with_x1, cap=4).value == 2
+    assert unmasked_distance(with_x1, cap=4).value == 2
     with_x2x3 = build_gauge_group(report, t_destabs=[parse_pauli("X2 X3", 9)])
-    assert unmasked_distance(report, with_x2x3, cap=4).value == 1
+    assert unmasked_distance(with_x2x3, cap=4).value == 1
     full = shor_code()
     assert isg_distance(list(full.s0), full.n, cap=4).value == 3
     finish(2, "masked-Shor d_u choices and d_ISG", start, 10.0)
@@ -367,7 +367,7 @@ def test_criterion_7_distance_ordering():
     def check(code, cap):
         report = run_classification(code)
         gauge = build_gauge_group(report)
-        d_u = unmasked_distance(report, gauge, cap=cap)
+        d_u = unmasked_distance(gauge, cap=cap)
         d_sub = subsystem_distance(gauge, cap=cap)
         d_isg = isg_distance(list(code.s0), code.n, cap=cap)
         values = [d_u, d_sub, d_isg]

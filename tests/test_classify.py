@@ -458,7 +458,7 @@ def check_exhaustive_d_u(report, gauge, cap: int, max_choices: int = 1 << 16) ->
     """The exhaustive ``d_u`` equals one search per destabilizer choice in
     value, status and witness, when there are at most ``max_choices``
     choices, and its witness commutes with U and lies outside U | T | P | K."""
-    got = unmasked_distance(report, gauge, cap=cap)
+    got = unmasked_distance(gauge, cap=cap)
     if (1 << len(gauge.alternatives)) ** len(report.T) <= max_choices:
         assert got == reference_exhaustive_d_u(report, gauge, cap)
     if got.witness is not None:
@@ -507,7 +507,7 @@ class TestCenter:
             report = run_classification(code)
             canonical = build_gauge_group(report)
             check_center(code.n, report, canonical)
-            d_u = unmasked_distance(report, canonical, cap=6)
+            d_u = unmasked_distance(canonical, cap=6)
             d_sub = subsystem_distance(canonical, cap=6)
             assert d_u == d_sub and d_u.candidates == d_sub.candidates
             exhaustive = build_gauge_group(report, t_destab_policy="exhaustive")
@@ -541,11 +541,11 @@ class TestExhaustiveUnmaskedDistance:
         report = self.shor_2x3_report()
         assert report.T == [parse_pauli("Z5 Z6", 6)]
         gauge = build_gauge_group(report, t_destab_policy="exhaustive")
-        result = unmasked_distance(report, gauge, cap=6)
+        result = unmasked_distance(gauge, cap=6)
         assert result.value == 2
         assert brute_force_exhaustive_d_u(report, 1 << 12) == (True, 2)
         check_exhaustive_d_u(report, gauge, cap=6)
-        assert unmasked_distance(report, build_gauge_group(report), cap=6).value == 1
+        assert unmasked_distance(build_gauge_group(report), cap=6).value == 1
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.data())
@@ -571,7 +571,7 @@ class TestExhaustiveUnmaskedDistance:
             if not done:
                 continue
             gauge = build_gauge_group(report, t_destab_policy="exhaustive")
-            result = unmasked_distance(report, gauge, cap=code.n)
+            result = unmasked_distance(gauge, cap=code.n)
             assert (None if result.no_logicals else result.value) == want, seed
             compared += bool(gauge.has_choices())
         assert compared >= 40
@@ -585,15 +585,15 @@ class TestDistances:
     def test_masked_shor_unmasked_distance_choices(self):
         report = run_classification(shor_code(mask_z1z2=True))
         canonical = build_gauge_group(report)
-        assert unmasked_distance(report, canonical, cap=4).value == 2
+        assert unmasked_distance(canonical, cap=4).value == 2
         with_x1 = build_gauge_group(report, t_destabs=[parse_pauli("X1", 9)])
-        assert unmasked_distance(report, with_x1, cap=4).value == 2
+        assert unmasked_distance(with_x1, cap=4).value == 2
         with_x2x3 = build_gauge_group(
             report, t_destabs=[parse_pauli("X2 X3", 9)]
         )
-        assert unmasked_distance(report, with_x2x3, cap=4).value == 1
+        assert unmasked_distance(with_x2x3, cap=4).value == 1
         exhaustive = build_gauge_group(report, t_destab_policy="exhaustive")
-        assert unmasked_distance(report, exhaustive, cap=4).value == 2
+        assert unmasked_distance(exhaustive, cap=4).value == 2
 
     def test_distance_result_rendering(self):
         assert str(DistanceResult(3, 6)) == "3"
@@ -637,7 +637,7 @@ class TestDistances:
                 assert d_sub.no_logicals
             else:
                 assert d_sub.value == expected_sub
-            d_u = unmasked_distance(report, gauge, cap=code.n)
+            d_u = unmasked_distance(gauge, cap=code.n)
             expected_u = brute_force_min_weight(
                 code.n, [u.op for u in report.U], gauge.generators
             )
@@ -656,7 +656,7 @@ class TestDistances:
             return [
                 isg_distance(list(code.s0), code.n, cap=cap),
                 subsystem_distance(gauge, cap=cap),
-                unmasked_distance(report, gauge, cap=cap),
+                unmasked_distance(gauge, cap=cap),
             ]
 
         rng = random.Random(520)
@@ -702,7 +702,7 @@ class TestDistances:
         results = [
             isg_distance(list(code.s0), code.n, cap=4),
             subsystem_distance(gauge, cap=4),
-            unmasked_distance(report, gauge, cap=4),
+            unmasked_distance(gauge, cap=4),
         ]
         assert all(r.exceeded_cap and r.value is None for r in results)
         assert set(splits) == {(1, 1), (2, 1), (3, 1), (4, 2)}

@@ -2,6 +2,7 @@ import json
 import os
 import random
 import tempfile
+from unittest import mock
 
 import pytest
 from click.testing import CliRunner
@@ -19,8 +20,8 @@ from dyncode import (
     shor_code,
     simulate_measurements,
 )
-from dyncode import classify, engine, pauli
-from dyncode.cli import _expr_to_json, main, parse_error_spec
+from dyncode import classify, cli, engine, pauli
+from dyncode.cli import _dumps, _expr_to_json, main, parse_error_spec
 from dyncode.engine import ValidationError
 from dyncode.pauli import format_pauli, parse_pauli, symplectic_product, weight
 
@@ -605,3 +606,82 @@ def test_malformed_documents_end_in_a_json_report_or_diagnostic(text):
                 assert json.loads(result.stderr)["error"] == expected[result.exit_code]
             else:
                 assert json.loads(result.output)["command"] == command
+
+
+def stdlib_dump(report) -> str:
+    return json.dumps(report, indent=2, sort_keys=True)
+
+
+def assert_plain_json(node) -> None:
+    """Only str keys and no float anywhere: the values orjson writes as
+    the stdlib does."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            assert type(key) is str, key
+            assert_plain_json(value)
+    elif isinstance(node, (list, tuple)):
+        for item in node:
+            assert_plain_json(item)
+    else:
+        assert node is None or isinstance(node, (str, int)), node
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(COMMAND_NAMES))
+def test_random_code_reports_are_the_stdlib_dump(seed, command):
+    """Random small codes under every command: stdout is byte for byte the
+    indented stdlib dump of the report, and the report object itself holds
+    str keys only and no float."""
+    code = random_instance(random.Random(seed), max_n=6, max_s0=4)
+    with mock.patch.object(cli, "_dumps", wraps=cli._dumps) as dumps:
+        result = invoke_without_traceback(code, command, [])
+    if result.exit_code == 0:
+        assert result.stdout == stdlib_dump(json.loads(result.stdout)) + "\n"
+        (report,), _ = dumps.call_args
+        assert_plain_json(report)
+    else:
+        assert not result.stdout and not dumps.called
+
+
+class TestStdlibFallback:
+    """An int past 64 bits, which orjson refuses, is written by the stdlib."""
+
+    BIG = 2**70  # 1180591620717411303424
+
+    def assert_stdlib_bytes(self, runner, args) -> dict:
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, (result.exception, result.stderr)
+        with mock.patch.object(cli, "_dumps", stdlib_dump):
+            reference = runner.invoke(main, args)
+        assert result.stdout == reference.stdout
+        return json.loads(result.stdout)
+
+    @pytest.mark.parametrize("option", ["--seed", "--max-weight"])
+    def test_simulate_option(self, runner, shor_file, option):
+        report = self.assert_stdlib_bytes(runner, ["simulate", shor_file, option, str(self.BIG)])
+        field = report["seed"] if option == "--seed" else report["decoding"]["max_weight"]
+        assert field["value"] == self.BIG
+
+    def test_validate_n(self, runner, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"version": 1, "n": self.BIG, "s0": [], "rounds": []}))
+        report = self.assert_stdlib_bytes(runner, ["validate", str(path)])
+        assert report["n"]["value"] == self.BIG
+
+
+@pytest.mark.parametrize("value", [
+    {"key": "caf\u00e9 \u2603"},  # non-ASCII: the stdlib escapes it
+    {"caf\u00e9": 1, "cafe": 2},
+    ["\x7f"],  # DEL is ASCII, but the stdlib escapes it
+    ["\x00\t\n\x1f\"\\ ~"],
+    {1: "int key", 0: None},  # orjson refuses non-str keys
+    {"a": [2**64 - 1, -(2**63), True, (1, [])], "b": {}},
+])
+def test_dumps_is_the_stdlib_dump(value):
+    assert _dumps(value) == stdlib_dump(value)
+
+
+@pytest.mark.parametrize("report", [{}, {"a": [], "b": {}}])
+def test_an_empty_text_report_prints_nothing(report, capsys):
+    cli._emit(report, "text")
+    assert capsys.readouterr().out == ""

@@ -18,6 +18,7 @@ tests/test_golden.py``.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import random
 
@@ -27,7 +28,7 @@ from click.testing import CliRunner
 from dyncode import library_fixtures, run_classification, save_code
 from dyncode.cli import main
 
-from oracles import random_instance
+from oracles import random_instance, reference_emit_text
 
 # (seed, random_instance keyword arguments)
 RANDOM_CODES = {
@@ -143,6 +144,32 @@ def code_files(tmp_path_factory):
 def test_report_matches_golden_digest(key, code_files):
     name, command = key.split(":")
     assert report_digest(CliRunner(), code_files[name], command) == GOLDEN[key]
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN))
+def test_report_bytes_are_the_stdlib_dump(key, code_files):
+    """The digests hash a re-dump, so they cannot see the writer: here the
+    raw stdout must be what ``json.dumps(indent=2, sort_keys=True)`` writes."""
+    name, command = key.split(":")
+    args = COMMANDS[command]
+    result = CliRunner().invoke(main, [args[0], code_files[name], *args[1:]])
+    assert result.exit_code == 0 or not result.stdout
+    if result.stdout:
+        assert result.stdout == json.dumps(json.loads(result.stdout), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN))
+def test_text_report_matches_the_reference_writer(key, code_files):
+    name, command = key.split(":")
+    args = [COMMANDS[command][0], code_files[name], *COMMANDS[command][1:]]
+    runner = CliRunner()
+    as_json = runner.invoke(main, args)
+    as_text = runner.invoke(main, [*args, "--format", "text"])
+    assert as_text.exit_code == as_json.exit_code
+    expected = io.StringIO()
+    if as_json.stdout:
+        reference_emit_text(json.loads(as_json.stdout), file=expected)
+    assert as_text.stdout == expected.getvalue()
 
 
 @pytest.mark.parametrize("name", sorted(RANDOM_CODES))
