@@ -179,60 +179,69 @@ def run_classification(code: DynamicalCode, window: int | None = None) -> Classi
     diagnostics = validate_code(code)
     if diagnostics:
         raise ValidationError(diagnostics)
-    window = resolve_window(code, window)
+    return next(_reports(code, [resolve_window(code, window)]))
+
+
+def _reports(code: DynamicalCode, windows):
+    """The report at each window of the rising ``windows``, from one
+    forward pass over a valid ``code``.  Each post-pass reads fresh lists
+    of C and V and a copy of the removals so far; the partner-bit lists
+    they share with the tableau are rebound, never mutated in place."""
     n, k = code.n, len(code.s0)
     s0_rows = [vec for vec, _, _ in code.encoded_s0]
     # V is the stabilizer set of the tableau, C its tracked rows.
     tab = Tableau(n)
-    c = tab.tracked
+    c, v = tab.tracked, tab.stab
     for i, (vec, _, partner_bits) in enumerate(code.encoded_s0):
         c.append(vec, symbol_expr(INITIAL_STABILIZER, i).pack(k), partner_bits)
     removals: list[tuple] = []
     # Random bit t, packed, for measurement t: random bits are packed in order.
     outcome = symbol_expr(RANDOM_BIT, 0).pack(k)
-    for round_index, rnd in enumerate(code.encoded_rounds[:window], start=1):
-        for vec, vec_bits, partner_bits in rnd:
-            masks = anti, logical, hit, _ = tab.masks(vec_bits)
-            if anti:
-                # Cases 3-4: the V pivot is removed and m joins V.
-                pivot = tab.pivot(masks, vec, partner_bits, outcome, fresh=True)
-                removals.append((round_index, "V", *pivot))
-            elif hit:
-                # Case 2: the C pivot is removed; m commutes with V and is
-                # independent of it, as it anticommutes with the pivot.
-                q = lowest(hit)
-                row, prov, row_bits = c.rows[q], c.prov[q], c.row_bits(q)
-                if hit ^ (1 << q):
-                    c.mul(hit ^ (1 << q), row, row_bits, prov)
-                removals.append((round_index, "C", row, prov, row_bits))
-                c.free(q)
-                tab.append(vec, partner_bits, masks, outcome)
-            elif logical:
-                # Case 1: add to V only if independent of it.
-                tab.append(vec, partner_bits, masks, outcome)
-            outcome <<= 1
-    v = tab.stab
-    c_slots, v_slots = c.slots(), v.slots()
-    C = [(c.rows[s], c.prov[s]) for s in c_slots]
-    V = [(v.rows[s], v.prov[s]) for s in v_slots]
-    # The replay takes the ISG with the partner bits the tableau still holds.
-    isg = [(c.rows[s], c.known_bits[s]) for s in c_slots]
-    isg += [(v.rows[s], v.known_bits[s]) for s in v_slots]
-
-    basis = Echelon(2 * n)
-    U = _extract_unmasked(n, C, V, s0_rows, basis)
-    u_end = basis.size
-    P, K = _extract_permanently_masked(n, isg, removals, s0_rows)
-    T = _extract_temporarily_masked(n, C, s0_rows, basis)
-    t_end = basis.size
-    _check_partition(n, U, T, P, K, s0_rows, basis)
-    report = ClassificationReport(
-        n=code.n, window=window, s0=code.s0, U=U, T=T, P=P, K=K,
-        tags=[], _removals=removals, _final=(C, V),
-        _basis=basis, _ends=(u_end, t_end),
-    )
-    report.tags = [report.element_class(op) for op in code.s0]
-    return report
+    done = 0
+    for window in windows:
+        for round_index, rnd in enumerate(code.encoded_rounds[done:window], start=done + 1):
+            for vec, vec_bits, partner_bits in rnd:
+                masks = anti, logical, hit, _ = tab.masks(vec_bits)
+                if anti:
+                    # Cases 3-4: the V pivot is removed and m joins V.
+                    pivot = tab.pivot(masks, vec, partner_bits, outcome, fresh=True)
+                    removals.append((round_index, "V", *pivot))
+                elif hit:
+                    # Case 2: the C pivot is removed; m commutes with V and is
+                    # independent of it, as it anticommutes with the pivot.
+                    q = lowest(hit)
+                    row, prov, row_bits = c.rows[q], c.prov[q], c.row_bits(q)
+                    if hit ^ (1 << q):
+                        c.mul(hit ^ (1 << q), row, row_bits, prov)
+                    removals.append((round_index, "C", row, prov, row_bits))
+                    c.free(q)
+                    tab.append(vec, partner_bits, masks, outcome)
+                elif logical:
+                    # Case 1: add to V only if independent of it.
+                    tab.append(vec, partner_bits, masks, outcome)
+                outcome <<= 1
+        done = window
+        c_slots, v_slots = c.slots(), v.slots()
+        C = [(c.rows[s], c.prov[s]) for s in c_slots]
+        V = [(v.rows[s], v.prov[s]) for s in v_slots]
+        # The replay takes the ISG with the partner bits the tableau still holds.
+        isg = [(c.rows[s], c.known_bits[s]) for s in c_slots]
+        isg += [(v.rows[s], v.known_bits[s]) for s in v_slots]
+        so_far = removals[:]
+        basis = Echelon(2 * n)
+        U = _extract_unmasked(n, C, V, s0_rows, basis)
+        u_end = basis.size
+        P, K = _extract_permanently_masked(n, isg, so_far, s0_rows)
+        T = _extract_temporarily_masked(n, C, s0_rows, basis)
+        t_end = basis.size
+        _check_partition(n, U, T, P, K, s0_rows, basis)
+        report = ClassificationReport(
+            n=n, window=window, s0=code.s0, U=U, T=T, P=P, K=K,
+            tags=[], _removals=so_far, _final=(C, V),
+            _basis=basis, _ends=(u_end, t_end),
+        )
+        report.tags = [report.element_class(op) for op in code.s0]
+        yield report
 
 
 def _extract_unmasked(
@@ -567,10 +576,9 @@ def unmasked_distance(gauge: GaugeGroup, cap: int = 6) -> DistanceResult:
 
     Under the exhaustive destabilizer policy the result is the maximum
     over every choice of T's destabilizers, the freedom the temporarily
-    masked stabilizers leave open, found in one search.
+    masked stabilizers leave open, found in one search: with no bare
+    logical, that of :func:`subsystem_distance`, as U is the center.
     """
-    if not gauge.has_choices():
-        return subsystem_distance(gauge, cap)  # U spans the center
     rows = [encode(g) for g in gauge.generators]
     fixed = len(rows) - len(gauge.t_destabs)
     return _min_weight_outside(

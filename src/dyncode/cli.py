@@ -255,7 +255,8 @@ def distance(file, window, cap, t_destab, fmt):
 @main.command()
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--max-cycles", type=int, default=0,
-              help="Cycle cap (default: qubit count + 2).")
+              help="Cap of the cycle trace only (default: qubit count + 2); "
+              "the unmask count's cap stays |ISG| + 2.")
 @click.option("--format", "fmt", type=click.Choice(["json", "text"]),
               default="json", show_default=True)
 def floquet(file, max_cycles, fmt):
@@ -340,7 +341,7 @@ def simulate(file, error_spec, seed, max_weight, fmt):
                 {"stabilizer": format_pauli(u.op), "flip": _computed(bit)}
             )
         report["syndromes"] = syndromes
-        verdict = verify_round0_decoding(code, result, gauge, max_weight)
+        verdict = verify_round0_decoding(gauge, max_weight)
         report["decoding"] = {
             "ok": verdict.ok,
             "errors_checked": _computed(verdict.errors_checked),

@@ -14,7 +14,7 @@ import functools
 import operator
 from dataclasses import dataclass, field
 
-from .classify import ClassificationReport, GaugeGroup, _min_weight_outside
+from .classify import GaugeGroup, subsystem_distance
 from .engine import DynamicalCode, Evolution, ISGState, ValidationError
 from .gf2 import Combination, bits
 from .pauli import (
@@ -222,12 +222,7 @@ class DecodingVerdict:
     violation: tuple[PauliOperator, PauliOperator] | None = None
 
 
-def verify_round0_decoding(
-    code: DynamicalCode,
-    report: ClassificationReport,
-    gauge: GaugeGroup,
-    max_weight: int,
-) -> DecodingVerdict:
+def verify_round0_decoding(gauge: GaugeGroup, max_weight: int) -> DecodingVerdict:
     """Check that round-0 errors up to a weight are decodable.
 
     Two errors sharing every unmasked-stabilizer syndrome must differ by
@@ -236,22 +231,17 @@ def verify_round0_decoding(
     exactly when an operator f of weight <= 2*max_weight commutes with
     every unmasked stabilizer and lies outside the gauge group: the
     product of two such errors is one, and each one splits into two.  So
-    the check is the distance search of :func:`unmasked_distance` under
-    the canonical policy, capped at 2*max_weight.  Its witness f gives
-    the violating pair: f's letters on its lowest ceil(wt(f)/2) support
+    the check is :func:`subsystem_distance` (the gauge group's center is
+    the unmasked group) capped at 2*max_weight.  Its witness f gives the
+    violating pair: f's letters on its lowest ceil(wt(f)/2) support
     qubits, and the rest.
     """
     if max_weight < 0:
         raise ValidationError([{"kind": "max-weight-out-of-range", "max_weight": max_weight}])
-    result = _min_weight_outside(
-        code.n,
-        [encode(u.op) for u in report.U],
-        [encode(g) for g in gauge.generators],
-        2 * max_weight,
-    )
+    result = subsystem_distance(gauge, 2 * max_weight)
     f = result.witness
     if f is None:
         return DecodingVerdict(True, max_weight, result.candidates)
     low = sum(1 << q for q in bits(f.x_mask | f.z_mask)[: (result.value + 1) // 2])
-    first = PauliOperator(code.n, f.x_mask & low, f.z_mask & low)
+    first = PauliOperator(gauge.n, f.x_mask & low, f.z_mask & low)
     return DecodingVerdict(False, max_weight, result.candidates, (first, product(f, first)))

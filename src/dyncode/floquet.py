@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import filterfalse
 
-from .classify import run_classification
+from .classify import _reports
 from .engine import (
     CapExceededError,
     DynamicalCode,
@@ -318,11 +318,11 @@ def unmask_cycle_count(
     """Whole cycles of the schedule needed to settle every syndrome.
 
     Treats ``code.rounds`` as one cycle.  The ISG reached after
-    ``isg_round`` rounds is classified against 1, 2, ... repetitions of
-    the (rotated) cycle; returns the smallest count after which no
-    stabilizer is left temporarily masked.  An empty ISG has no
-    stabilizer to mask, so its count is 1 once the first derived code
-    passes validation, with no classification run.
+    ``isg_round`` rounds is classified in one forward pass over the
+    repeated (rotated) cycle, read at each cycle boundary; returns the
+    smallest count after which no stabilizer is left temporarily masked.
+    An empty ISG has no stabilizer to mask, so its count is 1 once the
+    code of one cycle passes validation, with no classification run.
 
     Raises:
         ValidationError: if the schedule has no rounds, or the derived
@@ -335,15 +335,16 @@ def unmask_cycle_count(
     isg = isg_rows(code, isg_round)
     shift = isg_round % period
     cycle = [(shift + i) % period for i in range(period)]
+    diagnostics = validate_code(code.derive(isg, cycle))
+    if diagnostics:
+        raise ValidationError(diagnostics)
     if not isg:
-        diagnostics = validate_code(code.derive(isg, cycle))
-        if diagnostics:
-            raise ValidationError(diagnostics)
         return 1
     if max_cycles <= 0:
         max_cycles = len(isg) + 2
-    for count in range(1, max_cycles + 1):
-        report = run_classification(code.derive(isg, cycle * count))
+    windows = range(period, period * max_cycles + 1, period)
+    reports = _reports(code.derive(isg, cycle * max_cycles), windows)
+    for count, report in enumerate(reports, start=1):
         if not report.T:
             return count
     raise CapExceededError(

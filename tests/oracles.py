@@ -10,8 +10,11 @@ stabilizer update and the classification's forward pass written as scans
 over generator lists with a fresh span per membership test, the way the
 package computed them before its stabilizer tableau, and
 :func:`reference_cycles` traces a repeated sequence with them, testing
-every generator of each earlier snapshot; :func:`forward_oracle`
-reads its outcome expressions from :func:`reference_measure`, and
+every generator of each earlier snapshot.
+:func:`reference_unmask_cycle_count` is the unmask probe as it was
+before its one forward pass: it runs the package's classification from
+round 0 once per cycle count, so it checks the windows of the one pass,
+not the classification.  :func:`forward_oracle` reads its outcome expressions from :func:`reference_measure`, and
 :func:`apply_error` flips them past an error by the same scan.
 :func:`reference_min_weight_outside` is the distance search as it was
 before the syndrome join: the same result type, but every candidate of
@@ -66,8 +69,9 @@ from dyncode.engine import (
     ValidationError,
     resolve_window,
     symbol_expr,
+    validate_code,
 )
-from dyncode.classify import DistanceResult, RemovalEvent
+from dyncode.classify import DistanceResult, RemovalEvent, run_classification
 from dyncode.errors import LogicalTrace
 from dyncode.floquet import isg_rows
 from dyncode.gf2 import BitMatrix, Combination, Echelon, in_span, kernel_under_form, nullspace
@@ -651,6 +655,34 @@ def reference_cycles(
         if settled:
             return snapshots, escapes, cycle - 1
     return snapshots, escapes, None
+
+
+def reference_unmask_cycle_count(
+    code: DynamicalCode, isg_round: int = 0, max_cycles: int = 0
+) -> int:
+    """``floquet.unmask_cycle_count`` as it was before its one forward
+    pass: a code derived and classified from round 0 for each cycle
+    count 1, 2, ... in turn."""
+    period = len(code.rounds)
+    if not period:
+        raise ValidationError([{"kind": "empty-schedule"}])
+    isg = isg_rows(code, isg_round)
+    shift = isg_round % period
+    cycle = [(shift + i) % period for i in range(period)]
+    if not isg:
+        diagnostics = validate_code(code.derive(isg, cycle))
+        if diagnostics:
+            raise ValidationError(diagnostics)
+        return 1
+    if max_cycles <= 0:
+        max_cycles = len(isg) + 2
+    for count in range(1, max_cycles + 1):
+        report = run_classification(code.derive(isg, cycle * count))
+        if not report.T:
+            return count
+    raise CapExceededError(
+        f"syndromes not settled within {max_cycles} cycles"
+    )
 
 
 def reference_record(code: DynamicalCode, window: int | None = None):

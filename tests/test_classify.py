@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from dyncode import (
     DynamicalCode,
+    bacon_shor,
+    build_1d_chain,
     build_gauge_group,
     honeycomb,
     isg_distance,
@@ -191,6 +193,34 @@ class TestAgainstOracle:
             new_report = run_classification(extended)
             for p in report.P:
                 assert new_report.element_class(p) == "permanently-masked"
+
+
+class TestOnePassWindows:
+    """One forward pass reports at every window what a classification
+    run to that window reports.  The whole pass runs before any report is
+    compared, so a report that shared state the pass changed later would
+    differ."""
+
+    FIELDS = ("U", "T", "P", "K", "tags", "_removals", "_final")
+
+    def check(self, code):
+        windows = range(len(code.rounds) + 1)
+        reports = list(classify._reports(code, windows))
+        assert [report.window for report in reports] == list(windows)
+        for window, report in zip(windows, reports):
+            expected = run_classification(code, window=window)
+            for name in self.FIELDS:
+                assert getattr(report, name) == getattr(expected, name), (window, name)
+
+    def test_seeded_random_codes(self):
+        for seed in range(400):
+            self.check(random_instance(random.Random(seed)))
+
+    @pytest.mark.parametrize("code", [
+        shor_code(mask_z1z2=True), honeycomb(3, 3), bacon_shor(3, 3), build_1d_chain(12),
+    ], ids=["shor-masked", "honeycomb-3x3", "bacon-shor-3x3", "chain-12"])
+    def test_fixtures(self, code):
+        self.check(code)
 
 
 class TestInvariantChecks:

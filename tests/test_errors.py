@@ -317,7 +317,7 @@ def check_against_enumeration(code, weights=range(4)):
     report = run_classification(code)
     gauge = build_gauge_group(report)
     for max_weight in weights:
-        verdict = verify_round0_decoding(code, report, gauge, max_weight)
+        verdict = verify_round0_decoding(gauge, max_weight)
         ok, _ = reference_round0_decoding(
             code.n, [u.op for u in report.U], gauge.generators, max_weight
         )
@@ -333,7 +333,7 @@ class TestDecoding:
         code = shor_code()
         report = run_classification(code)
         gauge = build_gauge_group(report)
-        verdict = verify_round0_decoding(code, report, gauge, 1)
+        verdict = verify_round0_decoding(gauge, 1)
         assert verdict.ok and verdict.violation is None
         # d_u is 3, so the search tests every commuting operator up to
         # weight 2 and finds none outside the gauge group.
@@ -344,7 +344,7 @@ class TestDecoding:
         code = shor_code(mask_z1z2=True)
         report = run_classification(code)
         gauge = build_gauge_group(report, t_destabs=[parse_pauli("X2 X3", 9)])
-        verdict = verify_round0_decoding(code, report, gauge, 1)
+        verdict = verify_round0_decoding(gauge, 1)
         assert not verdict.ok
         assert verdict.violation is not None
         check_violation(report, gauge, verdict)
@@ -355,7 +355,7 @@ class TestDecoding:
         code = shor_code()
         report = run_classification(code)
         gauge = build_gauge_group(report)
-        verdict = verify_round0_decoding(code, report, gauge, 2)
+        verdict = verify_round0_decoding(gauge, 2)
         first, second = verdict.violation
         witness = product(first, second)
         assert weight(witness) == 3 and (weight(first), weight(second)) == (2, 1)
@@ -376,7 +376,7 @@ class TestDecoding:
         )
         report = run_classification(code)
         gauge = build_gauge_group(report)
-        verdict = verify_round0_decoding(code, report, gauge, 10**6)
+        verdict = verify_round0_decoding(gauge, 10**6)
         assert verdict.ok and verdict.errors_checked == 0
 
     @pytest.mark.parametrize("name", sorted(golden_codes()))

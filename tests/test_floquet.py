@@ -14,12 +14,12 @@ from dyncode import (
     iterate_cycles,
     unmask_cycle_count,
 )
-from dyncode import floquet
+from dyncode import classify, floquet
 from dyncode.classify import run_classification
 from dyncode.engine import CapExceededError, ValidationError, simulate_measurements
 from dyncode.floquet import isg_rows
 from dyncode.gf2 import rank
-from dyncode.library import bacon_shor, honeycomb, honeycomb_cycle
+from dyncode.library import bacon_shor, honeycomb, honeycomb_cycle, shor_code
 from dyncode.pauli import decode, format_pauli, parse_pauli
 from dyncode.tableau import Tableau
 
@@ -31,6 +31,7 @@ from oracles import (
     random_round,
     reference_cycles,
     reference_measure,
+    reference_unmask_cycle_count,
     round_isgs,
     spans_equal,
 )
@@ -308,3 +309,50 @@ class TestUnmaskCycles:
         with pytest.raises(ValidationError) as caught:
             unmask_cycle_count(code, isg_round=isg_round)
         assert caught.value.diagnostics[0]["kind"] == kind
+
+
+def probe_outcome(probe, code, isg_round):
+    """The count, or the type, message and diagnostics of the exception."""
+    try:
+        return probe(code, isg_round=isg_round)
+    except (CapExceededError, ValidationError) as error:
+        return type(error), str(error), getattr(error, "diagnostics", None)
+
+
+class TestUnmaskProbeOnePass:
+    def test_matches_the_per_count_reference(self):
+        codes = [random_instance(random.Random(seed)) for seed in range(400)]
+        codes += [shor_code(mask_z1z2=True), honeycomb(3, 3), bacon_shor(3, 3)]
+        # A last round that anticommutes: the one-cycle code's diagnostics.
+        bad = [parse_pauli("X1", 2), parse_pauli("Z1", 2)]
+        codes += [DynamicalCode.make(2, [parse_pauli("Z2", 2)], [[parse_pauli("Z1", 2)], bad])]
+        counts = set()
+        for code in codes:
+            for isg_round in range(len(code.rounds) + 1):
+                got = probe_outcome(unmask_cycle_count, code, isg_round)
+                assert got == probe_outcome(reference_unmask_cycle_count, code, isg_round)
+                counts.add(got if isinstance(got, int) else got[0])
+        assert counts == {1, 2, CapExceededError, ValidationError}
+
+    def test_masked_shor_is_one_pass_of_ten_cycles(self, monkeypatch):
+        # 7 measurements a cycle and a cap of |ISG| + 2 = 10 cycles: one
+        # pass of 70, where a classification per count measured
+        # 7 * (1 + 2 + ... + 10) = 385.
+        processed = []
+
+        class CountingTableau(Tableau):
+            """One ``masks`` call per measurement of a forward pass; the
+            replay's tableau keeps no logical rows and is not counted."""
+
+            def masks(self, vec_bits):
+                if self.logicals:
+                    processed.append(vec_bits)
+                return super().masks(vec_bits)
+
+        code = shor_code(mask_z1z2=True)
+        monkeypatch.setattr(classify, "Tableau", CountingTableau)
+        for probe, expected in ((unmask_cycle_count, 70), (reference_unmask_cycle_count, 385)):
+            processed.clear()
+            with pytest.raises(CapExceededError, match="not settled within 10 cycles"):
+                probe(code)
+            assert len(processed) == expected
