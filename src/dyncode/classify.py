@@ -47,6 +47,7 @@ from .engine import (
     InternalInvariantError,
     OutcomeExpr,
     ValidationError,
+    require_size,
     resolve_window,
     symbol_expr,
     validate_code,
@@ -58,7 +59,6 @@ from .gf2 import (
     in_span,
     kernel_under_form,
     lowest,
-    minimize_over_span,
     solve_linear,
     span_intersection,
 )
@@ -132,6 +132,7 @@ class ClassificationReport:
         permanently masked, else any temporarily masked factor makes it
         temporarily masked.
         """
+        require_size(self.n, [op], "operator")
         combo = in_span(encode(op), self._basis)
         if combo is None:
             raise ValueError("operator is not in the initial stabilizer group")
@@ -291,16 +292,23 @@ def _extract_permanently_masked(
     group element that anticommutes with it at that point; the pair
     behaves as the two logical operators of a gauge qubit and is
     propagated back to round 0 by the ordinary update rules.  Pairs form
-    only at C removals, and neither invariant check can fail without one,
-    so with none there is nothing to replay.
+    only at C removals, so with none there is nothing to replay.
+
+    Each removal is one pivot step.  Let W be generated by R and the pair
+    rows, and G_t be the ISG after measurement t, of m_t; R starts as the
+    final ISG.  The x_t removed at t anticommutes with m_t, and G_{t-1} =
+    <x_t> (G_{t-1} ∩ C(m_t)) with the second factor in G_t.  The pivot
+    on x_t, the measurement update of W, keeps what commutes with x_t,
+    so W ⊇ G_t gives W ⊇ G_{t-1}; moving a pair out of R keeps W, and G
+    grows between removals.  So m_t, in W, anticommutes with x_t, and R
+    commutes with the pair rows (pivots multiply by rows of R): if no row
+    of R anticommutes, x_t acts as a gauge logical and the replay raises.
 
     ``isg`` holds the rows of C and then V at the end of the window, each
     with its partner bits where the forward pass still knew them; one
     incremental basis selects the independent ones as R.  The replay
     tableau holds R as its stabilizers and the pairs, flattened, as its
     tracked rows, and no logical rows: no replayed element reads them.
-    An element commuting with R and the pairs is tested for membership
-    in R by elimination.
     """
     if all(record[1] != "C" for record in removals):
         return [], []
@@ -312,26 +320,14 @@ def _extract_permanently_masked(
             stab.append(row, 0, row_bits)
     # The removals are in schedule order: replay the most recent first.
     for _, kind, vec, _, partner in reversed(removals):
-        masks = anti, _, hit, _ = tab.masks(swap_halves(partner, n))
-        if anti:
-            p = lowest(anti)
-            row, _, row_bits = tab.pivot(masks, vec, partner)
-            if kind == "C":
-                tab.remove(p, row)
-                tracked.append(vec, 0, partner)
-                tracked.append(row, 0, row_bits)
-            continue
+        masks = anti, _, _, _ = tab.masks(swap_halves(partner, n))
+        if not anti:
+            raise InternalInvariantError("replayed removal has no anticommuting row in R")
+        row, _, row_bits = tab.pivot(masks, vec, partner)
         if kind == "C":
-            raise InternalInvariantError(
-                "staged removal has no anticommuting partner in replay"
-            )
-        # R commutes with every pair row, so an element of R hits none.
-        if Echelon(2 * n, tab.generators()).reduce(vec)[0]:
-            if hit:
-                raise InternalInvariantError(
-                    "replay measurement acts as a gauge logical"
-                )
-            stab.append(vec, 0, partner)
+            stab.free(lowest(anti))
+            tracked.append(vec, 0, partner)
+            tracked.append(row, 0, row_bits)
     return _strip_pairs(n, tab.generators(), tracked.rows, s0_rows)
 
 
@@ -444,6 +440,7 @@ def build_gauge_group(
         raise ValidationError(
             [{"kind": "destabilizer-count-mismatch", "expected": len(report.T)}]
         )
+    require_size(n, t_destabs or [], "t_destabs")
     # An operator's parities against the partner rows are its commutation
     # pattern with U | T | P | K and with each chosen destabilizer.
     partners = [symplectic_partner(encode(op), n) for op in stab_ops + report.K]
@@ -452,15 +449,12 @@ def build_gauge_group(
         target = len(report.U) + idx
         if t_destabs is not None:
             kappa = t_destabs[idx]
-            if kappa.n != n:
-                raise ValueError(f"size mismatch: {kappa.n} vs {n} qubits")
         else:
             rhs = [int(i == target) for i in range(len(partners))]
             solution = solve_linear(partners, rhs, width)
             if solution is None:
                 raise InternalInvariantError("no destabilizer solution exists")
-            particular, homogeneous = solution
-            kappa = decode(minimize_over_span(particular, homogeneous, width), n)
+            kappa = decode(solution, n)
         vec = encode(kappa)
         if any(((vec & row).bit_count() & 1) != (i == target) for i, row in enumerate(partners)):
             raise ValidationError([{"kind": "bad-destabilizer", "index": idx}])
@@ -558,6 +552,7 @@ def _min_weight_outside(
 def isg_distance(generators: list[PauliOperator], n: int, cap: int = 6) -> DistanceResult:
     """Distance of a static stabilizer group: lightest normalizer element
     outside the group."""
+    require_size(n, generators, "generators")
     rows = [encode(g) for g in generators]
     return _min_weight_outside(n, rows, rows, cap)
 

@@ -215,14 +215,22 @@ def validate_code(code: DynamicalCode) -> list[dict]:
     return [dict(d) for d in code._diagnostics]
 
 
+def _size_mismatches(n: int, ops, where: str) -> list[dict]:
+    return [{"kind": "size-mismatch", "where": where, "index": j, "got": op.n, "expected": n}
+            for j, op in enumerate(ops) if op.n != n]
+
+
+def require_size(n: int, ops, where: str) -> None:
+    """Raise :class:`ValidationError`, with a ``size-mismatch`` diagnostic
+    for each, if any operator of ``ops`` is not on ``n`` qubits."""
+    if diagnostics := _size_mismatches(n, ops, where):
+        raise ValidationError(diagnostics)
+
+
 def _validate(code: DynamicalCode) -> list[dict]:
     groups = [("s0", code.s0)]
     groups += [(f"round {i}", rnd) for i, rnd in enumerate(code.rounds, start=1)]
-    diagnostics = [
-        {"kind": "size-mismatch", "where": where, "index": j, "got": op.n,
-         "expected": code.n}
-        for where, ops in groups for j, op in enumerate(ops) if op.n != code.n
-    ]
+    diagnostics = [d for where, ops in groups for d in _size_mismatches(code.n, ops, where)]
     if diagnostics:
         return diagnostics
     # Equal rounds share one encoded tuple (alive as long as the code), so
@@ -300,6 +308,7 @@ def canonical_logicals(
     the trivial outcome expression (+1): tracked logicals start in a known
     eigenstate by convention, and callers reassign values as needed.
     """
+    require_size(n, generators, "generators")
     rows = [encode(g) for g in generators]
     normalizer = kernel_under_form(BitMatrix(rows, 2 * n))
     ech = Echelon(2 * n, rows)
@@ -327,6 +336,7 @@ class Evolution:
         n = self.n = state.n
         tab = self.tableau = Tableau(n, destabilizers=True)
         logicals = state.logicals or []
+        require_size(n, state.generators + [op for op, _ in logicals], "state")
         self.width = max(
             (expr.initial.bit_length() for expr in state.outcomes + [e for _, e in logicals]),
             default=0,
@@ -390,6 +400,7 @@ class Evolution:
     def apply_error(self, e: PauliOperator) -> None:
         """Flip the outcome of every generator and tracked logical that
         anticommutes with the error."""
+        require_size(self.n, [e], "error")
         tab = self.tableau
         s, _, t, _ = tab.masks(bits(encode(e)))
         for group, mask in ((tab.stab, s), (tab.tracked, t)):
@@ -464,6 +475,7 @@ def measure(state: ISGState, m: PauliOperator) -> tuple[ISGState, OutcomeExpr]:
     (as :func:`simulate_measurements` does) rather than rebuild it per
     call.
     """
+    require_size(state.n, [m], "measurement")
     evolution = Evolution(state)
     outcome = evolution.measure(m)
     return evolution.state(), outcome

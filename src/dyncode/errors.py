@@ -15,7 +15,7 @@ import operator
 from dataclasses import dataclass, field
 
 from .classify import GaugeGroup, subsystem_distance
-from .engine import DynamicalCode, Evolution, ISGState, ValidationError
+from .engine import DynamicalCode, Evolution, ISGState, ValidationError, require_size
 from .gf2 import Combination, bits
 from .pauli import (
     PauliOperator,
@@ -40,10 +40,7 @@ class SpacetimeError:
         for r, op in errors.items():
             if r < 0:
                 raise ValidationError([{"kind": "negative-round", "round": r}])
-            if op.n != n:
-                raise ValidationError(
-                    [{"kind": "size-mismatch", "round": r, "got": op.n}]
-                )
+            require_size(n, [op], f"error after round {r}")
         return SpacetimeError(n, tuple(sorted(errors.items())))
 
     def net_after(self, round_index: int) -> PauliOperator:
@@ -128,8 +125,8 @@ def traced_simulation(
         logical (None for a logical that a measurement reads out).
 
     Raises:
-        ValidationError: if a logical does not commute with s0 or lies in
-            its span.
+        ValidationError: if a logical has the wrong size, does not
+            commute with s0 or lies in its span.
     """
     n, k = code.n, len(code.s0)
     measurements = list(code.measurements())

@@ -23,7 +23,7 @@ from .engine import (
     validate_code,
 )
 # in_span stays importable from this module, as from gf2 and engine.
-from .gf2 import bits, in_span as in_span, minimize_over_span, solve_linear
+from .gf2 import bits, in_span as in_span, solve_linear
 from .pauli import PauliOperator, decode, encode, product, symplectic_partner
 from .tableau import Tableau, encoding
 
@@ -241,8 +241,7 @@ def _extend_worst_case(
         solution = solve_linear(rows, rhs, 2 * n)
         if solution is None:
             raise InternalInvariantError("no destabilizer for the insertion block")
-        particular, homogeneous = solution
-        return decode(minimize_over_span(particular, homogeneous, 2 * n), n)
+        return decode(solution, n)
 
     sigma_d1 = solve_destab(0, [])
     sigma_d2 = solve_destab(k - 2, [sigma_d1])

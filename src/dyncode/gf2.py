@@ -7,10 +7,10 @@ they perform, so every derived vector can be expressed as an explicit
 combination of the original rows; the set-tracking machinery in the
 classification algorithm depends on that.
 
-Two primitives: :func:`rref` for canonical forms with their row
-transforms (span intersections, nullspaces, linear solves), and
-:class:`Echelon` for incremental spans, built once per row set and asked
-every membership, rank and equality question about it.
+Two primitives, and no linear algebra outside them: :func:`rref` for
+canonical forms with their row transforms (span intersections,
+nullspaces, least solutions), and :class:`Echelon` for incremental
+spans, built once per row set and asked every question about it.
 """
 
 from __future__ import annotations
@@ -265,45 +265,19 @@ def nullspace(matrix: BitMatrix) -> list[int]:
     return basis
 
 
-def solve_linear(
-    rows: list[int], rhs: list[int], cols: int
-) -> tuple[int, list[int]] | None:
-    """Solve ``parity(v & rows[i]) == rhs[i]`` for all i.
-
-    Returns:
-        (particular, homogeneous_basis), or None when inconsistent.
+def solve_linear(rows: list[int], rhs: list[int], cols: int) -> int | None:
+    """The least solution of ``parity(v & rows[i]) == rhs[i]`` for all i,
+    or None.  The solution read off the reduced form is zero on every free
+    column, and the homogeneous basis vector of free column f has f as
+    its top bit (a row's pivot is its lowest bit): any other solution
+    differs from it last at a free column, where the other one is set.
     """
     augmented = [row | (bit << cols) for row, bit in zip(rows, rhs)]
     echelon, _, r = rref(BitMatrix(augmented, cols + 1))
-    particular = 0
-    for row in echelon.rows[:r]:
-        pivot = lowest(row)
-        if pivot == cols:
-            return None
-        if (row >> cols) & 1:
-            particular |= 1 << pivot
-    return particular, nullspace(BitMatrix(rows, cols))
-
-
-def minimize_over_span(vector: int, basis: list[int], cols: int) -> int:
-    """Smallest integer value of ``vector ^ s`` over the span of ``basis``.
-
-    Used to pick a canonical (lexicographically least) representative of
-    an affine solution set.
-    """
-    by_top: dict[int, int] = {}
-    for vec in basis:
-        while vec:
-            top = vec.bit_length() - 1
-            if top in by_top:
-                vec ^= by_top[top]
-            else:
-                by_top[top] = vec
-                break
-    for top in sorted(by_top, reverse=True):
-        if (vector >> top) & 1:
-            vector ^= by_top[top]
-    return vector
+    # The row 0 = 1 of an inconsistent system has the last pivot.
+    if r and lowest(echelon.rows[r - 1]) == cols:
+        return None
+    return sum(1 << lowest(row) for row in echelon.rows[:r] if row >> cols & 1)
 
 
 def kernel_under_form(generators: BitMatrix) -> BitMatrix:

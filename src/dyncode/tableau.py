@@ -181,15 +181,14 @@ class Tableau:
     Starts as the trivial group on ``n`` qubits, with the logical pairs
     (X_q, Z_q).  :meth:`measure` applies the stabilizer update; the
     classification, which removes rows and tracks C, applies its own rules
-    with :meth:`pivot`, :meth:`append` and :meth:`remove` on the same
-    :meth:`masks`.  Destabilizer rows are kept only with
-    ``destabilizers``: membership needs the logical rows alone, and only
-    :meth:`combination` reads them.  Each write of a destabilizer takes a
-    fresh slot of its own group, so no dense row is ever re-scanned;
-    ``owner`` maps a destabilizer slot to its stabilizer slot.  Without
-    ``logicals`` no logical row is kept, and the caller fills the
-    stabilizer rows directly and answers membership itself: only
-    :meth:`pivot` and :meth:`remove` apply.  A group that is not kept
+    with :meth:`pivot` and :meth:`append` on the same :meth:`masks`.
+    Destabilizer rows are kept only with ``destabilizers``: membership
+    needs the logical rows alone, and only :meth:`combination` reads
+    them.  Each write of a destabilizer takes a fresh slot of its own
+    group, so no dense row is ever re-scanned; ``owner`` maps a
+    destabilizer slot to its stabilizer slot.  Without ``logicals`` no
+    logical row is kept, and the caller fills the stabilizer rows
+    directly: only :meth:`pivot` applies.  A group that is not kept
     stays empty, with zero masks.
     """
 
@@ -314,17 +313,6 @@ class Tableau:
                 self.destab.mul(d, x_row, x_bits)
             self._add_destab(slot, x_row, x_bits)
         return slot
-
-    def remove(self, p: int, partner: int) -> None:
-        """Drop the generator in slot p; it and ``partner``, which
-        anticommutes with it and commutes with every other row, become a
-        logical pair (where logical rows are kept)."""
-        if self.logicals:
-            self.logical.append(self.stab.rows[p])
-            self.logical.append(partner)
-        self.stab.free(p)
-        if self.destabilizers:
-            self.destab.free(self._destab_of.pop(p))
 
     def measure(self, vec: int, vec_bits: list[int],
                 partner_bits: list[int]) -> tuple[int | None, int]:

@@ -19,6 +19,7 @@ from dyncode import (
 from dyncode import classify, pauli
 from dyncode.classify import DistanceResult
 from dyncode.engine import InternalInvariantError, ValidationError
+from dyncode.floquet import isg_rows
 from dyncode.gf2 import Echelon, bits, in_span, rank
 from dyncode.library import shor_code
 from dyncode.pauli import (
@@ -31,6 +32,7 @@ from dyncode.pauli import (
     symplectic_partner,
     symplectic_product,
 )
+from dyncode.tableau import Tableau
 
 from oracles import (
     SPLITS,
@@ -309,8 +311,8 @@ class TestInvariantChecks:
 
 class TestReplayCommutingBranch:
     """The replay of a removed element commuting with every generator of
-    the replayed group R, on hand-made removal lists: no schedule of the
-    test suite or the benchmark reaches this branch."""
+    the replayed group R, on hand-made removal lists: no forward pass
+    records one (:class:`TestReplayInvariant`), and the replay raises."""
 
     def replay(self, monkeypatch, n, isg, events, s0):
         """R, P and K (dense strings) of the replay of ``events``, given as
@@ -338,30 +340,25 @@ class TestReplayCommutingBranch:
         )
 
     def test_staged_removal_without_a_partner(self, monkeypatch):
-        with pytest.raises(InternalInvariantError, match="no anticommuting partner"):
+        with pytest.raises(InternalInvariantError, match="no anticommuting row in R"):
             self.replay(monkeypatch, 2, ["ZI"], [(1, "C", "IZ")], ["ZI"])
 
-    def test_measurement_acting_as_a_gauge_logical(self, monkeypatch):
+    def test_v_removal_without_a_partner(self, monkeypatch):
         # Round 2 replays first: XI takes over ZI, and the two leave R as a
-        # pair.  Round 1's XI then commutes with the empty R, lies outside
-        # it and anticommutes with the pair element ZI.
-        with pytest.raises(InternalInvariantError, match="acts as a gauge logical"):
-            self.replay(
-                monkeypatch, 2, ["ZI"], [(1, "V", "XI"), (2, "C", "XI")], ["XI"]
-            )
+        # pair.  IZ then commutes with the empty R and with the pair.
+        events = [(1, "V", "IZ"), (2, "C", "XI")]
+        with pytest.raises(InternalInvariantError, match="no anticommuting row in R"):
+            self.replay(monkeypatch, 2, ["ZI"], events, ["XI"])
 
     def test_only_v_removals_replay_to_nothing(self, monkeypatch):
         # Pairs form only at C removals, so a list without one returns
-        # ([], []) before the loop, as the loop itself does: shadowing the
-        # builtin ``all`` of the guard in the module makes the loop run.
+        # ([], []) before the loop.
         events = [(1, "V", "XI"), (2, "V", "IZ"), (3, "V", "ZZ")]
-        case = (monkeypatch, 2, ["ZI", "IX"], events, ["XI"])
-        assert self.replay(*case) == ([], [], [])
-        monkeypatch.setattr(classify, "all", lambda _: False, raising=False)
-        R, P, K = self.replay(*case)
-        assert R and (P, K) == ([], [])
+        assert self.replay(monkeypatch, 2, ["ZI", "IX"], events, ["XI"]) == ([], [], [])
 
     def test_only_v_removals_of_random_schedules(self, monkeypatch):
+        # Shadowing the builtin ``all`` of the guard in the module makes
+        # the loop run, and it returns ([], []) as the guard does.
         rng = random.Random(520)
         checked = 0
         while checked < 20:
@@ -378,12 +375,67 @@ class TestReplayCommutingBranch:
                 patch.setattr(classify, "all", lambda _: False, raising=False)
                 assert classify._extract_permanently_masked(*args) == ([], [])
 
-    def test_independent_element_joins_the_group_once(self, monkeypatch):
-        # IZ commutes with R and the pair: round 2 appends it to R, and
-        # round 1 finds it a member already.
-        events = [(1, "V", "IZ"), (2, "V", "IZ"), (3, "C", "XI")]
-        R, P, K = self.replay(monkeypatch, 2, ["ZI"], events, ["XI"])
-        assert (R, P, K) == (["IZ"], ["XI"], ["ZI"])
+
+class TestReplayInvariant:
+    """The replay's invariant on the records of real forward passes: with
+    W the group of R and the pair rows, W contains the ISG after round r
+    once every removal after round r is replayed, and each removal is one
+    pivot step.  The loop is forced on windows with no C removal too."""
+
+    class Recording(Tableau):
+        """The replay tableau, keeping W's rows before each removal."""
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.before, self.pivots = [], 0
+
+        def rows(self):
+            return self.generators() + [row for row in self.tracked.rows if row is not None]
+
+        def masks(self, vec_bits):
+            self.before.append(self.rows())
+            return super().masks(vec_bits)
+
+        def pivot(self, *args, **kwargs):
+            self.pivots += 1
+            return super().pivot(*args, **kwargs)
+
+    def check(self, monkeypatch, code):
+        n = code.n
+        isgs = [isg_rows(code, r) for r in range(len(code.rounds) + 1)]
+        s0_rows = [encode(op) for op in code.s0]
+        made = []
+
+        def recording(*args, **kwargs):
+            made.append(self.Recording(*args, **kwargs))
+            return made[-1]
+
+        for report in classify._reports(code, range(len(code.rounds) + 1)):
+            made.clear()
+            records = report._removals
+            isg = [(row, None) for row, _ in report._final[0] + report._final[1]]
+            with monkeypatch.context() as patch:
+                patch.setattr(classify, "all", lambda _: False, raising=False)
+                patch.setattr(classify, "Tableau", recording)
+                P, K = classify._extract_permanently_masked(n, isg, records, s0_rows)
+            assert (P, K) == (report.P, report.K)
+            [tab] = made
+            assert tab.pivots == len(records)
+            states = tab.before + [tab.rows()]
+            for r in range(report.window + 1):
+                W = Echelon(2 * n, states[sum(record[0] > r for record in records)])
+                assert all(W.reduce(row)[0] == 0 for row in isgs[r]), (report.window, r)
+
+    def test_seeded_random_codes(self, monkeypatch):
+        for seed in range(400):
+            self.check(monkeypatch, random_instance(random.Random(seed)))
+
+    @pytest.mark.parametrize("code", [
+        shor_code(mask_z1z2=True), honeycomb(3, 3), bacon_shor(3, 3),
+        build_1d_chain(8), build_1d_chain(12),
+    ], ids=["shor-masked", "honeycomb-3x3", "bacon-shor-3x3", "chain-8", "chain-12"])
+    def test_fixtures(self, monkeypatch, code):
+        self.check(monkeypatch, code)
 
 
 class TestElementClass:

@@ -8,13 +8,17 @@ from dyncode import (
     DynamicalCode,
     ISGState,
     build_1d_chain,
+    build_gauge_group,
+    build_logical_trace,
     canonical_logicals,
+    isg_distance,
     measure,
     simulate_measurements,
     validate_code,
 )
 from dyncode import engine
 from dyncode.classify import run_classification
+from dyncode.errors import SpacetimeError, traced_simulation
 from dyncode.cli import _shift_code
 from dyncode.engine import (
     INITIAL_STABILIZER,
@@ -23,6 +27,7 @@ from dyncode.engine import (
     CapExceededError,
     OutcomeExpr,
     OutcomeSymbol,
+    ValidationError,
     symbol_expr,
 )
 from dyncode.gf2 import bits, rank
@@ -57,6 +62,31 @@ class TestValidate:
         code = DynamicalCode.make(3, [parse_pauli("Z1", 2)], [])
         kinds = {d["kind"] for d in validate_code(code)}
         assert kinds == {"size-mismatch"}
+
+    @pytest.mark.parametrize("call", [
+        lambda: run_classification(shor_code()).element_class(parse_pauli("Y1 Y2 Y3", 3)),
+        lambda: isg_distance([parse_pauli("Z1", 3)], 9),
+        lambda: measure(ISGState.initial(shor_code()), parse_pauli("Y1 Y2 Y3", 3)),
+        lambda: measure(ISGState(9, [parse_pauli("Z3", 3)], [symbol_expr(INITIAL_STABILIZER, 0)]),
+                        parse_pauli("X6", 9)),
+        lambda: canonical_logicals(9, [parse_pauli("Z1", 3)]),
+        lambda: traced_simulation(shor_code(), [parse_pauli("X1 X12", 12)]),
+        lambda: build_logical_trace(shor_code(), [parse_pauli("X1 X12", 12)]),
+        lambda: simulate_measurements(shor_code(), errors={0: parse_pauli("Z3", 3)}),
+        lambda: build_gauge_group(run_classification(shor_code(mask_z1z2=True)),
+                                  t_destabs=[parse_pauli("X1", 3)]),
+        lambda: SpacetimeError.make(9, {1: parse_pauli("X1", 3)}),
+    ], ids=["element-class", "isg-distance", "measure", "state", "canonical-logicals",
+            "traced-simulation", "logical-trace", "placed-error", "t-destabs",
+            "spacetime-error"])
+    def test_operator_of_another_size(self, call):
+        # All but the last two once answered for the wrong operator or
+        # ended in an IndexError.
+        with pytest.raises(ValidationError) as info:
+            call()
+        [diagnostic] = info.value.diagnostics
+        assert diagnostic["kind"] == "size-mismatch"
+        assert (diagnostic["expected"], diagnostic["got"]) in {(9, 3), (9, 12)}
 
     def test_commutation_violation_in_round(self):
         diags = validate_code(code_of(2, [], [["X1", "Z1"]]))
@@ -170,8 +200,7 @@ def logical_partner(code, logical):
     rows = [symplectic_partner(encode(g), n) for g in code.s0]
     rows.append(symplectic_partner(encode(logical), n))
     rhs = [0] * len(code.s0) + [1]
-    particular, _ = solve_linear(rows, rhs, 2 * n)
-    return decode(particular, n)
+    return decode(solve_linear(rows, rhs, 2 * n), n)
 
 
 class TestErrorsAndSimulation:

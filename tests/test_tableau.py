@@ -109,22 +109,6 @@ class TestInvariants:
                 combo ^= tab.stab.rows[slot]
             assert combo == vec
 
-    @settings(max_examples=30, deadline=None)
-    @given(measurement_runs(), st.data())
-    def test_removal_returns_the_pair_to_the_logicals(self, run, data):
-        n, vecs = run
-        tab = Tableau(n, destabilizers=True)
-        for vec in vecs:
-            tab.measure(*encoding(vec, n))
-        slots = tab.stab.slots()
-        if not slots:
-            return
-        p = data.draw(st.sampled_from(slots))
-        d = next(d for d in tab.destab.slots() if tab.owner[d] == p)
-        tab.remove(p, tab.destab.rows[d])
-        check_invariants(tab)
-
-
     @settings(max_examples=40, deadline=None)
     @given(measurement_runs())
     def test_membership_in_one_pass(self, run):
