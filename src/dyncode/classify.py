@@ -21,9 +21,9 @@ V before C in list order (the lowest set bit of the tableau's
 anticommutation masks), and every other anticommuting element of V and
 C is multiplied by it.  With no pivot, m joins V if it is independent of
 V (case 1), which the tableau's logical rows answer in O(wt(m)).
-Otherwise the pivot is removed and recorded, and m joins V: a C pivot
-means m hit only C (case 2), and a V pivot covers m hitting only V
-(case 3) or both sets (case 4).
+Otherwise the pivot is removed, recorded as (round, kind "C" or "V",
+row), and m joins V: a C pivot means m hit only C (case 2), and a V
+pivot covers m hitting only V (case 3) or both sets (case 4).
 
 After the window, the intersection of the two spans yields every
 syndrome that the schedule reveals.  The removals are replayed backwards
@@ -36,7 +36,6 @@ classification of every element read it.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -67,26 +66,10 @@ from .pauli import (
     commuting_paulis_up_to_weight,
     decode,
     encode,
-    swap_halves,
     symplectic_partner,
     weight,
 )
-from .tableau import Tableau, anticommutation_masks
-
-
-@dataclass(frozen=True)
-class RemovalEvent:
-    """A generator dropped from C (kind "C") or V (kind "V") mid-schedule.
-
-    ``row`` is ``op`` encoded, as the forward pass held it.
-    """
-
-    round_index: int
-    kind: str
-    op: PauliOperator
-    assoc: Combination | None
-    carry: OutcomeExpr
-    row: int = field(compare=False, repr=False)
+from .tableau import Tableau, anticommutation_masks, encoding
 
 
 @dataclass(frozen=True)
@@ -105,10 +88,10 @@ class ClassificationReport:
     ``tags[i]`` classifies initial generator i.  ``_basis`` holds the
     rows of U, T and P in that order, tagged by position; rows it rejected
     as dependent took a tag bit too, so ``_ends`` records its size when U
-    and when T were complete.  ``_removals`` holds the forward pass's raw
-    removal records, (round, kind, row, packed provenance, partner bits),
-    from which :attr:`removals` is built on first read, and ``_final`` the
-    (row, packed provenance) pairs of the final C and V.
+    and when T were complete.  ``_removals`` holds the forward pass's
+    removal records, (round, kind, row) with kind "C" or "V" for the set
+    the row left, in schedule order, and ``_final`` the (row, packed
+    provenance) pairs of the final C and V.
     """
 
     n: int
@@ -143,17 +126,6 @@ class ClassificationReport:
             return "temporarily-masked"
         return "unmasked"
 
-    @functools.cached_property
-    def removals(self) -> list[RemovalEvent]:
-        """The removal events of the forward pass, in schedule order."""
-        n, k = self.n, len(self.s0)
-        events = []
-        for r, kind, row, prov, _ in self._removals:
-            combination, carry = _provenance(prov, k)
-            events.append(RemovalEvent(r, kind, decode(row, n),
-                                       combination if kind == "C" else None, carry, row))
-        return events
-
 
 def _provenance(prov: int, k: int) -> tuple[Combination, OutcomeExpr]:
     """The ``assoc`` combination and the carry of a packed provenance."""
@@ -186,8 +158,7 @@ def run_classification(code: DynamicalCode, window: int | None = None) -> Classi
 def _reports(code: DynamicalCode, windows):
     """The report at each window of the rising ``windows``, from one
     forward pass over a valid ``code``.  Each post-pass reads fresh lists
-    of C and V and a copy of the removals so far; the partner-bit lists
-    they share with the tableau are rebound, never mutated in place."""
+    of C and V and a copy of the removals so far."""
     n, k = code.n, len(code.s0)
     s0_rows = [vec for vec, _, _ in code.encoded_s0]
     # V is the stabilizer set of the tableau, C its tracked rows.
@@ -205,16 +176,16 @@ def _reports(code: DynamicalCode, windows):
                 masks = anti, logical, hit, _ = tab.masks(vec_bits)
                 if anti:
                     # Cases 3-4: the V pivot is removed and m joins V.
-                    pivot = tab.pivot(masks, vec, partner_bits, outcome, fresh=True)
-                    removals.append((round_index, "V", *pivot))
+                    row, _ = tab.pivot(masks, vec, partner_bits, outcome, fresh=True)
+                    removals.append((round_index, "V", row))
                 elif hit:
                     # Case 2: the C pivot is removed; m commutes with V and is
                     # independent of it, as it anticommutes with the pivot.
                     q = lowest(hit)
-                    row, prov, row_bits = c.rows[q], c.prov[q], c.row_bits(q)
+                    row = c.rows[q]
                     if hit ^ (1 << q):
-                        c.mul(hit ^ (1 << q), row, row_bits, prov)
-                    removals.append((round_index, "C", row, prov, row_bits))
+                        c.mul(hit ^ (1 << q), row, c.row_bits(q), c.prov[q])
+                    removals.append((round_index, "C", row))
                     c.free(q)
                     tab.append(vec, partner_bits, masks, outcome)
                 elif logical:
@@ -287,12 +258,13 @@ def _extract_permanently_masked(
     """Recover permanently masked stabilizers and destabilizers by replay.
 
     The final ISG (R) is evolved backwards by "measuring" the removed
-    elements, from their raw records (see :class:`ClassificationReport`),
-    in reverse order.  Each element that was removed from C pairs with the
-    group element that anticommutes with it at that point; the pair
-    behaves as the two logical operators of a gauge qubit and is
-    propagated back to round 0 by the ordinary update rules.  Pairs form
-    only at C removals, so with none there is nothing to replay.
+    elements, from their (round, kind, row) records, in reverse order;
+    each row's set and partner bits are rebuilt only when it is replayed.
+    Each element that was removed from C pairs with the group element
+    that anticommutes with it at that point; the pair behaves as the two
+    logical operators of a gauge qubit and is propagated back to round 0
+    by the ordinary update rules.  Pairs form only at C removals, so with
+    none there is nothing to replay.
 
     Each removal is one pivot step.  Let W be generated by R and the pair
     rows, and G_t be the ISG after measurement t, of m_t; R starts as the
@@ -319,11 +291,12 @@ def _extract_permanently_masked(
         if independent.add(row):
             stab.append(row, 0, row_bits)
     # The removals are in schedule order: replay the most recent first.
-    for _, kind, vec, _, partner in reversed(removals):
-        masks = anti, _, _, _ = tab.masks(swap_halves(partner, n))
+    for _, kind, removed in reversed(removals):
+        vec, vec_bits, partner = encoding(removed, n)
+        masks = anti, _, _, _ = tab.masks(vec_bits)
         if not anti:
             raise InternalInvariantError("replayed removal has no anticommuting row in R")
-        row, _, row_bits = tab.pivot(masks, vec, partner)
+        row, row_bits = tab.pivot(masks, vec, partner)
         if kind == "C":
             stab.free(lowest(anti))
             tracked.append(vec, 0, partner)

@@ -195,7 +195,7 @@ class Tableau:
     def __init__(self, n: int, destabilizers: bool = False, logicals: bool = True) -> None:
         self.n = n
         self.stab, self.logical, self.tracked, self.destab = Rows(n), Rows(n), Rows(n), Rows(n)
-        self.destabilizers, self.logicals = destabilizers, logicals
+        self.destabilizers = destabilizers
         self.owner: list[int] = []
         self._destab_of: dict[int, int] = {}
         for q in range(n if logicals else 0):
@@ -238,7 +238,7 @@ class Tableau:
         self.owner.append(p)
 
     def pivot(self, masks: tuple[int, int, int, int], vec: int, partner_bits: list[int],
-              prov: int = 0, fresh: bool = False) -> tuple[int, int, list[int]]:
+              prov: int = 0, fresh: bool = False) -> tuple[int, list[int]]:
         """Measure ``vec`` (partner bits ``partner_bits``), whose
         :meth:`masks` are ``masks`` with some stabilizer anticommuting; the
         lowest, slot p, is the pivot.
@@ -251,7 +251,7 @@ class Tableau:
         stabilizer slots, a fresh replacement compacts the stabilizer
         slots once fewer than half are occupied, so the planes stay as
         wide as the group rather than the run.  Returns the pivot's (row,
-        provenance, partner bits).
+        partner bits).
         """
         s, l, t, d = masks
         stab, destab = self.stab, self.destab
@@ -281,7 +281,7 @@ class Tableau:
                 destab.mul(d, old, old_bits)
             destab.free(d_p)
             self._add_destab(slot, old, old_bits)
-        return old, old_prov, old_bits
+        return old, old_bits
 
     def append(self, vec: int, partner_bits: list[int], masks: tuple[int, int, int, int],
                prov: int = 0) -> int:

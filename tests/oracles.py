@@ -71,7 +71,7 @@ from dyncode.engine import (
     symbol_expr,
     validate_code,
 )
-from dyncode.classify import DistanceResult, RemovalEvent, run_classification
+from dyncode.classify import DistanceResult, run_classification
 from dyncode.errors import LogicalTrace
 from dyncode.floquet import isg_rows
 from dyncode.gf2 import BitMatrix, Combination, Echelon, in_span, kernel_under_form, nullspace
@@ -598,15 +598,15 @@ def _pivot(m: PauliOperator, *groups: list[TrackedPauli]):
 
 def reference_forward(
     code: DynamicalCode, window: int | None = None
-) -> tuple[list[TrackedPauli], list[TrackedPauli], list[RemovalEvent]]:
+) -> tuple[list[TrackedPauli], list[TrackedPauli], list[tuple[int, str, int]]]:
     """The classification's forward pass over lists: (C, V, removals) as
     :func:`final_sets` reads them off a classification report, and as its
-    ``removals``."""
+    ``_removals``, (round, kind, encoded row) records."""
     window = resolve_window(code, window)
     k = len(code.s0)
     C = [TrackedPauli(op, Combination(1 << i, k), ONE) for i, op in enumerate(code.s0)]
     V: list[TrackedPauli] = []
-    removals: list[RemovalEvent] = []
+    removals: list[tuple[int, str, int]] = []
     t = 0
     for round_index, rnd in enumerate(code.rounds[:window], start=1):
         for m in rnd:
@@ -619,10 +619,7 @@ def reference_forward(
                 continue
             group, j = hit
             removed = group.pop(j)
-            removals.append(RemovalEvent(
-                round_index, "V" if group is V else "C",
-                removed.op, removed.assoc, removed.carry, encode(removed.op),
-            ))
+            removals.append((round_index, "V" if group is V else "C", encode(removed.op)))
             V.append(TrackedPauli(m, None, outcome))
     return C, V, removals
 

@@ -1,4 +1,6 @@
+import gc
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,7 @@ from dyncode import classify, pauli
 from dyncode.classify import DistanceResult
 from dyncode.engine import InternalInvariantError, ValidationError
 from dyncode.floquet import isg_rows
-from dyncode.gf2 import Echelon, bits, in_span, rank
+from dyncode.gf2 import Echelon, in_span, rank
 from dyncode.library import shor_code
 from dyncode.pauli import (
     PauliOperator,
@@ -29,7 +31,6 @@ from dyncode.pauli import (
     format_pauli,
     parse_pauli,
     product,
-    symplectic_partner,
     symplectic_product,
 )
 from dyncode.tableau import Tableau
@@ -225,6 +226,27 @@ class TestOnePassWindows:
         self.check(code)
 
 
+def test_memory_grows_no_faster_than_the_schedule():
+    """Doubling the chain multiplies its measurements by 3.97; the traced
+    peak of the classification may grow at most 5x (it grows 3.7x).
+    Records that kept a provenance as wide as the schedule so far grew it
+    7.7x."""
+    def peak(n):
+        code = build_1d_chain(n)
+        # A full collection empties the free lists, whose reused objects
+        # tracemalloc would not count, so the peak is independent of the
+        # tests that ran before.
+        gc.collect()
+        tracemalloc.start()
+        try:
+            run_classification(code)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(160) <= 5 * peak(80)
+
+
 class TestInvariantChecks:
     """Each InternalInvariantError of the post-pass, reached by corrupting
     one intermediate result of an otherwise valid classification."""
@@ -320,10 +342,7 @@ class TestReplayCommutingBranch:
         def rows(texts):
             return [encode(parse_pauli(t, n)) for t in texts]
 
-        removals = [
-            (r, kind, row, 0, bits(symplectic_partner(row, n)))
-            for (r, kind, _), row in zip(events, rows(t for _, _, t in events))
-        ]
+        removals = [(r, kind, encode(parse_pauli(t, n))) for r, kind, t in events]
         replayed = []
         strip = classify._strip_pairs
 
@@ -364,7 +383,7 @@ class TestReplayCommutingBranch:
         while checked < 20:
             code = random_instance(rng)
             report = run_classification(code)
-            if any(kind == "C" for _, kind, *_ in report._removals):
+            if any(kind == "C" for _, kind, _ in report._removals):
                 continue
             checked += 1
             s0_rows = [encode(op) for op in code.s0]

@@ -345,7 +345,7 @@ class TestUnmaskProbeOnePass:
             replay's tableau keeps no logical rows and is not counted."""
 
             def masks(self, vec_bits):
-                if self.logicals:
+                if self.logical.rows:
                     processed.append(vec_bits)
                 return super().masks(vec_bits)
 
