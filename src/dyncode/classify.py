@@ -380,7 +380,6 @@ class GaugeGroup:
 
     n: int
     generators: list[PauliOperator]
-    policy: str
     t_destabs: list[PauliOperator]
     center: list[PauliOperator]
     alternatives: list[PauliOperator] = field(default_factory=list)
@@ -434,7 +433,7 @@ def build_gauge_group(
         partners.append(symplectic_partner(vec, n))
         chosen.append(kappa)
     generators = stab_ops + list(report.K) + chosen
-    gauge = GaugeGroup(n, generators, t_destab_policy, chosen, [u.op for u in report.U])
+    gauge = GaugeGroup(n, generators, chosen, [u.op for u in report.U])
     if t_destab_policy == "exhaustive" and report.T:
         # The centralizer is span(U) plus the bare logicals (Poulin).
         center = Echelon(width, [encode(u) for u in gauge.center])

@@ -1,10 +1,16 @@
 """
 Command-line interface: validate, classify, distance, floquet, simulate.
 
+Each command is one report function from the loaded code and its own
+options to its report fields.  One scaffold, ``_command``, declares the
+file argument and ``--format``, loads the code, wraps the fields in the
+report shell, emits the report and maps the typed errors to exit codes
+in one place: 0 ok, 1 validation failure, 2 cap exceeded, 3 internal
+invariant violation.
+
 Reports are JSON documents with sorted keys, so output is byte-identical
 across runs for a fixed input and seed.  Every number in a report is
-wrapped with a provenance marker.  Exit codes: 0 ok, 1 validation
-failure, 2 cap exceeded, 3 internal invariant violation.
+wrapped with a provenance marker.
 """
 
 from __future__ import annotations
@@ -106,33 +112,6 @@ def _text_lines(node, prefix: str, lines: list[str]) -> list[str]:
     return lines
 
 
-def _report_shell(command: str, path: str) -> dict:
-    return {
-        "schema": SCHEMA_VERSION,
-        "tool_version": _tool_version(),
-        "command": command,
-        "input_digest": _digest(path),
-    }
-
-
-def _run(command):
-    """Execute a command body, mapping exceptions to exit codes."""
-    try:
-        command()
-    except ValidationError as exc:
-        click.echo(json.dumps({"error": "validation", "diagnostics":
-                               exc.diagnostics}, sort_keys=True), err=True)
-        sys.exit(1)
-    except CapExceededError as exc:
-        click.echo(json.dumps({"error": "cap-exceeded", "message": str(exc)},
-                              sort_keys=True), err=True)
-        sys.exit(2)
-    except InternalInvariantError as exc:
-        click.echo(json.dumps({"error": "internal-invariant", "message":
-                               str(exc)}, sort_keys=True), err=True)
-        sys.exit(3)
-
-
 def _shift_code(code: DynamicalCode, isg_round: int) -> DynamicalCode:
     """Replace s0 by the ISG reached after ``isg_round`` rounds."""
     if isg_round == 0:
@@ -164,119 +143,125 @@ def main():
     """Analyze measurement-defined stabilizer codes."""
 
 
-@main.command()
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--format", "fmt", type=click.Choice(["json", "text"]),
-              default="json", show_default=True)
-def validate(file, fmt):
+def _command(*options: click.Option):
+    """Register ``report(code, **options)`` as the command of its name, with
+    the code file, then ``options``, then ``--format`` as its parameters."""
+
+    def register(report):
+        name = report.__name__
+
+        def run(file, fmt, **kwargs):
+            try:
+                fields = report(load_code(file), **kwargs)
+                _emit({"schema": SCHEMA_VERSION, "tool_version": _tool_version(),
+                       "command": name, "input_digest": _digest(file), **fields}, fmt)
+            except ValidationError as exc:
+                click.echo(json.dumps({"error": "validation", "diagnostics":
+                                       exc.diagnostics}, sort_keys=True), err=True)
+                sys.exit(1)
+            except CapExceededError as exc:
+                click.echo(json.dumps({"error": "cap-exceeded", "message": str(exc)},
+                                      sort_keys=True), err=True)
+                sys.exit(2)
+            except InternalInvariantError as exc:
+                click.echo(json.dumps({"error": "internal-invariant", "message":
+                                       str(exc)}, sort_keys=True), err=True)
+                sys.exit(3)
+
+        params = [
+            click.Argument(["file"], type=click.Path(exists=True, dir_okay=False)),
+            *options,
+            click.Option(["--format", "fmt"], type=click.Choice(["json", "text"]),
+                         default="json", show_default=True),
+        ]
+        main.add_command(click.Command(name, callback=run, params=params, help=report.__doc__))
+        return report
+
+    return register
+
+
+@_command()
+def validate(code: DynamicalCode) -> dict:
     """Check a code file structurally; exit 0 iff clean."""
-
-    def body():
-        code = load_code(file)
-        report = _report_shell("validate", file)
-        report["diagnostics"] = validate_code(code)
-        report["n"] = _computed(code.n)
-        report["rounds"] = _computed(len(code.rounds))
-        _emit(report, fmt)
-
-    _run(body)
+    return {
+        "diagnostics": validate_code(code),
+        "n": _computed(code.n),
+        "rounds": _computed(len(code.rounds)),
+    }
 
 
-@main.command()
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--window", type=int, default=None,
-              help="Rounds to classify over (default: all).")
-@click.option("--isg-round", type=int, default=0, show_default=True,
-              help="Classify the ISG reached after this many rounds.")
-@click.option("--format", "fmt", type=click.Choice(["json", "text"]),
-              default="json", show_default=True)
-def classify(file, window, isg_round, fmt):
+@_command(
+    click.Option(["--window"], type=int, default=None,
+                 help="Rounds to classify over (default: all)."),
+    click.Option(["--isg-round"], type=int, default=0, show_default=True,
+                 help="Classify the ISG reached after this many rounds."),
+)
+def classify(code: DynamicalCode, window, isg_round) -> dict:
     """Partition the initial stabilizers into unmasked / temporarily
     masked / permanently masked, with syndrome formulas and destabilizers."""
-
-    def body():
-        code = _shift_code(load_code(file), isg_round)
-        result = run_classification(code, window=window)
-        report = _report_shell("classify", file)
-        report["window"] = _computed(result.window)
-        report["unmasked"] = [
+    result = run_classification(_shift_code(code, isg_round), window=window)
+    return {
+        "window": _computed(result.window),
+        "unmasked": [
             {
                 "operator": format_pauli(u.op),
                 "syndrome": _expr_to_json(u.syndrome),
             }
             for u in result.U
-        ]
-        report["temporarily_masked"] = [format_pauli(t) for t in result.T]
-        report["permanently_masked"] = [
+        ],
+        "temporarily_masked": [format_pauli(t) for t in result.T],
+        "permanently_masked": [
             {"operator": format_pauli(p), "destabilizer": format_pauli(k)}
             for p, k in zip(result.P, result.K)
-        ]
-        report["generator_tags"] = list(result.tags)
-        _emit(report, fmt)
-
-    _run(body)
+        ],
+        "generator_tags": list(result.tags),
+    }
 
 
-@main.command()
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--window", type=int, default=None)
-@click.option("--cap", type=int, default=6, show_default=True,
-              help="Maximum weight searched before giving up.")
-@click.option("--t-destab", type=click.Choice(["canonical", "exhaustive"]),
-              default="canonical", show_default=True)
-@click.option("--format", "fmt", type=click.Choice(["json", "text"]),
-              default="json", show_default=True)
-def distance(file, window, cap, t_destab, fmt):
+@_command(
+    click.Option(["--window"], type=int, default=None),
+    click.Option(["--cap"], type=int, default=6, show_default=True,
+                 help="Maximum weight searched before giving up."),
+    click.Option(["--t-destab"], type=click.Choice(["canonical", "exhaustive"]),
+                 default="canonical", show_default=True),
+)
+def distance(code: DynamicalCode, window, cap, t_destab) -> dict:
     """Compute the unmasked, subsystem, and ISG distances."""
-
-    def body():
-        code = load_code(file)
-        if cap < 0:  # before the classification, which it would waste
-            raise ValidationError([{"kind": "cap-out-of-range", "cap": cap}])
-        result = run_classification(code, window=window)
-        gauge = build_gauge_group(result, t_destab_policy=t_destab)
-        report = _report_shell("distance", file)
-        d_u = unmasked_distance(gauge, cap=cap)
-        report["d_u"] = _distance_to_json(d_u)
+    if cap < 0:  # before the classification, which it would waste
+        raise ValidationError([{"kind": "cap-out-of-range", "cap": cap}])
+    result = run_classification(code, window=window)
+    gauge = build_gauge_group(result, t_destab_policy=t_destab)
+    d_u = unmasked_distance(gauge, cap=cap)
+    return {
+        "d_u": _distance_to_json(d_u),
         # The gauge group's center is span(U), so without destabilizer
         # choices d_u's search is the subsystem search.
-        report["d_subsystem"] = _distance_to_json(
+        "d_subsystem": _distance_to_json(
             subsystem_distance(gauge, cap=cap) if gauge.has_choices() else d_u
-        )
-        report["d_isg"] = _distance_to_json(
-            isg_distance(list(code.s0), code.n, cap=cap)
-        )
-        report["t_destab_policy"] = t_destab
-        _emit(report, fmt)
-
-    _run(body)
+        ),
+        "d_isg": _distance_to_json(isg_distance(list(code.s0), code.n, cap=cap)),
+        "t_destab_policy": t_destab,
+    }
 
 
-@main.command()
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--max-cycles", type=int, default=0,
-              help="Cap of the cycle trace only (default: qubit count + 2); "
-              "the unmask count's cap stays |ISG| + 2.")
-@click.option("--format", "fmt", type=click.Choice(["json", "text"]),
-              default="json", show_default=True)
-def floquet(file, max_cycles, fmt):
+@_command(
+    click.Option(["--max-cycles"], type=int, default=0,
+                 help="Cap of the cycle trace only (default: qubit count + 2); "
+                 "the unmask count's cap stays |ISG| + 2."),
+)
+def floquet(code: DynamicalCode, max_cycles) -> dict:
     """Cycle analysis: initialization depth, monotonicity, growth, unmasking."""
-
-    def body():
-        code = load_code(file)
-        sequence = [m for rnd in code.rounds for m in rnd]
-        encoded = [entry for rnd in code.encoded_rounds for entry in rnd]
-        trace = iterate_cycles(sequence, code.n, max_cycles=max_cycles, encoded=encoded)
-        accounting = growth_accounting(trace)
-        report = _report_shell("floquet", file)
-        report["initialization_depth"] = _computed(initialization_depth(trace))
-        report["monotonicity_violations"] = check_subset_monotonicity(trace)
-        report["growth_deltas"] = [_computed(d) for d in accounting["deltas"]]
-        report["growth_violations"] = accounting["violations"]
-        report["unmask_cycles"] = _computed(unmask_cycle_count(code))
-        _emit(report, fmt)
-
-    _run(body)
+    sequence = [m for rnd in code.rounds for m in rnd]
+    encoded = [entry for rnd in code.encoded_rounds for entry in rnd]
+    trace = iterate_cycles(sequence, code.n, max_cycles=max_cycles, encoded=encoded)
+    accounting = growth_accounting(trace)
+    return {
+        "initialization_depth": _computed(initialization_depth(trace)),
+        "monotonicity_violations": check_subset_monotonicity(trace),
+        "growth_deltas": [_computed(d) for d in accounting["deltas"]],
+        "growth_violations": accounting["violations"],
+        "unmask_cycles": _computed(unmask_cycle_count(code)),
+    }
 
 
 def parse_error_spec(spec: str, n: int) -> dict:
@@ -302,59 +287,49 @@ def parse_error_spec(spec: str, n: int) -> dict:
     return errors
 
 
-@main.command()
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--errors", "error_spec", default="",
-              help='Error placements, e.g. "0:X1,2:Z6Z7".')
-@click.option("--seed", type=int, default=0, show_default=True,
-              help="Seed for the sampled outcome assignment.")
-@click.option("--max-weight", type=int, default=1, show_default=True,
-              help="Weight bound for the decodability check.")
-@click.option("--format", "fmt", type=click.Choice(["json", "text"]),
-              default="json", show_default=True)
-def simulate(file, error_spec, seed, max_weight, fmt):
+@_command(
+    click.Option(["--errors", "error_spec"], default="",
+                 help='Error placements, e.g. "0:X1,2:Z6Z7".'),
+    click.Option(["--seed"], type=int, default=0, show_default=True,
+                 help="Seed for the sampled outcome assignment."),
+    click.Option(["--max-weight"], type=int, default=1, show_default=True,
+                 help="Weight bound for the decodability check."),
+)
+def simulate(code: DynamicalCode, error_spec, seed, max_weight) -> dict:
     """Inject spacetime errors: syndromes and a decodability verdict."""
-
-    def body():
-        code = load_code(file)
-        placed = parse_error_spec(error_spec, code.n)
-        bad = [r for r in placed if r > len(code.rounds)]
-        if bad:
-            raise ValidationError(
-                [{"kind": "round-out-of-range", "round": r} for r in bad]
-            )
-        error = SpacetimeError.make(code.n, placed)
-        result = run_classification(code)
-        gauge = build_gauge_group(result)
-        rng = random.Random(seed & 0xFFFFFFFFFFFFFFFF)
-        report = _report_shell("simulate", file)
-        report["seed"] = _computed(seed)
-        report["errors"] = {
-            str(r): format_pauli(op) for r, op in error.by_round
-        }
-        occurrences = list(code.measurements())
-        syndromes = []
-        for u in result.U:
-            decomposition = _syndrome_decomposition(code.n, occurrences, u)
-            bit = syndrome_of_spacetime_error(error, decomposition, u.op)
-            syndromes.append(
-                {"stabilizer": format_pauli(u.op), "flip": _computed(bit)}
-            )
-        report["syndromes"] = syndromes
-        verdict = verify_round0_decoding(gauge, max_weight)
-        report["decoding"] = {
-            "ok": verdict.ok,
-            "errors_checked": _computed(verdict.errors_checked),
-            "max_weight": _computed(verdict.max_weight),
-        }
-        if verdict.violation is not None:
-            report["decoding"]["violation"] = [
-                format_pauli(op) for op in verdict.violation
-            ]
-        report["logical_outcomes"] = _logical_outcomes(code, error, rng)
-        _emit(report, fmt)
-
-    _run(body)
+    placed = parse_error_spec(error_spec, code.n)
+    bad = [r for r in placed if r > len(code.rounds)]
+    if bad:
+        raise ValidationError(
+            [{"kind": "round-out-of-range", "round": r} for r in bad]
+        )
+    error = SpacetimeError.make(code.n, placed)
+    result = run_classification(code)
+    gauge = build_gauge_group(result)
+    rng = random.Random(seed & 0xFFFFFFFFFFFFFFFF)
+    occurrences = list(code.measurements())
+    syndromes = []
+    for u in result.U:
+        decomposition = _syndrome_decomposition(code.n, occurrences, u)
+        bit = syndrome_of_spacetime_error(error, decomposition, u.op)
+        syndromes.append(
+            {"stabilizer": format_pauli(u.op), "flip": _computed(bit)}
+        )
+    verdict = verify_round0_decoding(gauge, max_weight)
+    decoding = {
+        "ok": verdict.ok,
+        "errors_checked": _computed(verdict.errors_checked),
+        "max_weight": _computed(verdict.max_weight),
+    }
+    if verdict.violation is not None:
+        decoding["violation"] = [format_pauli(op) for op in verdict.violation]
+    return {
+        "seed": _computed(seed),
+        "errors": {str(r): format_pauli(op) for r, op in error.by_round},
+        "syndromes": syndromes,
+        "decoding": decoding,
+        "logical_outcomes": _logical_outcomes(code, error, rng),
+    }
 
 
 def _logical_outcomes(code: DynamicalCode, error, rng) -> list[dict]:

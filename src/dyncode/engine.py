@@ -141,10 +141,9 @@ class DynamicalCode:
             n, tuple(s0), tuple(tuple(r) for r in rounds), labels
         )
 
-    def measurements(self, window: int | None = None):
-        """Yield (round_index, measurement) over the first ``window`` rounds."""
-        upto = len(self.rounds) if window is None else window
-        for i, rnd in enumerate(self.rounds[:upto], start=1):
+    def measurements(self):
+        """Yield (round_index, measurement) over every round."""
+        for i, rnd in enumerate(self.rounds, start=1):
             for m in rnd:
                 yield i, m
 

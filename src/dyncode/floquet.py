@@ -43,7 +43,6 @@ class CycleTrace:
     """
 
     n: int
-    sequence: tuple[PauliOperator, ...]
     snapshots: list[list[list[int]]] = field(default_factory=list)
     new_counts: list[int] = field(default_factory=list)
     fixpoint: int | None = None
@@ -68,7 +67,7 @@ def iterate_cycles(
     """
     if max_cycles <= 0:
         max_cycles = n + 2
-    trace = CycleTrace(n, tuple(sequence))
+    trace = CycleTrace(n)
     tab = Tableau(n)
     if encoded is None:
         encoded = [encoding(encode(op), n) for op in sequence]

@@ -687,7 +687,7 @@ def reference_record(code: DynamicalCode, window: int | None = None):
     measured with :func:`reference_measure` from ``ISGState.initial``."""
     state = ISGState.initial(code)
     states, record = [], []
-    for t, (_, m) in enumerate(code.measurements(window)):
+    for t, m in enumerate(m for rnd in code.rounds[:window] for m in rnd):
         state, outcome = reference_measure(state, m)
         states.append(state)
         record.append((t, m, outcome))

@@ -4,6 +4,7 @@ import random
 import tempfile
 from unittest import mock
 
+import click
 import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings
@@ -510,6 +511,86 @@ def test_bad_input_is_a_diagnostic(runner, tmp_path, command, document, options,
     error = json.loads(result.stderr)
     assert error["error"] == "validation"
     assert kind in [d["kind"] for d in error["diagnostics"]]
+
+
+@pytest.mark.parametrize(
+    "command, options, diagnostic",
+    [
+        ("simulate", ["--errors", "99:X1", "--max-weight", "-1"],
+         {"kind": "round-out-of-range", "round": 99}),
+        ("simulate", ["--errors", "-1:X1", "--max-weight", "-1"],
+         {"kind": "negative-round", "round": -1}),
+        ("classify", ["--isg-round", "99", "--window", "-1"],
+         {"kind": "window-too-large", "rounds": 1, "window": 99}),
+    ],
+    ids=["round-out-of-range", "negative-round", "isg-round-too-large"],
+)
+def test_the_first_failing_check_gives_the_diagnostic(runner, shor_file, command, options,
+                                                      diagnostic):
+    """An input failing two checks reports the check that runs first."""
+    result = runner.invoke(main, [command, shor_file, *options], catch_exceptions=False)
+    assert result.exit_code == 1
+    assert json.loads(result.stderr) == {"error": "validation", "diagnostics": [diagnostic]}
+
+
+def _param_type(param_type):
+    if isinstance(param_type, click.Choice):
+        return tuple(param_type.choices)
+    if isinstance(param_type, click.Path):
+        return ("path", param_type.exists, param_type.dir_okay)
+    return param_type.name
+
+
+def _declared(param):
+    """A parameter's declaration: name, flags, type, default, show_default, help."""
+    if isinstance(param, click.Argument):
+        return (param.name, tuple(param.opts), _param_type(param.type), param.required)
+    return (param.name, tuple(param.opts), _param_type(param.type), param.default,
+            param.show_default, param.help)
+
+
+# Every command takes the file first and --format last, around its own options.
+FILE = ("file", ("file",), ("path", True, False), True)
+FORMAT = ("fmt", ("--format",), ("json", "text"), "json", True, None)
+DECLARED = {
+    "validate": [FILE, FORMAT],
+    "classify": [
+        FILE,
+        ("window", ("--window",), "integer", None, None,
+         "Rounds to classify over (default: all)."),
+        ("isg_round", ("--isg-round",), "integer", 0, True,
+         "Classify the ISG reached after this many rounds."),
+        FORMAT,
+    ],
+    "distance": [
+        FILE,
+        ("window", ("--window",), "integer", None, None, None),
+        ("cap", ("--cap",), "integer", 6, True, "Maximum weight searched before giving up."),
+        ("t_destab", ("--t-destab",), ("canonical", "exhaustive"), "canonical", True, None),
+        FORMAT,
+    ],
+    "floquet": [
+        FILE,
+        ("max_cycles", ("--max-cycles",), "integer", 0, None,
+         "Cap of the cycle trace only (default: qubit count + 2); "
+         "the unmask count's cap stays |ISG| + 2."),
+        FORMAT,
+    ],
+    "simulate": [
+        FILE,
+        ("error_spec", ("--errors",), "text", "", None, 'Error placements, e.g. "0:X1,2:Z6Z7".'),
+        ("seed", ("--seed",), "integer", 0, True, "Seed for the sampled outcome assignment."),
+        ("max_weight", ("--max-weight",), "integer", 1, True,
+         "Weight bound for the decodability check."),
+        FORMAT,
+    ],
+}
+
+
+def test_each_command_declares_its_parameters_in_order():
+    assert list(main.commands) == COMMAND_NAMES == list(DECLARED)
+    for name, expected in DECLARED.items():
+        assert [_declared(p) for p in main.commands[name].params] == expected, name
 
 
 # Files the JSON parser refuses: deep nesting, an integer past the limit
